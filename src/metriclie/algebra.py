@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .base import CheckResult, InputError
 from .linalg import (basis_vector, invert, is_zero_vector, mat, mat_vec,
-                     nullspace, reduce_against, row_space, vec)
+                     nullspace, reduce_against, row_space, solve, vec)
 from .scalars import frac
 
 
@@ -288,7 +288,6 @@ def restricted_algebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
     k = s.dim
     if k == 0:
         raise InputError("the zero subspace is not an algebra basis")
-    from .linalg import solve
     cols = [tuple(s.basis[a][r] for a in range(k)) for r in range(g.dim)]
     structure = []
     for a in range(k):

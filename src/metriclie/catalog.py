@@ -15,8 +15,9 @@ from typing import Mapping
 from .algebra import (LieAlgebra, center, commutator, is_abelian, is_solvable,
                       jacobi_check)
 from .base import InputError
-from .forms import (SymBilinearForm, has_nondegenerate_invariant_form,
-                    is_ad_invariant, killing_form, signature)
+from .forms import (FormSearch, SymBilinearForm,
+                    has_nondegenerate_invariant_form, is_ad_invariant,
+                    killing_form, signature)
 from .linalg import basis_vector
 
 LABELS = ("R4", "R+sl2", "R+so3", "oscillator_g0", "g1", "not_in_list")
@@ -164,7 +165,8 @@ def get_metric(entry: CatalogEntry, metric_name: str) -> SymBilinearForm:
         f" available: {', '.join(metric_names(entry))}")
 
 
-def classify_dim4_metric(g: LieAlgebra) -> str:
+def classify_dim4_metric(g: LieAlgebra,
+                         search: FormSearch | None = None) -> str:
     """Place a 4-dim algebra admitting an ad-invariant metric in the
     five-entry list; anything outside the metric class lands in not_in_list.
 
@@ -178,12 +180,17 @@ def classify_dim4_metric(g: LieAlgebra) -> str:
     - solvable with 1-dim center and 3-dim commutator -> the sign of
       K(x, x) for any x outside the commutator separates the rotation
       case (negative, oscillator_g0) from the boost case (positive, g1).
+
+    ``search`` is the result of ``has_nondegenerate_invariant_form(g)`` when
+    the caller already holds it; otherwise the search runs here.
     """
     if g.dim != 4:
         raise InputError("classifier expects a 4-dimensional algebra")
     if is_abelian(g):
         return "R4"
-    if not has_nondegenerate_invariant_form(g).found:
+    if search is None:
+        search = has_nondegenerate_invariant_form(g)
+    if not search.found:
         return "not_in_list"
     K = killing_form(g)
     sig = signature(K)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -35,10 +36,10 @@ from .connection import (ahc_isometry_check, bianchi_check,
                          linearized_isotropy_dim, ricci_operator,
                          soliton_solve)
 from .forms import (SymBilinearForm, has_nondegenerate_invariant_form,
-                    invariant_form_space, is_ad_invariant,
-                    series_duality_check, signature)
+                    is_ad_invariant, killing_form, series_duality_check,
+                    signature)
 from .groups import GeodesicSpec, GroupElement, group_identity
-from .integrate import (chart, compare_to_closed_form, initial_velocity,
+from .integrate import (_closed_form_deviation, chart, initial_velocity,
                         integrate_geodesic, write_trajectory_csv)
 
 EXIT_OK = 0
@@ -57,6 +58,11 @@ def _parse_rational(value):
     raise ParseError(f"not a rational value: {value!r}")
 
 
+def _check_indices(path, where, indices):
+    if not all(type(i) is int for i in indices):
+        raise ParseError(f"{path}: {where} indices must be integers")
+
+
 def load_algebra_file(path: str):
     """Parse an AlgebraFile; Jacobi is verified before anything is returned."""
     try:
@@ -69,13 +75,17 @@ def load_algebra_file(path: str):
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError(f"{path}: missing 'dim'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim <= 0:
+    if type(dim) is not int or dim <= 0:
         raise ParseError(f"{path}: 'dim' must be a positive integer")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ParseError(f"{path}: 'brackets' must be a list")
     entries = []
-    for idx, item in enumerate(data.get("brackets", [])):
+    for idx, item in enumerate(brackets):
         if not (isinstance(item, list) and len(item) == 4):
             raise ParseError(f"{path}: brackets[{idx}] must be [i, j, k, value]")
         i, j, k, value = item
+        _check_indices(path, f"brackets[{idx}]", (i, j, k))
         entries.append((i, j, k, _parse_rational(value)))
     try:
         g = LieAlgebra.from_brackets(dim, entries,
@@ -86,14 +96,20 @@ def load_algebra_file(path: str):
     if not jac:
         raise JacobiError(f"{path}: Jacobi identity fails at basis triple "
                           f"{jac.witness}", triple=jac.witness)
+    metric_rows = data.get("metrics", {})
+    if not isinstance(metric_rows, dict):
+        raise ParseError(f"{path}: 'metrics' must be an object")
     metrics = {}
-    for mname, rows in data.get("metrics", {}).items():
+    for mname, rows in metric_rows.items():
+        if not isinstance(rows, list):
+            raise ParseError(f"{path}: metrics[{mname}] must be a list")
         sparse = []
         for idx, item in enumerate(rows):
             if not (isinstance(item, list) and len(item) == 3):
                 raise ParseError(
                     f"{path}: metrics[{mname}][{idx}] must be [i, j, value]")
             i, j, value = item
+            _check_indices(path, f"metrics[{mname}][{idx}]", (i, j))
             sparse.append((i, j, _parse_rational(value)))
         try:
             metrics[mname] = SymBilinearForm.from_entries(dim, sparse)
@@ -119,7 +135,6 @@ def resolve_metric(g: LieAlgebra, metrics: dict, metric_name: str) -> SymBilinea
     if metric_name in metrics:
         return metrics[metric_name]
     if metric_name == "killing":
-        from .forms import killing_form
         return killing_form(g)
     raise InputError(f"unknown metric {metric_name!r}; available: "
                      f"{', '.join(list(metrics) + ['killing'])}")
@@ -138,9 +153,8 @@ def cmd_report(args, out) -> int:
     upper_dims = [upper_central(g, r).dim for r in range(g.dim + 1)]
     out.write(f"lower central dims: {lower_dims}\n")
     out.write(f"upper central dims: {upper_dims}\n")
-    space = invariant_form_space(g)
-    out.write(f"invariant form space: {len(space)}\n")
     search = has_nondegenerate_invariant_form(g)
+    out.write(f"invariant form space: {search.space_dim}\n")
     if search.found:
         sig = signature(search.witness)
         out.write(f"nondegenerate ad-invariant form: yes, signature {sig}\n")
@@ -149,7 +163,7 @@ def cmd_report(args, out) -> int:
     else:
         out.write("no nondegenerate ad-invariant form\n")
     if g.dim == 4:
-        out.write(f"class: {catalog.classify_dim4_metric(g)}\n")
+        out.write(f"class: {catalog.classify_dim4_metric(g, search)}\n")
     return EXIT_OK
 
 
@@ -205,6 +219,8 @@ def _parse_floats(text: str, want: int, what: str):
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise InputError(f"{what} must be comma-separated numbers")
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"{what} must be finite numbers")
     if len(values) != want:
         raise InputError(f"{what} needs {want} comma-separated numbers")
     return values
@@ -239,7 +255,7 @@ def cmd_geodesic(args, out, err) -> int:
     if model in ("G0", "G1"):
         spec = GeodesicSpec(model, base, a)
         grid = np.linspace(0.0, args.s_end, 21)
-        dev = compare_to_closed_form(spec, grid, args.step)
+        dev = _closed_form_deviation(spec, traj, grid)
         sink.write(f"max deviation from closed form: {dev:.3e}\n")
     sink.write(f"samples: {len(traj)}  step: {args.step}\n")
     return EXIT_OK

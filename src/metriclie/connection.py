@@ -18,13 +18,18 @@ R(X,Y) = -1/4 ad([X,Y]) exactly.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
+from . import catalog
 from .algebra import LieAlgebra, Subspace, bracket
 from .base import (CheckResult, DegenerateMetricError, InputError)
-from .forms import SymBilinearForm, is_ad_invariant
+from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
+                    is_ad_invariant)
 from .linalg import (basis_vector, identity_matrix, invert, is_zero_vector,
                      mat, mat_mul, mat_vec, nullspace, rank,
                      solve_with_certificate, transpose, vec)
@@ -318,43 +323,20 @@ def soliton_solve(g: LieAlgebra, B: SymBilinearForm,
     conn = levi_civita(g, B)
     ric = ricci_operator(conn, convention)
     n = g.dim
-    nun = 1 + n * n
-
-    def didx(a, b):
-        return 1 + a * n + b
-
-    rows, rhs = [], []
-    for a in range(n):
-        for b in range(n):
-            row = [Fraction(0)] * nun
-            row[didx(a, b)] = Fraction(1)
-            if a == b:
-                row[0] = Fraction(1)
-            rows.append(row)
-            rhs.append(ric[a][b])
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = g.bracket_basis(i, j)
-            for k in range(n):
-                row = [Fraction(0)] * nun
-                for l in range(n):
-                    if cij[l]:
-                        row[didx(k, l)] += cij[l]
-                    clj = g.structure[l][j][k]
-                    if clj:
-                        row[didx(l, i)] -= clj
-                    cil = g.structure[i][l][k]
-                    if cil:
-                        row[didx(l, j)] -= cil
-                if any(row):
-                    rows.append(row)
-                    rhs.append(Fraction(0))
+    zero, one = Fraction(0), Fraction(1)
+    # unknowns: c, then D row-major at 1 + a*n + b
+    rows = [(one if a == b else zero,) + basis_vector(n * n, a * n + b)
+            for a in range(n) for b in range(n)]
+    rhs = [ric[a][b] for a in range(n) for b in range(n)]
+    for row in sorted(_derivation_rows(g.structure, 2)):
+        rows.append((zero,) + row)
+        rhs.append(zero)
     sol, bad = solve_with_certificate(rows, rhs)
     if sol is None:
         return SolitonResult(False, inconsistent_row=bad, convention=convention)
     c = sol[0]
-    D = tuple(tuple(sol[didx(a, b)] for b in range(n)) for a in range(n))
-    residual = tuple(tuple(ric[a][b] - D[a][b] - (c if a == b else Fraction(0))
+    D = tuple(tuple(sol[1 + a * n + b] for b in range(n)) for a in range(n))
+    residual = tuple(tuple(ric[a][b] - D[a][b] - (c if a == b else zero)
                            for b in range(n)) for a in range(n))
     return SolitonResult(True, c=c, derivation=D, residual=residual,
                          convention=convention)
@@ -438,11 +420,9 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
     n = g.dim
     if len(A) != n or any(len(r) != n for r in A):
         raise InputError("matrix size does not match algebra dimension")
-    lhs = mat_mul(mat_mul(transpose(A), B.matrix), A)
-    if lhs != B.matrix:
-        bad = next((i, j) for i in range(n) for j in range(n)
-                   if lhs[i][j] != B.matrix[i][j])
-        return CheckResult(False, "metric not preserved", bad)
+    kept = _metric_preserved(B, A)
+    if not kept:
+        return kept
     cols = [tuple(A[r][i] for r in range(n)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -455,6 +435,16 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
                 return CheckResult(False, "double-bracket equivariance fails",
                                    (i, j, k))
     return CheckResult(True)
+
+
+def _metric_preserved(B: SymBilinearForm, A) -> CheckResult:
+    """A^T B A = B; the witness is the first entry (i, j) that differs."""
+    lhs = mat_mul(mat_mul(transpose(A), B.matrix), A)
+    bad = next(((i, j) for i in range(B.dim) for j in range(B.dim)
+                if lhs[i][j] != B.matrix[i][j]), None)
+    if bad is None:
+        return CheckResult(True)
+    return CheckResult(False, "metric not preserved", bad)
 
 
 _JT = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
@@ -532,34 +522,60 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
         raise DegenerateMetricError("metric must be nondegenerate",
                                     radical=B.radical())
     n = g.dim
+    dbl = [[[bracket(g, g.bracket_basis(i, j), basis_vector(n, k))
+             for k in range(n)] for j in range(n)] for i in range(n)]
+    rows = _skew_rows(B) | _derivation_rows(dbl, 3)
+    return len(nullspace(sorted(rows), ncols=n * n))
+
+
+def _skew_rows(B: SymBilinearForm) -> set:
+    """Nonzero rows of <Sx, y> + <x, Sy> = 0 on basis pairs x <= y, for an
+    unknown matrix S stored row-major at a*n + b."""
+    n = B.dim
     rows = set()
-
-    def sidx(a, b):
-        return a * n + b
-
     for i in range(n):
         for j in range(i, n):
             row = [Fraction(0)] * (n * n)
             for l in range(n):
-                row[sidx(l, i)] += B.matrix[l][j]
-                row[sidx(l, j)] += B.matrix[i][l]
+                row[l * n + i] += B.matrix[l][j]
+                row[l * n + j] += B.matrix[i][l]
             if any(row):
                 rows.add(tuple(row))
-    dbl = [[[bracket(g, g.bracket_basis(i, j), basis_vector(n, k))
-             for k in range(n)] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for comp in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for l in range(n):
-                        row[sidx(comp, l)] += dbl[i][j][k][l]
-                        row[sidx(l, i)] -= dbl[l][j][k][comp]
-                        row[sidx(l, j)] -= dbl[i][l][k][comp]
-                        row[sidx(l, k)] -= dbl[i][j][l][comp]
-                    if any(row):
-                        rows.add(tuple(row))
-    return len(nullspace(sorted(rows), ncols=n * n))
+    return rows
+
+
+def _derivation_rows(T, p: int) -> set:
+    """Nonzero rows of S T(x_1, .., x_p) = sum_s T(.., S x_s, ..) on basis
+    tuples, for a (1,p) tensor T (T[i_1]..[i_p] is a coefficient vector) and
+    an unknown matrix S stored row-major at a*n + b.
+
+    T must be antisymmetric in its first two slots.  Only i_1 < i_2 is
+    visited: the rows with i_1 = i_2 vanish and each (i_2, i_1, ..) row is
+    the negative of an (i_1, i_2, ..) row, so the row space is unchanged.
+    """
+    n = len(T)
+
+    def at(key):
+        return reduce(operator.getitem, key, T)
+
+    rows = set()
+    for head in itertools.combinations(range(n), 2):
+        for rest in itertools.product(range(n), repeat=p - 2):
+            idx = head + rest
+            image = at(idx)
+            terms = [(l * n + i_s, at(idx[:s] + (l,) + idx[s + 1:]))
+                     for s, i_s in enumerate(idx) for l in range(n)]
+            for comp in range(n):
+                row = [Fraction(0)] * (n * n)
+                for l, v in enumerate(image):
+                    if v:
+                        row[comp * n + l] += v
+                for col, v in terms:
+                    if v[comp]:
+                        row[col] -= v[comp]
+                if any(row):
+                    rows.add(tuple(row))
+    return rows
 
 
 def skew_adjoint_form_space(which: str, alpha, beta, gamma=0) -> list[SymBilinearForm]:
@@ -579,31 +595,8 @@ def skew_adjoint_form_space(which: str, alpha, beta, gamma=0) -> list[SymBilinea
         cols = ((zero, one, -b), (-one, zero, a), (zero, zero, zero))
     else:
         cols = ((one, zero, -b), (zero, -one, a), (zero, zero, zero))
-    A = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    index = {p: c for c, p in enumerate(pairs)}
-
-    def slot(i, j):
-        return index[(i, j)] if i <= j else index[(j, i)]
-
-    rows = []
-    for (x, y) in [(i, j) for i in range(3) for j in range(i, 3)]:
-        row = [Fraction(0)] * 6
-        for l in range(3):
-            if A[l][x]:
-                row[slot(l, y)] += A[l][x]
-            if A[l][y]:
-                row[slot(x, l)] += A[l][y]
-        rows.append(row)
-    basis = nullspace(rows, ncols=6)
-    forms = []
-    for coeffs in basis:
-        m = [[Fraction(0)] * 3 for _ in range(3)]
-        for (i, j), c in zip(pairs, coeffs):
-            m[i][j] = c
-            m[j][i] = c
-        forms.append(SymBilinearForm(3, tuple(tuple(r) for r in m)))
-    return forms
+    basis = nullspace(sorted(_skew_form_rows(3, [cols])), ncols=6)
+    return [_form_from_coeffs(3, coeffs) for coeffs in basis]
 
 
 def is_isometric_automorphism(g: LieAlgebra, B: SymBilinearForm,
@@ -611,9 +604,9 @@ def is_isometric_automorphism(g: LieAlgebra, B: SymBilinearForm,
     """A[x,y] = [Ax, Ay] on basis pairs and A^T B A = B."""
     A = mat(A)
     n = g.dim
-    lhs = mat_mul(mat_mul(transpose(A), B.matrix), A)
-    if lhs != B.matrix:
-        return CheckResult(False, "metric not preserved", None)
+    kept = _metric_preserved(B, A)
+    if not kept:
+        return kept
     cols = [tuple(A[r][i] for r in range(n)) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -644,39 +637,11 @@ def h3_isotropy(metric: SymBilinearForm) -> IsotropyReport:
     the skew derivations (rotation type for a definite plane, boost type for
     a split plane).
     """
-    from .catalog import get
-    h3 = get("h3").algebra
     n = 3
-    conn = levi_civita(h3, metric)
-    R = curvature(conn)
-    rows = set()
-
-    def sidx(a, bb):
-        return a * n + bb
-
-    for i in range(n):
-        for j in range(i, n):
-            row = [Fraction(0)] * (n * n)
-            for l in range(n):
-                row[sidx(l, i)] += metric.matrix[l][j]
-                row[sidx(l, j)] += metric.matrix[i][l]
-            if any(row):
-                rows.add(tuple(row))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                rijk = R.components[i][j][k]
-                for comp in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for l in range(n):
-                        row[sidx(comp, l)] += rijk[l]
-                        row[sidx(l, i)] -= R.components[l][j][k][comp]
-                        row[sidx(l, j)] -= R.components[i][l][k][comp]
-                        row[sidx(l, k)] -= R.components[i][j][l][comp]
-                    if any(row):
-                        rows.add(tuple(row))
+    R = curvature(levi_civita(catalog.get("h3").algebra, metric))
+    rows = _skew_rows(metric) | _derivation_rows(R.components, 3)
     basis = nullspace(sorted(rows), ncols=n * n)
-    gens = tuple(tuple(tuple(v[sidx(a, bb)] for bb in range(n)) for a in range(n))
+    gens = tuple(tuple(tuple(v[a * n + bb] for bb in range(n)) for a in range(n))
                  for v in basis)
     if len(basis) >= 3:
         kind = "O(2,1) type"

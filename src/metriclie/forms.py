@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (LieAlgebra, Subspace, is_ideal, lower_central,
-                      upper_central)
+                      restricted_algebra, upper_central)
 from .base import CheckResult, DegenerateMetricError, InputError
 from .linalg import basis_vector, determinant, mat, mat_vec, nullspace, solve, vec
 from .scalars import sign_of
@@ -173,36 +173,38 @@ def _form_from_coeffs(n: int, coeffs) -> SymBilinearForm:
     return SymBilinearForm(n, mat(m))
 
 
+def _skew_form_rows(n: int, maps) -> set:
+    """Nonzero rows of Q(Ax, y) + Q(x, Ay) = 0 for every map A in ``maps``,
+    in the unknowns of ``_pair_index(n)``; each A is given by its images
+    A[x] of the basis vectors.  Only pairs x <= y are visited: the (y, x)
+    row is the same row."""
+    index = {p: c for c, p in enumerate(_pair_index(n))}
+    rows = set()
+    for A in maps:
+        for x in range(n):
+            for y in range(x, n):
+                row = [Fraction(0)] * len(index)
+                for l in range(n):
+                    if A[x][l]:
+                        row[index[min(l, y), max(l, y)]] += A[x][l]
+                    if A[y][l]:
+                        row[index[min(x, l), max(x, l)]] += A[y][l]
+                if any(row):
+                    rows.add(tuple(row))
+    return rows
+
+
 def invariant_form_space(g: LieAlgebra) -> list[SymBilinearForm]:
     """Canonical basis of the space of ad-invariant symmetric bilinear forms.
 
-    The invariance identity over all basis triples is one homogeneous linear
-    system in the n(n+1)/2 unknowns b_ij; this returns its exact nullspace.
-    Every returned form passes ``is_ad_invariant`` and every ad-invariant
-    form is a combination of the returned ones.
+    The invariance identity <[e_i, x], y> + <x, [e_i, y]> = 0 is one
+    homogeneous linear system in the n(n+1)/2 unknowns b_ij; this returns
+    its exact nullspace.  Every returned form passes ``is_ad_invariant`` and
+    every ad-invariant form is a combination of the returned ones.
     """
     n = g.dim
-    pairs = _pair_index(n)
-    index = {p: c for c, p in enumerate(pairs)}
-
-    def slot(i, j):
-        return index[(i, j)] if i <= j else index[(j, i)]
-
-    rows = set()
-    for i in range(n):
-        for j in range(n):
-            cij = g.bracket_basis(i, j)
-            for k in range(n):
-                cik = g.bracket_basis(i, k)
-                row = [Fraction(0)] * len(pairs)
-                for l in range(n):
-                    if cij[l]:
-                        row[slot(l, k)] += cij[l]
-                    if cik[l]:
-                        row[slot(j, l)] += cik[l]
-                if any(row):
-                    rows.add(tuple(row))
-    basis = nullspace(sorted(rows), ncols=len(pairs))
+    basis = nullspace(sorted(_skew_form_rows(n, g.structure)),
+                      ncols=n * (n + 1) // 2)
     return [_form_from_coeffs(n, b) for b in basis]
 
 
@@ -359,7 +361,6 @@ def split_nondegenerate_ideal(g: LieAlgebra, B: SymBilinearForm,
     if not is_ideal(g, perp):
         # cannot happen for ad-invariant B; defensive for general input
         raise InputError("orthogonal complement is not an ideal; B not ad-invariant?")
-    from .algebra import restricted_algebra
     forms = []
     for part, form in ((j, restricted), (perp, restrict_form(B, perp))):
         if part.dim:

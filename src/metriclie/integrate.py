@@ -10,6 +10,7 @@ tests that cross-validate them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,14 +36,12 @@ class MetricChart:
     partials_at: Callable[[np.ndarray], np.ndarray]
 
 
-def _g0g1_partials(name):
-    def partials(p):
-        out = np.zeros((4, 4, 4))
-        # only g_tx = y/2 and g_ty = -x/2 depend on the point
-        out[2, 0, 1] = out[2, 1, 0] = 0.5
-        out[1, 0, 2] = out[1, 2, 0] = -0.5
-        return out
-    return partials
+def _g0g1_partials(p):
+    out = np.zeros((4, 4, 4))
+    # only g_tx = y/2 and g_ty = -x/2 depend on the point
+    out[2, 0, 1] = out[2, 1, 0] = 0.5
+    out[1, 0, 2] = out[1, 2, 0] = -0.5
+    return out
 
 
 def _h1_partials(p):
@@ -73,7 +72,7 @@ def chart(name: str) -> MetricChart:
     """Built-in charts: g0, g1 (4-dim) and h1, h2 (3-dim on H3)."""
     if name in ("g0", "g1"):
         return MetricChart(name, 4, lambda p, n=name: coordinate_metric(n, p),
-                           _g0g1_partials(name))
+                           _g0g1_partials)
     if name == "h1":
         return MetricChart(name, 3, lambda p: coordinate_metric("h1", p),
                            _h1_partials)
@@ -125,38 +124,46 @@ def integrate_geodesic(ch: MetricChart, p0: Sequence, v0: Sequence,
     A non-finite state aborts the run; the trajectory then carries the
     samples up to the last valid one and is flagged ``aborted``.
     """
-    if step <= 0:
-        raise InputError("step must be positive")
-    nsteps = max(1, int(round(s_end / step)))
-    pos = np.asarray(p0, dtype=float)
-    vel = np.asarray(v0, dtype=float)
-    ss = [0.0]
-    ps = [pos.copy()]
-    vs = [vel.copy()]
+    nsteps = _step_count(s_end, step)
+    n = len(p0)
+
+    def rhs(y):
+        return np.concatenate(geodesic_rhs(ch, y[:n], y[n:]))
+
+    y = np.concatenate((np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)))
+    ys = [y]
     aborted = False
-    for k in range(nsteps):
+    for _ in range(nsteps):
         try:
-            pos, vel = _rk4_step(ch, pos, vel, step)
+            y = _rk4_step(rhs, y, step)
         except NumericalError:
             aborted = True
             break
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+        if not np.all(np.isfinite(y)):
             aborted = True
             break
-        ss.append((k + 1) * step)
-        ps.append(pos.copy())
-        vs.append(vel.copy())
-    return Trajectory(np.array(ss), np.array(ps), np.array(vs), step,
+        ys.append(y)
+    Y = np.array(ys)
+    return Trajectory(np.arange(len(ys)) * step, Y[:, :n], Y[:, n:], step,
                       aborted=aborted)
 
 
-def _rk4_step(ch, pos, vel, h):
-    k1p, k1v = geodesic_rhs(ch, pos, vel)
-    k2p, k2v = geodesic_rhs(ch, pos + 0.5 * h * k1p, vel + 0.5 * h * k1v)
-    k3p, k3v = geodesic_rhs(ch, pos + 0.5 * h * k2p, vel + 0.5 * h * k2v)
-    k4p, k4v = geodesic_rhs(ch, pos + h * k3p, vel + h * k3v)
-    return (pos + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p),
-            vel + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+def _step_count(s_end: float, step: float) -> int:
+    """Number of fixed RK4 steps from 0 to s_end (at least one)."""
+    if not step > 0:
+        raise InputError("step must be positive")
+    if not (s_end >= 0 and math.isfinite(s_end)):
+        raise InputError("s_end must be finite and non-negative")
+    return max(1, int(round(s_end / step)))
+
+
+def _rk4_step(rhs, y, h):
+    """One classical RK4 step of y' = rhs(y)."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def energy_series(ch: MetricChart, traj: Trajectory) -> np.ndarray:
@@ -184,15 +191,21 @@ def integrate_spec(spec: GeodesicSpec, s_end: float,
 
 def compare_to_closed_form(spec: GeodesicSpec, s_grid: Sequence[float],
                            step: float = 1e-3) -> float:
-    """Sup-norm coordinate error of RK4 against the closed-form geodesic
-    at the grid values (each snapped to the nearest sample)."""
-    s_end = max(s_grid)
-    traj = integrate_spec(spec, s_end, step)
+    """Integrate spec up to the end of the grid with RK4 and return its
+    ``_closed_form_deviation``."""
+    traj = integrate_spec(spec, max(s_grid), step)
     if traj.aborted:
         raise NumericalError("integration aborted before the grid end")
+    return _closed_form_deviation(spec, traj, s_grid)
+
+
+def _closed_form_deviation(spec: GeodesicSpec, traj: Trajectory,
+                           s_grid: Sequence[float]) -> float:
+    """Sup-norm coordinate error of a trajectory of spec against the closed
+    form at the grid values (each snapped to the nearest sample)."""
     worst = 0.0
     for s in s_grid:
-        idx = min(int(round(s / step)), len(traj) - 1)
+        idx = min(int(round(s / traj.step)), len(traj) - 1)
         have = traj.positions[idx]
         want = np.array(geodesic_closed_form(spec, traj.s[idx]).coords)
         worst = max(worst, float(np.max(np.abs(have - want))))
@@ -203,21 +216,15 @@ def flow_left_invariant_field(model: str, a: Sequence, s_end: float,
                               step: float = 1e-3) -> GroupElement:
     """RK4 integral curve of the left-invariant field sum a_i X_i from the
     identity; coincides with exp(s_end a) on G0/G1."""
-    if step <= 0:
-        raise InputError("step must be positive")
+    nsteps = _step_count(s_end, step)
     a = np.asarray(a, dtype=float)
     pos = np.array([float(c) for c in group_identity(model).coords])
 
     def rhs(p):
         return frame(model, GroupElement(model, tuple(p))) @ a
 
-    nsteps = max(1, int(round(s_end / step)))
     for _ in range(nsteps):
-        k1 = rhs(pos)
-        k2 = rhs(pos + 0.5 * step * k1)
-        k3 = rhs(pos + 0.5 * step * k2)
-        k4 = rhs(pos + step * k3)
-        pos = pos + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        pos = _rk4_step(rhs, pos, step)
         if not np.all(np.isfinite(pos)):
             raise NumericalError("flow left the finite range")
     return GroupElement(model, tuple(pos))

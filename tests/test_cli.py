@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from metriclie import catalog, cli, forms
 from metriclie.cli import main
+from metriclie.groups import GeodesicSpec, GroupElement
+from metriclie.integrate import compare_to_closed_form
 
 
 def run(capsys, *argv):
@@ -34,6 +38,28 @@ def test_report_aff(capsys):
     code, out, _ = run(capsys, "report", "aff")
     assert code == 0
     assert "no nondegenerate ad-invariant form" in out
+
+
+def test_report_searches_forms_once(capsys, monkeypatch):
+    calls = {"space": 0, "search": 0}
+    space, search = forms.invariant_form_space, forms.has_nondegenerate_invariant_form
+
+    def counted_space(g):
+        calls["space"] += 1
+        return space(g)
+
+    def counted_search(g):
+        calls["search"] += 1
+        return search(g)
+
+    monkeypatch.setattr(forms, "invariant_form_space", counted_space)
+    for mod in (cli, catalog):
+        monkeypatch.setattr(mod, "has_nondegenerate_invariant_form",
+                            counted_search)
+    code, out, _ = run(capsys, "report", "g1")
+    assert code == 0 and "class: g1" in out
+    assert "invariant form space: 2" in out
+    assert calls == {"space": 1, "search": 1}
 
 
 def test_classify(capsys):
@@ -117,6 +143,21 @@ def test_antisymmetry_conflict_is_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"dim": 3, "brackets": [[0, 1, 2, 1]], "metrics": []},
+    {"dim": 3, "brackets": [["0", 1, 2, 1]]},
+    {"dim": 3, "brackets": [[0, 1, 2, 1]], "metrics": {"B": [[0, True, 1]]}},
+    {"dim": 3, "brackets": 5},
+    {"dim": 3, "metrics": {"B": 5}},
+    {"dim": True},
+])
+def test_malformed_schema_exit_2(capsys, tmp_path, payload):
+    path = write_json(tmp_path, "bad.json", payload)
+    code, _, err = run(capsys, "report", path)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 # --- geometry ------------------------------------------------------------
 
 def test_geometry_g0(capsys):
@@ -195,6 +236,35 @@ def test_geodesic_with_base(capsys):
                          "--base", "0.1,0.2,0.3,0.4", "--s-end", "0.1")
     assert code == 0
     assert "max deviation from closed form:" in err + out
+
+
+def test_geodesic_deviation_matches_separate_integration(capsys):
+    code, _, err = run(capsys, "geodesic", "G1", "0.8,0.3,-0.2,0.5",
+                       "--base=0.1,0.2,0.3,0.4", "--s-end", "1.5",
+                       "--step", "0.01")
+    assert code == 0
+    spec = GeodesicSpec("G1", GroupElement("G1", (0.1, 0.2, 0.3, 0.4)),
+                        (0.8, 0.3, -0.2, 0.5))
+    grid = np.linspace(0.0, 1.5, 21)
+    want = compare_to_closed_form(spec, grid, 0.01)
+    assert f"max deviation from closed form: {want:.3e}" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["G0", "1,0.5,0.2,0.1", "--s-end", "-1", "--step", "0.5"], "s_end must"),
+    (["G0", "1,0.5,0.2,0.1", "--s-end", "nan"], "s_end must"),
+    (["G0", "nan,0.5,0.2,0.1", "--s-end", "0.1"], "must be finite"),
+    (["H3:h1", "0,inf,1", "--s-end", "0.1"], "must be finite"),
+    (["G1", "1,0,0,0", "--base", "0,0,nan,0", "--s-end", "0.1"],
+     "must be finite"),
+])
+def test_geodesic_rejects_before_integrating(capsys, tmp_path, argv, reason):
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run(capsys, "geodesic", *argv)
+    assert code != 0 and reason in err
+    assert "s,t,x,y,z" not in out
+    code, _, _ = run(capsys, "geodesic", *argv, "--out", str(out_path))
+    assert code != 0 and not out_path.exists()
 
 
 def test_geodesic_bad_model(capsys):

@@ -389,6 +389,17 @@ def test_h1_reflection_is_isometric_automorphism(h3, h3_metrics):
                                          ((1, 0, 0), (0, -1, 0), (0, 0, 1)))
 
 
+def test_metric_violation_witness_shared(g0, gmatrix0_g0, h3, h3_metrics):
+    scale = ((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    for res in (ahc_isometry_check(g0, gmatrix0_g0, scale),
+                is_isometric_automorphism(g0, gmatrix0_g0, scale)):
+        assert not res
+        assert res.reason == "metric not preserved" and res.witness == (1, 1)
+    stretch = ((2, 0, 0), (0, 1, 0), (0, 0, 2))
+    res = is_isometric_automorphism(h3, h3_metrics["h1"], stretch)
+    assert not res and res.witness == (0, 0)
+
+
 def test_h2_swap_is_isometric_automorphism(h3, h3_metrics):
     # the finite-order element of the O(1,1) isotropy swaps X1, X2 and
     # flips the center

@@ -9,9 +9,9 @@ from metriclie.base import InputError
 from metriclie.groups import GeodesicSpec, GroupElement, exp_map, group_identity
 from metriclie.integrate import (MetricChart, chart, christoffel,
                                  compare_to_closed_form, energy_series,
-                                 flow_left_invariant_field, initial_velocity,
-                                 integrate_geodesic, integrate_spec,
-                                 write_trajectory_csv)
+                                 flow_left_invariant_field, geodesic_rhs,
+                                 initial_velocity, integrate_geodesic,
+                                 integrate_spec, write_trajectory_csv)
 
 
 def known_ode_gamma_g0(p):
@@ -132,6 +132,35 @@ def test_h1_h2_energy_conservation():
         assert np.max(np.abs(E - E[0])) <= 1e-8
 
 
+def _reference_rk4(ch, pos, vel, s_end, step):
+    """Position and velocity stepped as two arrays, without abort handling."""
+    pos, vel = np.asarray(pos, dtype=float), np.asarray(vel, dtype=float)
+    ps, vs = [pos], [vel]
+    for _ in range(max(1, int(round(s_end / step)))):
+        k1p, k1v = geodesic_rhs(ch, pos, vel)
+        k2p, k2v = geodesic_rhs(ch, pos + 0.5 * step * k1p, vel + 0.5 * step * k1v)
+        k3p, k3v = geodesic_rhs(ch, pos + 0.5 * step * k2p, vel + 0.5 * step * k2v)
+        k4p, k4v = geodesic_rhs(ch, pos + step * k3p, vel + step * k3v)
+        pos = pos + step / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        vel = vel + step / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        ps.append(pos)
+        vs.append(vel)
+    return np.array(ps), np.array(vs)
+
+
+@pytest.mark.parametrize("name, p0, v0", [
+    ("g0", [0.1, -0.2, 0.3, 0.4], [1.0, 0.5, -0.7, 0.2]),
+    ("g1", [0.0, 0.0, 0.0, 0.0], [-1.2, 0.3, 0.9, -0.4]),
+    ("h2", [0.3, -0.1, 0.2], [0.6, -1.1, 0.4]),
+])
+def test_stepper_matches_reference_bit_for_bit(name, p0, v0):
+    traj = integrate_geodesic(chart(name), p0, v0, 0.5, 0.01)
+    ps, vs = _reference_rk4(chart(name), p0, v0, 0.5, 0.01)
+    assert np.array_equal(traj.positions, ps)
+    assert np.array_equal(traj.velocities, vs)
+    assert np.array_equal(traj.s, [k * 0.01 for k in range(len(ps))])
+
+
 def test_energy_conservation_g0():
     spec = GeodesicSpec("G0", group_identity("G0"), (1, 1, 1, 1))
     traj = integrate_spec(spec, 2.0, 1e-3)
@@ -204,6 +233,14 @@ def test_csv_h3_padding():
 def test_bad_step_rejected():
     with pytest.raises(InputError):
         integrate_geodesic(chart("g0"), [0, 0, 0, 0], [1, 0, 0, 0], 1.0, 0.0)
+
+
+@pytest.mark.parametrize("s_end", [-1.0, -1e-9, math.nan, math.inf])
+def test_bad_s_end_rejected(s_end):
+    with pytest.raises(InputError):
+        integrate_geodesic(chart("g0"), [0, 0, 0, 0], [1, 0, 0, 0], s_end, 0.5)
+    with pytest.raises(InputError):
+        flow_left_invariant_field("G0", (1, 0, 0, 0), s_end, 0.5)
 
 
 def test_singular_chart_aborts_with_last_valid_sample():
