@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .base import CheckResult, InputError
 from .linalg import (basis_vector, invert, is_zero_vector, mat, mat_vec,
-                     nullspace, reduce_against, row_space, solve, vec)
+                     nullspace, reduce_against, row_space, solve, transpose,
+                     vec)
 from .scalars import frac
 
 
@@ -93,6 +93,11 @@ class LieAlgebra:
                         raise InputError(
                             f"structure constants not antisymmetric at ({i},{j},{k})")
         object.__setattr__(self, "structure", c)
+        # nonzero (i, j, c[i][j]) with i < j, read by bracket; not a field, so
+        # equality and hashing stay those of (dim, structure, name)
+        object.__setattr__(self, "_nonzero", tuple(
+            (i, j, c[i][j]) for i in range(n) for j in range(i + 1, n)
+            if not is_zero_vector(c[i][j])))
 
     @staticmethod
     def from_brackets(dim: int, brackets: Iterable[tuple], name: str = "") -> "LieAlgebra":
@@ -129,25 +134,13 @@ class LieAlgebra:
         return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
 
 
-@lru_cache(maxsize=None)
-def _sparse(g: LieAlgebra):
-    """Nonzero (i, j, c[i][j]) with i < j, for fast bracket evaluation."""
-    out = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            cij = g.structure[i][j]
-            if not is_zero_vector(cij):
-                out.append((i, j, cij))
-    return tuple(out)
-
-
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
     """[x, y] in coordinates; exact and bilinear."""
     x, y = vec(x), vec(y)
     if len(x) != g.dim or len(y) != g.dim:
         raise InputError("vector length does not match algebra dimension")
     acc = [Fraction(0)] * g.dim
-    for i, j, cij in _sparse(g):
+    for i, j, cij in g._nonzero:
         w = x[i] * y[j] - x[j] * y[i]
         if w:
             for k, ck in enumerate(cij):
@@ -234,7 +227,7 @@ def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_abelian(g: LieAlgebra) -> bool:
-    return not _sparse(g)
+    return not g._nonzero
 
 
 def is_solvable(g: LieAlgebra) -> bool:
@@ -269,7 +262,7 @@ def change_of_basis(g: LieAlgebra, P: Sequence[Sequence]) -> LieAlgebra:
     except InputError:
         raise InputError("basis-change matrix is singular") from None
     n = g.dim
-    cols = [tuple(P[r][i] for r in range(n)) for i in range(n)]
+    cols = transpose(P)
     new = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -288,7 +281,7 @@ def restricted_algebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
     k = s.dim
     if k == 0:
         raise InputError("the zero subspace is not an algebra basis")
-    cols = [tuple(s.basis[a][r] for a in range(k)) for r in range(g.dim)]
+    cols = transpose(s.basis)
     structure = []
     for a in range(k):
         row = []

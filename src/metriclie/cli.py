@@ -9,8 +9,8 @@ the catalog or from JSON files with the schema
 
 (0-based indices, rationals as "p/q" strings or integers; the antisymmetric
 bracket partners are implied).  Exit codes are a stable contract:
-0 ok, 2 parse failure, 3 Jacobi failure, 4 degenerate metric, 5 numeric
-failure.
+0 ok, 1 invalid argument, 2 parse failure, 3 Jacobi failure, 4 degenerate
+metric, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -245,6 +245,11 @@ def cmd_geodesic(args, out, err) -> int:
                               args.s_end, args.step)
     if traj.aborted:
         raise NumericalError("integration aborted on non-finite state")
+    dev = None
+    if model in ("G0", "G1"):
+        spec = GeodesicSpec(model, base, a)
+        grid = np.linspace(0.0, args.s_end, 21)
+        dev = _closed_form_deviation(spec, traj, grid)
     if args.out:
         with open(args.out, "w") as fh:
             write_trajectory_csv(traj, fh, model)
@@ -252,10 +257,7 @@ def cmd_geodesic(args, out, err) -> int:
     else:
         write_trajectory_csv(traj, out, model)
         sink = err
-    if model in ("G0", "G1"):
-        spec = GeodesicSpec(model, base, a)
-        grid = np.linspace(0.0, args.s_end, 21)
-        dev = _closed_form_deviation(spec, traj, grid)
+    if dev is not None:
         sink.write(f"max deviation from closed form: {dev:.3e}\n")
     sink.write(f"samples: {len(traj)}  step: {args.step}\n")
     return EXIT_OK

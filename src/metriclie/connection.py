@@ -29,9 +29,9 @@ from . import catalog
 from .algebra import LieAlgebra, Subspace, bracket
 from .base import (CheckResult, DegenerateMetricError, InputError)
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
-                    is_ad_invariant)
-from .linalg import (basis_vector, identity_matrix, invert, is_zero_vector,
-                     mat, mat_mul, mat_vec, nullspace, rank,
+                    _skew_witness, is_ad_invariant, transform_form)
+from .linalg import (basis_vector, contract, identity_matrix, invert,
+                     is_zero_vector, mat, mat_mul, mat_vec, nullspace, rank,
                      solve_with_certificate, transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
@@ -50,13 +50,7 @@ class Connection:
 
     def nabla_vector(self, i: int, v: Sequence) -> tuple:
         """nabla_{e_i} of a constant-coefficient field v."""
-        n = self.algebra.dim
-        acc = [Fraction(0)] * n
-        for l, vl in enumerate(v):
-            if vl:
-                for k in range(n):
-                    acc[k] += vl * self.gamma[i][l][k]
-        return tuple(acc)
+        return contract(self.gamma[i], (v,))
 
 
 def levi_civita(g: LieAlgebra, B: SymBilinearForm) -> Connection:
@@ -75,33 +69,22 @@ def levi_civita(g: LieAlgebra, B: SymBilinearForm) -> Connection:
             radical=B.radical())
     n = g.dim
     Binv = invert(B.matrix)
-    gamma = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            w = []
-            for k in range(n):
-                ek = basis_vector(n, k)
-                val = (B.evaluate(g.bracket_basis(i, j), ek)
-                       - B.evaluate(g.bracket_basis(j, k), basis_vector(n, i))
-                       + B.evaluate(g.bracket_basis(k, i), basis_vector(n, j)))
-                w.append(val / 2)
-            row.append(mat_vec(Binv, tuple(w)))
-        gamma.append(tuple(row))
-    return Connection(g, B, tuple(gamma))
+    # Bc[i][j] = B c_ij, so <[e_i, e_j], e_k> = Bc[i][j][k]
+    Bc = [[mat_vec(B.matrix, g.bracket_basis(i, j)) for j in range(n)]
+          for i in range(n)]
+    gamma = tuple(
+        tuple(mat_vec(Binv, tuple((Bc[i][j][k] - Bc[j][k][i] + Bc[k][i][j]) / 2
+                                  for k in range(n)))
+              for j in range(n))
+        for i in range(n))
+    return Connection(g, B, gamma)
 
 
 def metric_compatibility_check(conn: Connection) -> CheckResult:
     """<nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0 on basis triples."""
-    n = conn.algebra.dim
-    B = conn.metric
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = B.evaluate(conn.gamma[i][j], basis_vector(n, k)) + \
-                    B.evaluate(basis_vector(n, j), conn.gamma[i][k])
-                if v:
-                    return CheckResult(False, "metric compatibility fails", (i, j, k))
+    bad = _skew_witness(conn.metric, conn.gamma)
+    if bad is not None:
+        return CheckResult(False, "metric compatibility fails", bad)
     return CheckResult(True)
 
 
@@ -127,24 +110,7 @@ class CurvatureTensor:
     convention: str
 
     def apply(self, x: Sequence, y: Sequence, z: Sequence) -> tuple:
-        n = self.algebra.dim
-        x, y, z = vec(x), vec(y), vec(z)
-        acc = [Fraction(0)] * n
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                w = x[i] * y[j]
-                if not w:
-                    continue
-                for k in range(n):
-                    wz = w * z[k]
-                    if wz:
-                        comp = self.components[i][j][k]
-                        for l in range(n):
-                            if comp[l]:
-                                acc[l] += wz * comp[l]
-        return tuple(acc)
+        return contract(self.components, (vec(x), vec(y), vec(z)))
 
     def is_zero(self) -> bool:
         return all(is_zero_vector(self.components[i][j][k])
@@ -159,6 +125,8 @@ def curvature(conn: Connection, convention: str = "default") -> CurvatureTensor:
         raise InputError(f"convention must be one of {CONVENTIONS}")
     g = conn.algebra
     n = g.dim
+    gam = conn.gamma
+    E = [basis_vector(n, k) for k in range(n)]
     comps = []
     for i in range(n):
         plane = []
@@ -166,31 +134,18 @@ def curvature(conn: Connection, convention: str = "default") -> CurvatureTensor:
             cij = g.bracket_basis(i, j)
             col = []
             for k in range(n):
-                ek = basis_vector(n, k)
                 term = tuple(
                     a - b - c for a, b, c in zip(
-                        conn.nabla_vector(i, conn.gamma[j][k]),
-                        conn.nabla_vector(j, conn.gamma[i][k]),
-                        _nabla_along(conn, cij, ek)))
+                        contract(gam[i], (gam[j][k],)),
+                        contract(gam[j], (gam[i][k],)),
+                        # nabla_{c_ij} e_k: tensorial in the first slot
+                        contract(gam, (cij, E[k]))))
                 if convention == "oneill":
                     term = tuple(-t for t in term)
                 col.append(term)
             plane.append(tuple(col))
         comps.append(tuple(plane))
     return CurvatureTensor(g, tuple(comps), convention)
-
-
-def _nabla_along(conn: Connection, x: Sequence, v: Sequence) -> tuple:
-    """nabla_x v for constant-coefficient x (the connection is tensorial in
-    its first slot on left-invariant fields)."""
-    n = conn.algebra.dim
-    acc = [Fraction(0)] * n
-    for i, xi in enumerate(x):
-        if xi:
-            piece = conn.nabla_vector(i, v)
-            for k in range(n):
-                acc[k] += xi * piece[k]
-    return tuple(acc)
 
 
 def bianchi_check(R: CurvatureTensor) -> CheckResult:
@@ -252,7 +207,9 @@ def nabla_R(conn: Connection, convention: str = "default") -> tuple:
     ad-invariant metrics (symmetric-space identity)."""
     g = conn.algebra
     n = g.dim
-    R = curvature(conn, convention)
+    Rc = curvature(conn, convention).components
+    gam = conn.gamma
+    E = [basis_vector(n, i) for i in range(n)]
     out = []
     for h in range(n):
         block = []
@@ -261,29 +218,16 @@ def nabla_R(conn: Connection, convention: str = "default") -> tuple:
             for j in range(n):
                 col = []
                 for k in range(n):
-                    first = conn.nabla_vector(h, R.components[i][j][k])
-                    t1 = _R_mixed(R, conn.gamma[h][i], j, k)
-                    t2 = _R_mixed(R, conn.gamma[h][j], i, k)
-                    t3 = R.apply(basis_vector(n, i), basis_vector(n, j),
-                                 conn.gamma[h][k])
+                    first = contract(gam[h], (Rc[i][j][k],))
+                    t1 = contract(Rc, (gam[h][i], E[j], E[k]))
+                    t2 = contract(Rc, (gam[h][j], E[i], E[k]))
+                    t3 = contract(Rc, (E[i], E[j], gam[h][k]))
                     col.append(tuple(a - b + c - d for a, b, c, d in
                                      zip(first, t1, t2, t3)))
                 plane.append(tuple(col))
             block.append(tuple(plane))
         out.append(tuple(block))
     return tuple(out)
-
-
-def _R_mixed(R: CurvatureTensor, x: Sequence, j: int, k: int) -> tuple:
-    """R(x, e_j) e_k for a coefficient vector x."""
-    n = R.algebra.dim
-    acc = [Fraction(0)] * n
-    for i, xi in enumerate(x):
-        if xi:
-            comp = R.components[i][j][k]
-            for l in range(n):
-                acc[l] += xi * comp[l]
-    return tuple(acc)
 
 
 def is_locally_symmetric(conn: Connection) -> bool:
@@ -346,7 +290,7 @@ def is_derivation(g: LieAlgebra, D: Sequence[Sequence]) -> CheckResult:
     """D[x, y] = [Dx, y] + [x, Dy] on basis pairs."""
     D = mat(D)
     n = g.dim
-    cols = [tuple(D[r][i] for r in range(n)) for i in range(n)]
+    cols = transpose(D)
     for i in range(n):
         for j in range(i + 1, n):
             lhs = mat_vec(D, g.bracket_basis(i, j))
@@ -377,9 +321,7 @@ def naturally_reductive_check(g: LieAlgebra, h: Subspace, m: Subspace,
     if not B_m.is_nondegenerate():
         raise DegenerateMetricError("B_m must be nondegenerate on m",
                                     radical=B_m.radical())
-    cols = list(h.basis) + list(m.basis)
-    T = tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-    Tinv = invert(T)
+    Tinv = invert(transpose(h.basis + m.basis))
 
     def m_part(v):
         coords = mat_vec(Tinv, v)
@@ -393,19 +335,11 @@ def naturally_reductive_check(g: LieAlgebra, h: Subspace, m: Subspace,
         for y in m.basis:
             if not m.contains(bracket(g, x, y)):
                 return CheckResult(False, "[h, m] not contained in m", (x, y))
-    for a in range(m.dim):
-        ea = basis_vector(m.dim, a)
-        for b in range(m.dim):
-            ab_m = m_part(bracket(g, m.basis[a], m.basis[b]))
-            eb = basis_vector(m.dim, b)
-            for c in range(m.dim):
-                ac_m = m_part(bracket(g, m.basis[a], m.basis[c]))
-                val = B_m.evaluate(ab_m, basis_vector(m.dim, c)) + \
-                    B_m.evaluate(eb, ac_m)
-                if val:
-                    return CheckResult(
-                        False, "naturally reductive identity fails",
-                        (m.basis[a], m.basis[b], m.basis[c]))
+    bad = _skew_witness(B_m, [[m_part(bracket(g, x, y)) for y in m.basis]
+                              for x in m.basis])
+    if bad is not None:
+        return CheckResult(False, "naturally reductive identity fails",
+                           tuple(m.basis[a] for a in bad))
     return CheckResult(True)
 
 
@@ -423,7 +357,7 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
     kept = _metric_preserved(B, A)
     if not kept:
         return kept
-    cols = [tuple(A[r][i] for r in range(n)) for i in range(n)]
+    cols = transpose(A)
     for i in range(n):
         for j in range(i + 1, n):
             cij = g.bracket_basis(i, j)
@@ -439,7 +373,7 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
 
 def _metric_preserved(B: SymBilinearForm, A) -> CheckResult:
     """A^T B A = B; the witness is the first entry (i, j) that differs."""
-    lhs = mat_mul(mat_mul(transpose(A), B.matrix), A)
+    lhs = transform_form(B, A).matrix
     bad = next(((i, j) for i in range(B.dim) for j in range(B.dim)
                 if lhs[i][j] != B.matrix[i][j]), None)
     if bad is None:
@@ -607,7 +541,7 @@ def is_isometric_automorphism(g: LieAlgebra, B: SymBilinearForm,
     kept = _metric_preserved(B, A)
     if not kept:
         return kept
-    cols = [tuple(A[r][i] for r in range(n)) for i in range(n)]
+    cols = transpose(A)
     for i in range(n):
         for j in range(i + 1, n):
             if mat_vec(A, g.bracket_basis(i, j)) != bracket(g, cols[i], cols[j]):

@@ -17,7 +17,8 @@ from typing import Sequence
 from .algebra import (LieAlgebra, Subspace, is_ideal, lower_central,
                       restricted_algebra, upper_central)
 from .base import CheckResult, DegenerateMetricError, InputError
-from .linalg import basis_vector, determinant, mat, mat_vec, nullspace, solve, vec
+from .linalg import (basis_vector, contract, determinant, mat, mat_mul,
+                     mat_vec, nullspace, solve, transpose, vec)
 from .scalars import sign_of
 
 
@@ -95,15 +96,9 @@ def is_ad_invariant(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:
     """<[x,y],z> + <y,[x,z]> = 0 on all basis triples."""
     if B.dim != g.dim:
         raise InputError("form and algebra dimensions differ")
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            cij = g.bracket_basis(i, j)
-            for k in range(n):
-                val = _eval(B.matrix, cij, basis_vector(n, k)) + \
-                    _eval(B.matrix, basis_vector(n, j), g.bracket_basis(i, k))
-                if val:
-                    return CheckResult(False, "ad-invariance fails", (i, j, k))
+    bad = _skew_witness(B, g.structure)
+    if bad is not None:
+        return CheckResult(False, "ad-invariance fails", bad)
     return CheckResult(True)
 
 
@@ -194,6 +189,21 @@ def _skew_form_rows(n: int, maps) -> set:
     return rows
 
 
+def _skew_witness(B: SymBilinearForm, maps):
+    """First (i, j, k), in lexicographic order, with
+
+        B(A_i e_j, e_k) + B(e_j, A_i e_k) = (B A_i e_j)_k + (B A_i e_k)_j != 0,
+
+    that is, the first place where a map A_i of ``maps`` (given as in
+    ``_skew_form_rows``) is not skew for B; None when every map is skew."""
+    for i, A in enumerate(maps):
+        BA = [mat_vec(B.matrix, image) for image in A]
+        for j, k in itertools.product(range(len(BA)), repeat=2):
+            if BA[j][k] + BA[k][j]:
+                return (i, j, k)
+    return None
+
+
 def invariant_form_space(g: LieAlgebra) -> list[SymBilinearForm]:
     """Canonical basis of the space of ad-invariant symmetric bilinear forms.
 
@@ -226,13 +236,9 @@ class FormSearch:
 
 def _combination(space, coeffs) -> SymBilinearForm:
     n = space[0].dim
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for c, B in zip(coeffs, space):
-        if c:
-            for i in range(n):
-                for j in range(n):
-                    m[i][j] += c * B.matrix[i][j]
-    return SymBilinearForm(n, mat(m))
+    return SymBilinearForm(n, mat(
+        contract(tuple(B.matrix[i] for B in space), (coeffs,))
+        for i in range(n)))
 
 
 def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
@@ -317,12 +323,7 @@ def restrict_form(B: SymBilinearForm, m: Subspace) -> SymBilinearForm:
 def transform_form(B: SymBilinearForm, P: Sequence[Sequence]) -> SymBilinearForm:
     """Form in the basis f_i = P e_i, i.e. P^T B P."""
     P = mat(P)
-    n = B.dim
-    BP = [[sum((B.matrix[r][s] * P[s][j] for s in range(n)), start=Fraction(0))
-           for j in range(n)] for r in range(n)]
-    m = [[sum((P[r][i] * BP[r][j] for r in range(n)), start=Fraction(0))
-          for j in range(n)] for i in range(n)]
-    return SymBilinearForm(n, mat(m))
+    return SymBilinearForm(B.dim, mat_mul(mat_mul(transpose(P), B.matrix), P))
 
 
 @dataclass(frozen=True)
@@ -354,8 +355,8 @@ def split_nondegenerate_ideal(g: LieAlgebra, B: SymBilinearForm,
     restricted = restrict_form(B, j)
     if j.dim and not restricted.is_nondegenerate():
         rad = restricted.radical()
-        amb = Subspace.span([_lift(j.basis, coeffs) for coeffs in rad.basis],
-                            g.dim)
+        amb = Subspace.span([contract(j.basis, (coeffs,))
+                             for coeffs in rad.basis], g.dim)
         return SplitResult(False, j, radical=amb)
     perp = orthogonal_complement(B, j)
     if not is_ideal(g, perp):
@@ -371,12 +372,3 @@ def split_nondegenerate_ideal(g: LieAlgebra, B: SymBilinearForm,
         forms.append(form if part.dim else None)
     return SplitResult(True, j, complement=perp,
                        ideal_form=forms[0], complement_form=forms[1])
-
-
-def _lift(basis, coeffs):
-    n = len(basis[0])
-    out = [Fraction(0)] * n
-    for c, b in zip(coeffs, basis):
-        for i in range(n):
-            out[i] += c * b[i]
-    return tuple(out)

@@ -21,6 +21,8 @@ from .groups import (GeodesicSpec, GroupElement, coordinate_metric, frame,
                      geodesic_closed_form, group_identity)
 
 CSV_HEADER = "s,t,x,y,z,vt,vx,vy,vz"
+# fixed steps one run may take; a trajectory keeps every sample in memory
+MAX_STEPS = 10**6
 
 
 @dataclass
@@ -122,7 +124,8 @@ def integrate_geodesic(ch: MetricChart, p0: Sequence, v0: Sequence,
     """Classical RK4 on (position, velocity).
 
     A non-finite state aborts the run; the trajectory then carries the
-    samples up to the last valid one and is flagged ``aborted``.
+    samples up to the last valid one and is flagged ``aborted``.  That flag
+    is the report, so numpy's floating-point warnings are silenced.
     """
     nsteps = _step_count(s_end, step)
     n = len(p0)
@@ -133,28 +136,33 @@ def integrate_geodesic(ch: MetricChart, p0: Sequence, v0: Sequence,
     y = np.concatenate((np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)))
     ys = [y]
     aborted = False
-    for _ in range(nsteps):
-        try:
-            y = _rk4_step(rhs, y, step)
-        except NumericalError:
-            aborted = True
-            break
-        if not np.all(np.isfinite(y)):
-            aborted = True
-            break
-        ys.append(y)
+    with np.errstate(all="ignore"):
+        for _ in range(nsteps):
+            try:
+                y = _rk4_step(rhs, y, step)
+            except NumericalError:
+                aborted = True
+                break
+            if not np.all(np.isfinite(y)):
+                aborted = True
+                break
+            ys.append(y)
     Y = np.array(ys)
     return Trajectory(np.arange(len(ys)) * step, Y[:, :n], Y[:, n:], step,
                       aborted=aborted)
 
 
 def _step_count(s_end: float, step: float) -> int:
-    """Number of fixed RK4 steps from 0 to s_end (at least one)."""
-    if not step > 0:
-        raise InputError("step must be positive")
+    """Number of fixed RK4 steps from 0 to s_end: s_end / step rounded to
+    the nearest whole step, zero included."""
+    if not (step > 0 and math.isfinite(step)):
+        raise InputError("step must be positive and finite")
     if not (s_end >= 0 and math.isfinite(s_end)):
         raise InputError("s_end must be finite and non-negative")
-    return max(1, int(round(s_end / step)))
+    ratio = s_end / step
+    if not ratio <= MAX_STEPS:
+        raise InputError(f"s_end / step must not exceed {MAX_STEPS} steps")
+    return int(round(ratio))
 
 
 def _rk4_step(rhs, y, h):
@@ -173,8 +181,25 @@ def energy_series(ch: MetricChart, traj: Trajectory) -> np.ndarray:
 
 
 def initial_velocity(model: str, base: GroupElement, a: Sequence) -> np.ndarray:
-    """Coordinate velocity of the frame combination sum a_i X_i at base."""
-    return frame(model, base) @ np.asarray(a, dtype=float)
+    """Coordinate velocity of the frame combination sum a_i X_i at base.
+
+    Raises NumericalError when it leaves the floating-point range."""
+    return _finite(lambda: frame(model, base) @ np.asarray(a, dtype=float),
+                   "initial velocity at the base point")
+
+
+def _finite(compute, what: str) -> np.ndarray:
+    """compute() as a float array, with numpy's floating-point warnings
+    silenced; NumericalError when it leaves the floating-point range (an
+    overflow, a division by an underflowed zero, a non-finite value)."""
+    try:
+        with np.errstate(all="ignore"):
+            value = np.asarray(compute(), dtype=float)
+    except (OverflowError, ZeroDivisionError):
+        value = np.array(math.inf)
+    if not np.all(np.isfinite(value)):
+        raise NumericalError(f"{what} leaves the floating-point range")
+    return value
 
 
 def integrate_spec(spec: GeodesicSpec, s_end: float,
@@ -202,13 +227,17 @@ def compare_to_closed_form(spec: GeodesicSpec, s_grid: Sequence[float],
 def _closed_form_deviation(spec: GeodesicSpec, traj: Trajectory,
                            s_grid: Sequence[float]) -> float:
     """Sup-norm coordinate error of a trajectory of spec against the closed
-    form at the grid values (each snapped to the nearest sample)."""
+    form at the grid values (each snapped to the nearest sample).
+
+    Raises NumericalError when the comparison leaves the floating-point
+    range."""
     worst = 0.0
     for s in s_grid:
         idx = min(int(round(s / traj.step)), len(traj) - 1)
-        have = traj.positions[idx]
-        want = np.array(geodesic_closed_form(spec, traj.s[idx]).coords)
-        worst = max(worst, float(np.max(np.abs(have - want))))
+        diff = _finite(lambda: traj.positions[idx] - np.array(
+            geodesic_closed_form(spec, traj.s[idx]).coords),
+            f"closed-form comparison at s = {traj.s[idx]}")
+        worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
 

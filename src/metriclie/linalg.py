@@ -72,6 +72,31 @@ def is_zero_vector(x) -> bool:
     return all(not a for a in x)
 
 
+def contract(T, vectors) -> Vector:
+    """Evaluate a tensor at p coefficient vectors x_1..x_p:
+
+        sum over i_1..i_p of x_1[i_1] .. x_p[i_p] T[i_1]..[i_p],
+
+    where T is stored as nested tuples whose leaves T[i_1]..[i_p] are
+    coefficient vectors.  Zero coefficients are skipped at every level, so
+    sparse arguments (basis vectors above all) cost little; all-zero input
+    gives the zero vector of the leaf length.
+    """
+    leaf = T
+    for _ in vectors:
+        leaf = leaf[0]
+    acc = [Fraction(0)] * len(leaf)
+    terms = [(T, 1)]
+    for x in vectors:
+        terms = [(sub, w * xi) for part, w in terms
+                 for xi, sub in zip(x, part) if xi]
+    for leaf, w in terms:
+        for k, c in enumerate(leaf):
+            if c:
+                acc[k] += w * c
+    return tuple(acc)
+
+
 def rref(A: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot columns."""
     rows = [list(r) for r in A]

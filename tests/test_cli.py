@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from metriclie import catalog, cli, forms
 from metriclie.cli import main
@@ -270,6 +277,96 @@ def test_geodesic_rejects_before_integrating(capsys, tmp_path, argv, reason):
 def test_geodesic_bad_model(capsys):
     code, _, err = run(capsys, "geodesic", "Gx", "1,1,0,0")
     assert code == 1
+
+
+@pytest.mark.parametrize("s_end", ["0", "0.2"])
+def test_geodesic_rounds_to_zero_steps(capsys, s_end):
+    code, out, err = run(capsys, "geodesic", "G0", "1,0,0,0",
+                         "--s-end", s_end, "--step", "0.5")
+    assert code == 0
+    assert out.strip().split("\n") == ["s,t,x,y,z,vt,vx,vy,vz",
+                                       "0,0,0,0,0,1,0,0,0"]
+    assert "samples: 1" in err
+
+
+@pytest.mark.parametrize("step", ["1e-320", "inf"])
+def test_geodesic_refuses_step_counts_it_cannot_take(capsys, step):
+    code, out, err = run(capsys, "geodesic", "G0", "1,0,0,0",
+                         "--s-end", "1", "--step", step)
+    assert code == 1 and out == ""
+    assert err.startswith("error: step") or err.startswith("error: s_end")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # exp(1000) in the G1 closed form
+    ["--s-end", "5", "--step", "0.5", "G1", "--", "1e3,1e3,1e3,1"],
+    # exp(1000) in the G1 frame at the base point
+    ["G1", "0,0,0,1", "--base=1000,0,0,0", "--s-end", "1", "--step", "0.5"],
+    # the h1 metric overflows in the first step
+    ["--s-end", "1", "--step", "0.5", "H3:h1", "--", "1e160,1,1"],
+])
+def test_geodesic_overflow_exits_5_without_output(capsys, tmp_path, argv):
+    out_path = tmp_path / "traj.csv"
+    code, out, err = run(capsys, "geodesic", "--out", str(out_path), *argv)
+    assert code == 5 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+EXTREMES = ("0", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "-1e300",
+            "1e-300", "1e-320")
+
+
+def _numbers(lo, hi):
+    """Mostly finite values in [lo, hi], one draw in four an extreme."""
+    finite = st.floats(lo, hi).map(repr)
+    return st.one_of(finite, finite, finite, st.sampled_from(EXTREMES))
+
+
+@st.composite
+def geodesic_args(draw):
+    model = draw(st.sampled_from(["G0", "G1", "H3:h1", "H3:h2"]))
+    n = 3 if model.startswith("H3") else 4
+    coords = st.sampled_from([n, n, n, 7 - n]).flatmap(
+        lambda k: st.lists(_numbers(-3, 3), min_size=k, max_size=k))
+    a, base = draw(coords), draw(st.none() | coords)
+    s_end, step = draw(_numbers(-0.5, 3)), draw(_numbers(0.01, 1))
+    return model, ",".join(a), base and ",".join(base), s_end, step
+
+
+def _takes_many_steps(s_end, step):
+    """An accepted run of more than 1000 steps (slow, so not drawn); runs
+    of more than 10**6 steps are refused."""
+    s_end, step = float(s_end), float(step)
+    if not (step > 0 and math.isfinite(step) and math.isfinite(s_end)):
+        return False
+    return 1000 < s_end / step <= 10**6
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(args=geodesic_args(), separate=st.booleans(), to_file=st.booleans())
+def test_geodesic_fuzz_keeps_exit_code_contract(args, separate, to_file):
+    model, a, base, s_end, step = args
+    assume(not _takes_many_steps(s_end, step))
+    with tempfile.TemporaryDirectory() as tmp:
+        opts = [f"--s-end={s_end}", f"--step={step}"]
+        opts += [f"--base={base}"] if base is not None else []
+        opts += ["--out", os.path.join(tmp, "traj.csv")] if to_file else []
+        argv = (["geodesic", *opts, "--", model, a] if separate
+                else ["geodesic", model, a, *opts])
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors only
+                code = exc.code
+                assert code == 2
+    assert code in (0, 1, 2, 5), (argv, err.getvalue())
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
 
 
 # --- isometry ------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from metriclie.base import InputError
 from metriclie.groups import GeodesicSpec, GroupElement, exp_map, group_identity
-from metriclie.integrate import (MetricChart, chart, christoffel,
+from metriclie.integrate import (MetricChart, _step_count, chart, christoffel,
                                  compare_to_closed_form, energy_series,
                                  flow_left_invariant_field, geodesic_rhs,
                                  initial_velocity, integrate_geodesic,
@@ -233,6 +233,19 @@ def test_csv_h3_padding():
 def test_bad_step_rejected():
     with pytest.raises(InputError):
         integrate_geodesic(chart("g0"), [0, 0, 0, 0], [1, 0, 0, 0], 1.0, 0.0)
+
+
+@pytest.mark.parametrize("s_end, step, steps", [
+    (0.0, 0.5, 0), (0.2, 0.5, 0), (0.3, 0.5, 1), (2.0, 1e-3, 2000),
+    (1.0, 1e-6, 10**6), (1.0, 1e-7, None), (1.0, 1e-320, None),
+    (1e300, 1.0, None), (1.0, math.inf, None), (1.0, math.nan, None),
+])
+def test_step_count(s_end, step, steps):
+    if steps is None:
+        with pytest.raises(InputError):
+            _step_count(s_end, step)
+    else:
+        assert _step_count(s_end, step) == steps
 
 
 @pytest.mark.parametrize("s_end", [-1.0, -1e-9, math.nan, math.inf])
