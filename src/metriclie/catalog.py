@@ -128,13 +128,9 @@ def _direct_sum_with_line(simple: LieAlgebra, name: str) -> LieAlgebra:
 
 
 def _line_plus_killing(simple: LieAlgebra) -> SymBilinearForm:
-    K = killing_form(simple)
-    rows = [[Fraction(0)] * 4 for _ in range(4)]
-    rows[0][0] = Fraction(1)
-    for i in range(3):
-        for j in range(3):
-            rows[i + 1][j + 1] = K.matrix[i][j]
-    return SymBilinearForm(4, tuple(tuple(r) for r in rows))
+    K = killing_form(simple).matrix
+    return _sym(4, [(0, 0, 1)] + [(i + 1, j + 1, K[i][j])
+                                  for i in range(3) for j in range(3)])
 
 
 def names() -> list[str]:
@@ -154,10 +150,10 @@ def metric_names(entry: CatalogEntry) -> list[str]:
 
 
 def get_metric(entry: CatalogEntry, metric_name: str) -> SymBilinearForm:
-    if metric_name in entry.invariant_forms:
-        return entry.invariant_forms[metric_name]
-    if metric_name in entry.left_metrics:
-        return entry.left_metrics[metric_name]
+    """Named forms first (invariant, then left-invariant), then Killing."""
+    for forms in (entry.invariant_forms, entry.left_metrics):
+        if metric_name in forms:
+            return forms[metric_name]
     if metric_name == "killing":
         return killing_form(entry.algebra)
     raise InputError(

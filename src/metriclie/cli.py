@@ -36,8 +36,7 @@ from .connection import (ahc_isometry_check, bianchi_check,
                          linearized_isotropy_dim, ricci_operator,
                          soliton_solve)
 from .forms import (SymBilinearForm, has_nondegenerate_invariant_form,
-                    is_ad_invariant, killing_form, series_duality_check,
-                    signature)
+                    is_ad_invariant, series_duality_check, signature)
 from .groups import GeodesicSpec, GroupElement, group_identity
 from .integrate import (_closed_form_deviation, chart, initial_velocity,
                         integrate_geodesic, write_trajectory_csv)
@@ -50,11 +49,12 @@ EXIT_NUMERIC = 5
 
 
 def _parse_rational(value):
-    if isinstance(value, (int, str)):
-        try:
+    """A "p/q" string or an integer; booleans and floats are refused."""
+    try:
+        if type(value) in (int, str):
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a rational value: {value!r}")
+    except (ValueError, ZeroDivisionError):
+        pass
     raise ParseError(f"not a rational value: {value!r}")
 
 
@@ -66,12 +66,15 @@ def _check_indices(path, where, indices):
 def load_algebra_file(path: str):
     """Parse an AlgebraFile; Jacobi is verified before anything is returned."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno)
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested too deep, or an integer with too many digits
+        raise ParseError(f"{path}: {exc}")
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError(f"{path}: missing 'dim'")
     dim = data["dim"]
@@ -118,30 +121,21 @@ def load_algebra_file(path: str):
     return g, metrics
 
 
-def resolve_algebra(target: str):
+def resolve_algebra(target: str) -> catalog.CatalogEntry:
     """Catalog names win over paths; a '--' prefix forces path lookup."""
     force_path = target.startswith("--")
     name = target[2:] if force_path else target
     if not force_path:
         try:
-            entry = catalog.get(name)
-            return entry.algebra, dict(entry.invariant_forms) | dict(entry.left_metrics)
+            return catalog.get(name)
         except InputError:
             pass
-    return load_algebra_file(name)
-
-
-def resolve_metric(g: LieAlgebra, metrics: dict, metric_name: str) -> SymBilinearForm:
-    if metric_name in metrics:
-        return metrics[metric_name]
-    if metric_name == "killing":
-        return killing_form(g)
-    raise InputError(f"unknown metric {metric_name!r}; available: "
-                     f"{', '.join(list(metrics) + ['killing'])}")
+    g, metrics = load_algebra_file(name)  # file metrics claim no invariance
+    return catalog.CatalogEntry(g, left_metrics=metrics)
 
 
 def cmd_report(args, out) -> int:
-    g, metrics = resolve_algebra(args.target)
+    g = resolve_algebra(args.target).algebra
     name = g.name or args.target
     out.write(f"algebra: {name}\n")
     out.write(f"dim: {g.dim}\n")
@@ -168,7 +162,7 @@ def cmd_report(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
-    g, _ = resolve_algebra(args.target)
+    g = resolve_algebra(args.target).algebra
     if g.dim != 4:
         raise InputError("classification is defined for dimension 4")
     out.write(f"class: {catalog.classify_dim4_metric(g)}\n")
@@ -180,11 +174,12 @@ def _fmt_matrix(m) -> str:
 
 
 def cmd_geometry(args, out) -> int:
-    g, metrics = resolve_algebra(args.target)
+    entry = resolve_algebra(args.target)
+    g = entry.algebra
     metric_name = args.metric_flag or args.metric
     if metric_name is None:
         raise InputError("geometry needs a metric (positional or --metric)")
-    B = resolve_metric(g, metrics, metric_name)
+    B = catalog.get_metric(entry, metric_name)
     if not B.is_nondegenerate():
         rad = B.radical()
         raise DegenerateMetricError(
@@ -293,8 +288,7 @@ def cmd_isometry(args, out) -> int:
     if target in ("G0", "G1"):
         which = target.lower()
         entry = catalog.get(which)
-        g = entry.algebra
-        B = entry.invariant_forms["gmatrix0"]
+        g, B = entry.algebra, catalog.get_metric(entry, "gmatrix0")
         rng = random.Random(args.seed)
         passed = 0
         for _ in range(args.samples):
@@ -310,9 +304,7 @@ def cmd_isometry(args, out) -> int:
                   f" the block family; {comps} components\n")
         return EXIT_OK
     if target in ("H3:h0", "H3:h1", "H3:h2"):
-        mname = target.split(":")[1]
-        metric = catalog.get("h3").left_metrics[mname]
-        rep = h3_isotropy(metric)
+        rep = h3_isotropy(catalog.get_metric(catalog.get("h3"), target[3:]))
         out.write(f"isotropy algebra dim {rep.dim} ({rep.kind})\n")
         return EXIT_OK
     raise InputError("model must be G0, G1, H3:h0, H3:h1 or H3:h2")

@@ -361,19 +361,20 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
     for i in range(n):
         for j in range(i + 1, n):
             cij = g.bracket_basis(i, j)
-            lhs_op = mat_mul(A, g.ad(cij))
-            rhs_op = mat_mul(g.ad(bracket(g, cols[i], cols[j])), A)
-            if lhs_op != rhs_op:
-                k = next(k for k in range(n)
-                         if any(lhs_op[r][k] != rhs_op[r][k] for r in range(n)))
-                return CheckResult(False, "double-bracket equivariance fails",
-                                   (i, j, k))
+            w = bracket(g, cols[i], cols[j])
+            for k in range(n):
+                if mat_vec(A, bracket(g, cij, basis_vector(n, k))) != \
+                        bracket(g, w, cols[k]):
+                    return CheckResult(False, "double-bracket equivariance fails",
+                                       (i, j, k))
     return CheckResult(True)
 
 
 def _metric_preserved(B: SymBilinearForm, A) -> CheckResult:
     """A^T B A = B; the witness is the first entry (i, j) that differs."""
     lhs = transform_form(B, A).matrix
+    if len(lhs) != B.dim:
+        raise InputError("matrix size does not match the form")
     bad = next(((i, j) for i in range(B.dim) for j in range(B.dim)
                 if lhs[i][j] != B.matrix[i][j]), None)
     if bad is None:
@@ -381,7 +382,8 @@ def _metric_preserved(B: SymBilinearForm, A) -> CheckResult:
     return CheckResult(False, "metric not preserved", bad)
 
 
-_JT = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+_PAIRINGS = {"g0": ("orthogonal", SymBilinearForm(2, identity_matrix(2))),
+             "g1": ("in O(1,1)", SymBilinearForm(2, ((0, 1), (1, 0))))}
 
 
 def isometry_family(which: str, sign: int, w: Sequence,
@@ -407,16 +409,11 @@ def isometry_family(which: str, sign: int, w: Sequence,
     if len(At) != 2 or any(len(r) != 2 for r in At):
         raise InputError("Atilde must be 2x2")
     s = Fraction(sign)
-    if which == "g0":
-        if mat_mul(transpose(At), At) != identity_matrix(2):
-            raise InputError("Atilde is not orthogonal")
-        norm2 = w[0] * w[0] + w[1] * w[1]
-        bottom = mat_vec(transpose(At), w)
-    else:
-        if mat_mul(mat_mul(transpose(At), _JT), At) != _JT:
-            raise InputError("Atilde is not in O(1,1)")
-        norm2 = 2 * w[0] * w[1]
-        bottom = mat_vec(transpose(At), mat_vec(_JT, w))
+    kind, J = _PAIRINGS[which]
+    if transform_form(J, At) != J:
+        raise InputError(f"Atilde is not {kind}")
+    norm2 = J.evaluate(w, w)
+    bottom = mat_vec(transpose(At), mat_vec(J.matrix, w))
     zero = Fraction(0)
     return (
         (s, zero, zero, zero),
@@ -513,23 +510,18 @@ def _derivation_rows(T, p: int) -> set:
 
 
 def skew_adjoint_form_space(which: str, alpha, beta, gamma=0) -> list[SymBilinearForm]:
-    """Symmetric forms Q on the Heisenberg algebra for which the generator
-    v = e0 + alpha e1 + beta e2 + gamma e3 acts skew-adjointly:
+    """Symmetric forms Q on the Heisenberg algebra span{e1, e2, e3} of g0 or
+    g1 for which v = e0 + alpha e1 + beta e2 + gamma e3 acts skew-adjointly:
 
         Q(ad(v) x, y) = -Q(x, ad(v) y).
 
-    Returns the canonical nullspace basis.  gamma never enters (the center
-    acts trivially) but is accepted to match the generator parametrization.
-    """
+    Returns the canonical nullspace basis.  ad(v) comes from the catalog
+    algebra; gamma drops out because e3 is central."""
     if which not in ("g0", "g1"):
         raise InputError("skew-adjoint systems are defined for 'g0' or 'g1'")
-    a, b = Fraction(alpha), Fraction(beta)
-    zero, one = Fraction(0), Fraction(1)
-    if which == "g0":
-        cols = ((zero, one, -b), (-one, zero, a), (zero, zero, zero))
-    else:
-        cols = ((one, zero, -b), (zero, -one, a), (zero, zero, zero))
-    basis = nullspace(sorted(_skew_form_rows(3, [cols])), ncols=6)
+    v = (1, Fraction(alpha), Fraction(beta), Fraction(gamma))
+    images = [col[1:] for col in transpose(catalog.get(which).algebra.ad(v))[1:]]
+    basis = nullspace(sorted(_skew_form_rows(3, [images])), ncols=6)
     return [_form_from_coeffs(3, coeffs) for coeffs in basis]
 
 

@@ -22,14 +22,6 @@ from .linalg import (basis_vector, contract, determinant, mat, mat_mul,
 from .scalars import sign_of
 
 
-def _eval(m, x, y):
-    total = Fraction(0)
-    for xi, row in zip(x, m):
-        if xi:
-            total += xi * sum((a * b for a, b in zip(row, y)), start=Fraction(0))
-    return total
-
-
 @dataclass(frozen=True)
 class SymBilinearForm:
     """Symmetric matrix of entries <e_i, e_j>; degeneracy allowed."""
@@ -63,7 +55,8 @@ class SymBilinearForm:
         return SymBilinearForm(dim, mat(m))
 
     def evaluate(self, x: Sequence, y: Sequence):
-        return _eval(self.matrix, vec(x), vec(y))
+        return sum((a * b for a, b in zip(vec(x), mat_vec(self.matrix, vec(y)))),
+                   start=Fraction(0))
 
     def radical(self) -> Subspace:
         return Subspace.span(nullspace(self.matrix, ncols=self.dim), self.dim)
@@ -314,16 +307,17 @@ def restrict_form(B: SymBilinearForm, m: Subspace) -> SymBilinearForm:
     """Matrix of B on the canonical basis of the subspace."""
     if m.ambient_dim != B.dim:
         raise InputError("subspace ambient dimension does not match form")
-    k = m.dim
-    rows = [[_eval(B.matrix, m.basis[a], m.basis[b]) for b in range(k)]
-            for a in range(k)]
-    return SymBilinearForm(k, mat(rows))
+    return transform_form(B, transpose(m.basis) or ((),) * B.dim)
 
 
 def transform_form(B: SymBilinearForm, P: Sequence[Sequence]) -> SymBilinearForm:
-    """Form in the basis f_i = P e_i, i.e. P^T B P."""
+    """Form on the vectors f_a = P e_a, the k columns of the n x k matrix P,
+    i.e. the k x k matrix P^T B P."""
     P = mat(P)
-    return SymBilinearForm(B.dim, mat_mul(mat_mul(transpose(P), B.matrix), P))
+    if len(P) != B.dim:
+        raise InputError("basis change must have one row per form dimension")
+    return SymBilinearForm(len(P[0]) if P else 0,
+                           mat_mul(mat_mul(transpose(P), B.matrix), P))
 
 
 @dataclass(frozen=True)

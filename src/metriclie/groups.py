@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import InputError
+from .base import InputError, NumericalError
 
 MODELS = ("H3", "G0", "G1")
 
@@ -256,22 +256,30 @@ def geodesic_closed_form(spec: GeodesicSpec, s) -> GroupElement:
 
 
 def _one_parameter(model: str, a: Sequence, s) -> GroupElement:
-    if model == "H3":
-        a1, a2, a3 = (float(c) for c in a)
-        # quadratic exp formula; the J-twist term cancels on a line
-        return GroupElement("H3", (a1 * s, a2 * s, a3 * s))
-    a0, a1, a2, a3 = (float(c) for c in a)
+    """exp(s X) for X = sum a_i X_i; NumericalError when a coordinate leaves
+    the floating-point range."""
+    a0, a1, a2, a3 = ([0.0] if model == "H3" else []) + [float(c) for c in a]
+    try:
+        coords = _one_parameter_coords(model, a0, a1, a2, a3, s)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        coords = (math.inf,)
+    if not all(map(math.isfinite, coords)):
+        raise NumericalError(f"exp on {model} leaves the floating-point range")
+    return GroupElement(model, coords[1:] if model == "H3" else coords)
+
+
+def _one_parameter_coords(model, a0, a1, a2, a3, s) -> tuple:
     if a0 == 0:
-        return GroupElement(model, (0.0, a1 * s, a2 * s, a3 * s))
+        # a line; on H3 the J-twist term of the quadratic exp formula cancels
+        return (0.0, a1 * s, a2 * s, a3 * s)
+    th = a0 * s
     if model == "G0":
-        th = a0 * s
         x = (a1 / a0) * math.sin(th) + (a2 / a0) * (math.cos(th) - 1.0)
         y = (a1 / a0) * (1.0 - math.cos(th)) + (a2 / a0) * math.sin(th)
         z = 0.5 * (((a1 * a1 + a2 * a2) / a0 + 2.0 * a3) * s
                    - ((a1 * a1 + a2 * a2) / (a0 * a0)) * math.sin(th))
-        return GroupElement("G0", (th, x, y, z))
-    th = a0 * s
+        return (th, x, y, z)
     x = (a1 / a0) * (math.exp(th) - 1.0)
     y = (a2 / a0) * (1.0 - math.exp(-th))
     z = (a1 * a2 / a0 + a3) * s - (a1 * a2 / (a0 * a0)) * math.sinh(th)
-    return GroupElement("G1", (th, x, y, z))
+    return (th, x, y, z)

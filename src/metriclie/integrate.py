@@ -190,12 +190,13 @@ def initial_velocity(model: str, base: GroupElement, a: Sequence) -> np.ndarray:
 
 def _finite(compute, what: str) -> np.ndarray:
     """compute() as a float array, with numpy's floating-point warnings
-    silenced; NumericalError when it leaves the floating-point range (an
-    overflow, a division by an underflowed zero, a non-finite value)."""
+    silenced; NumericalError, with this message, when it leaves the
+    floating-point range (an overflow, a division by an underflowed zero, a
+    non-finite value, or a NumericalError of compute's own)."""
     try:
         with np.errstate(all="ignore"):
             value = np.asarray(compute(), dtype=float)
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, NumericalError):
         value = np.array(math.inf)
     if not np.all(np.isfinite(value)):
         raise NumericalError(f"{what} leaves the floating-point range")
@@ -253,9 +254,7 @@ def flow_left_invariant_field(model: str, a: Sequence, s_end: float,
         return frame(model, GroupElement(model, tuple(p))) @ a
 
     for _ in range(nsteps):
-        pos = _rk4_step(rhs, pos, step)
-        if not np.all(np.isfinite(pos)):
-            raise NumericalError("flow left the finite range")
+        pos = _finite(lambda: _rk4_step(rhs, pos, step), "flow")
     return GroupElement(model, tuple(pos))
 
 

@@ -34,10 +34,6 @@ def mat(rows) -> Matrix:
     return out
 
 
-def zero_vector(n) -> Vector:
-    return (Fraction(0),) * n
-
-
 def identity_matrix(n) -> Matrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
@@ -58,14 +54,6 @@ def mat_mul(A, B) -> Matrix:
 
 def transpose(A) -> Matrix:
     return tuple(zip(*A))
-
-
-def add_vec(x, y) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def scale_vec(c, x) -> Vector:
-    return tuple(c * a for a in x)
 
 
 def is_zero_vector(x) -> bool:

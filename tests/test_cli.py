@@ -5,15 +5,18 @@ import math
 import os
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from metriclie import catalog, cli, forms
+from metriclie.algebra import LieAlgebra, change_of_basis
 from metriclie.cli import main
 from metriclie.groups import GeodesicSpec, GroupElement
 from metriclie.integrate import compare_to_closed_form
+from metriclie.linalg import determinant
 
 
 def run(capsys, *argv):
@@ -157,12 +160,28 @@ def test_antisymmetry_conflict_is_parse_error(capsys, tmp_path):
     {"dim": 3, "brackets": 5},
     {"dim": 3, "metrics": {"B": 5}},
     {"dim": True},
+    {"dim": 2, "brackets": [[0, 1, 1, True]]},
+    {"dim": 2, "metrics": {"B": [[0, 0, False]]}},
+    {"dim": 2, "brackets": [[0, 1, 1, 0.5]]},
 ])
 def test_malformed_schema_exit_2(capsys, tmp_path, payload):
     path = write_json(tmp_path, "bad.json", payload)
     code, _, err = run(capsys, "report", path)
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("raw", [
+    b'\xff\xfe{"dim": 2}',
+    b"[" * 100000 + b"]" * 100000,
+    b'{"dim": 2, "brackets": [[0, 1, 1, ' + b"7" * 5000 + b"]]}",
+], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_unreadable_file_exit_2(capsys, tmp_path, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 # --- geometry ------------------------------------------------------------
@@ -199,6 +218,41 @@ def test_geometry_unknown_metric(capsys):
     code, _, err = run(capsys, "geometry", "g0", "nope")
     assert code == 1
     assert "killing" in err
+
+
+OSC = {"dim": 4,
+       "brackets": [[0, 1, 2, "1"], [0, 2, 1, "-1"], [1, 2, 3, "1"]],
+       "metrics": {"B": [[0, 3, "1"], [1, 1, "1"], [2, 2, "1"]]}}
+
+
+@pytest.mark.parametrize("target, listing", [
+    ("g0", "g0; available: gmatrix0, killing"),
+    ("h3", "h3; available: h0, h1, h2, killing"),
+    ("sl2", "sl2; available: killing, killing"),
+    (None, "osc.json; available: B, killing"),
+], ids=["g0", "h3", "sl2", "file"])
+def test_unknown_metric_exit_1_lists_killing(capsys, tmp_path, target,
+                                             listing):
+    target = target or write_json(tmp_path, "osc.json", OSC)
+    for tail in (["nope"], ["--metric", "nope"]):
+        code, out, err = run(capsys, "geometry", target, *tail)
+        assert code == 1 and out == ""
+        assert err == f"error: no metric 'nope' on {listing}\n"
+
+
+def test_file_metric_named_killing_wins_over_the_killing_form(capsys,
+                                                             tmp_path):
+    # the Killing form of g0 is degenerate; a file metric of that name is used
+    code, _, err = run(capsys, "geometry", "g0", "killing")
+    assert code == 4 and "radical" in err
+    payload = dict(OSC, metrics={"killing": OSC["metrics"]["B"]})
+    code, out, _ = run(capsys, "geometry",
+                       write_json(tmp_path, "osc.json", payload), "killing")
+    assert code == 0
+    assert "metric: killing" in out and "R = -1/4 ad([X,Y]): PASS" in out
+    code, _, err = run(capsys, "geometry",
+                       write_json(tmp_path, "plain.json", OSC), "killing")
+    assert code == 4 and "radical" in err
 
 
 # --- geodesic ------------------------------------------------------------
@@ -367,6 +421,125 @@ def test_geodesic_fuzz_keeps_exit_code_contract(args, separate, to_file):
     assert code in (0, 1, 2, 5), (argv, err.getvalue())
     assert not caught, (argv, [str(w.message) for w in caught])
     assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+# --- fuzz of the algebra-file verbs ---------------------------------------
+
+fuzz_rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2)))
+JUNK = (True, False, None, 1.5, "1/0", "nan", "inf", "x", [], {}, [1, 2],
+        -1, 7, "1e3", "3/4")
+
+
+def _entries(form):
+    n = form.dim
+    return [[i, j, str(form.matrix[i][j])] for i in range(n)
+            for j in range(i, n) if form.matrix[i][j]]
+
+
+@st.composite
+def algebra_payloads(draw):
+    """A rational basis change of a 4-dim metric source with its forms, or a
+    small algebra (dim 1-3) with random structure constants and metrics."""
+    if draw(st.booleans()):
+        entry = catalog.get(draw(st.sampled_from(
+            ["g0", "g1", "r+sl2", "r+so3", "r4"])))
+        P = draw(st.lists(st.lists(fuzz_rationals, min_size=4, max_size=4),
+                          min_size=4, max_size=4).filter(determinant))
+        g = change_of_basis(entry.algebra, P)
+        metrics = {m: _entries(forms.transform_form(B, P))
+                   for m, B in entry.invariant_forms.items()}
+    else:
+        n = draw(st.integers(1, 3))
+        triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+                   for k in range(n)]
+        constants = draw(st.dictionaries(st.sampled_from(triples),
+                                         fuzz_rationals, max_size=4)
+                         if triples else st.just({}))
+        g = LieAlgebra.from_brackets(n, [t + (c,) for t, c in constants.items()])
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        metrics = draw(st.dictionaries(
+            st.sampled_from(["B", "killing", "m"]),
+            st.dictionaries(st.sampled_from(pairs), fuzz_rationals,
+                            max_size=len(pairs)).map(
+                lambda d: [[i, j, str(v)] for (i, j), v in d.items()]),
+            max_size=2))
+    n = g.dim
+    brackets = [[i, j, k, str(c)] for i in range(n) for j in range(i + 1, n)
+                for k, c in enumerate(g.structure[i][j]) if c]
+    return {"dim": n, "brackets": brackets, "metrics": metrics}
+
+
+@st.composite
+def algebra_files(draw):
+    """The bytes of an algebra file, possibly broken: a wrong JSON type, a
+    boolean, a float or a bad string where a value or an index belongs, an
+    index out of range, conflicting entries, non-UTF-8 bytes or deep
+    nesting."""
+    payload = draw(algebra_payloads())
+    lists = [rows for rows in (payload["brackets"],
+                               *payload["metrics"].values()) if rows]
+    kind = draw(st.sampled_from(["none", "none", "value", "index",
+                                 "conflict", "field", "bytes", "deep"]))
+    if kind in ("value", "index", "conflict") and lists:
+        rows = draw(st.sampled_from(lists))
+        row = draw(st.sampled_from(rows))
+        if kind == "conflict":
+            # the partner entry, with a value that clashes with this one
+            row = [row[1], row[0], *row[2:]]
+            if len(row) == 3:
+                row[-1] = str(Fraction(row[-1]) + 1)
+            rows.append(row)
+        else:
+            junk = st.sampled_from(JUNK + (payload["dim"], payload["dim"] + 3))
+            slot = -1 if kind == "value" else draw(st.integers(0, len(row) - 2))
+            row[slot] = draw(junk)
+    elif kind == "field":
+        key = draw(st.sampled_from(["dim", "brackets", "metrics"]))
+        if draw(st.booleans()):
+            payload[key] = draw(st.sampled_from(JUNK))
+        else:
+            del payload[key]
+    raw = json.dumps(payload).encode()
+    if kind == "bytes":
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) \
+            + raw[at:]
+    elif kind == "deep":
+        depth = draw(st.sampled_from([10, 1000, 5000]))
+        nest = b"[" * depth + b"]" * depth
+        # the whole file, or the first entry of the bracket list
+        raw = raw.replace(b'"brackets": [', b'"brackets": [' + nest + b", ", 1) \
+            if draw(st.booleans()) else nest
+    return payload, raw
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=algebra_files(), verb=st.sampled_from(["report", "classify",
+                                                   "geometry"]),
+       data=st.data(), flag=st.booleans())
+def test_algebra_file_fuzz_keeps_exit_code_contract(case, verb, data, flag):
+    payload, raw = case
+    named = payload.get("metrics")
+    metric = data.draw(st.sampled_from(
+        (sorted(named) * 3 if isinstance(named, dict) else [])
+        + ["killing", "nope"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alg.json")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        argv = [verb, path]
+        if verb == "geometry":
+            argv += ["--metric", metric] if flag else [metric]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors only
+                code = exc.code
+                assert code == 2
+    assert code in (0, 1, 2, 3, 4, 5), (argv, payload, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, payload)
+    assert code == 0 or err.getvalue().startswith("error: "), (argv, payload)
 
 
 # --- isometry ------------------------------------------------------------

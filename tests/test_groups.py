@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metriclie.base import InputError
+from metriclie.base import InputError, NumericalError
 from metriclie.groups import (GeodesicSpec, GroupElement, ad_matrix,
                               coordinate_metric, exp_map, frame,
                               g1_product_exp_coords, geodesic_closed_form,
@@ -255,6 +255,29 @@ def test_exp_examples():
     got = exp_map("G1", (1, 1, 1, 0))
     assert np.allclose(got.coords[3], 1 - math.sinh(1))
     assert exp_map("H3", (1, 2, 3)).coords == pytest.approx((1, 2, 3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, a", [
+    ("G0", (1e-300, 1, 0, 0)),    # a0 * a0 underflows to 0
+    ("G1", (1e3, 1, 1, 0)),       # exp(1000)
+    ("G1", (-1e3, 1, 1, 0)),      # exp(-(-1000))
+    ("G0", (1e-200, 1e200, 0, 0)),  # a1 / a0 overflows to inf
+])
+def test_exp_out_of_float_range_raises_numerical_error(model, a):
+    with pytest.raises(NumericalError):
+        exp_map(model, a)
+    spec = GeodesicSpec(model, group_identity(model), a)
+    with pytest.raises(NumericalError):
+        geodesic_closed_form(spec, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_with_overflowing_angle_raises_numerical_error():
+    # a0 * s = inf: math.sin refuses it
+    spec = GeodesicSpec("G0", group_identity("G0"), (1e300, 1, 0, 0))
+    with pytest.raises(NumericalError):
+        geodesic_closed_form(spec, 1e10)
 
 
 def test_geodesic_g0_example():

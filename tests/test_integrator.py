@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from metriclie.base import InputError
+from metriclie.base import InputError, NumericalError
 from metriclie.groups import GeodesicSpec, GroupElement, exp_map, group_identity
 from metriclie.integrate import (MetricChart, _step_count, chart, christoffel,
                                  compare_to_closed_form, energy_series,
@@ -254,6 +254,17 @@ def test_bad_s_end_rejected(s_end):
         integrate_geodesic(chart("g0"), [0, 0, 0, 0], [1, 0, 0, 0], s_end, 0.5)
     with pytest.raises(InputError):
         flow_left_invariant_field("G0", (1, 0, 0, 0), s_end, 0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, a", [
+    ("H3", (1e200, 1e200, 0)),      # the frame overflows in the matmul
+    ("G1", (1e3, 0, 0, 0)),         # exp(t) in the G1 frame
+    ("G0", (1.0, 1e308, 1e308, 0)),  # the RK4 combination overflows
+])
+def test_flow_out_of_float_range_raises_numerical_error(model, a):
+    with pytest.raises(NumericalError):
+        flow_left_invariant_field(model, a, 1.0, 0.5)
 
 
 def test_singular_chart_aborts_with_last_valid_sample():
