@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 from .base import CheckResult, InputError
 from .linalg import (basis_vector, invert, is_zero_vector, mat, mat_vec,
-                     nullspace, reduce_against, row_space, solve, transpose,
-                     vec)
+                     nullspace, reduce_against, row_space, solve, tensor,
+                     transpose, vec)
 from .scalars import frac
 
 
@@ -261,14 +261,9 @@ def change_of_basis(g: LieAlgebra, P: Sequence[Sequence]) -> LieAlgebra:
         Pinv = invert(P)
     except InputError:
         raise InputError("basis-change matrix is singular") from None
-    n = g.dim
     cols = transpose(P)
-    new = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            new[i][j] = mat_vec(Pinv, bracket(g, cols[i], cols[j]))
-    return LieAlgebra(n, tuple(tuple(row) for row in new),
-                      name=g.name and g.name + "'")
+    return LieAlgebra(g.dim, tensor(g.dim, 2, lambda i, j: mat_vec(
+        Pinv, bracket(g, cols[i], cols[j]))), name=g.name and g.name + "'")
 
 
 def restricted_algebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
@@ -282,18 +277,14 @@ def restricted_algebra(g: LieAlgebra, s: Subspace) -> LieAlgebra:
     if k == 0:
         raise InputError("the zero subspace is not an algebra basis")
     cols = transpose(s.basis)
-    structure = []
-    for a in range(k):
-        row = []
-        for b in range(k):
-            w = bracket(g, s.basis[a], s.basis[b])
-            coeffs = solve(cols, w)
-            if coeffs is None:
-                raise InputError("subspace is not closed under the bracket")
-            row.append(coeffs)
-        structure.append(tuple(row))
-    return LieAlgebra(k, tuple(structure),
-                      name=g.name and g.name + "|sub")
+
+    def coeffs(a, b):
+        w = solve(cols, bracket(g, s.basis[a], s.basis[b]))
+        if w is None:
+            raise InputError("subspace is not closed under the bracket")
+        return w
+
+    return LieAlgebra(k, tensor(k, 2, coeffs), name=g.name and g.name + "|sub")
 
 
 def check_h3_subalgebra(g: LieAlgebra, v1: Sequence, v2: Sequence,

@@ -55,6 +55,13 @@ class CheckResult:
     reason: str = ""
     witness: Any = None
 
+    @staticmethod
+    def from_witness(witness: Any, reason: str) -> "CheckResult":
+        """Pass when ``witness`` is None, else fail with it."""
+        if witness is None:
+            return CheckResult(True)
+        return CheckResult(False, reason, witness)
+
     def __bool__(self) -> bool:
         return self.ok
 

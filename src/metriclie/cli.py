@@ -20,6 +20,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -46,12 +47,18 @@ EXIT_PARSE = 2
 EXIT_JACOBI = 3
 EXIT_DEGENERATE = 4
 EXIT_NUMERIC = 5
+# digits a numerator or denominator in an algebra file may have: Python's
+# default limit on int/str conversion, which JSON integers already meet
+MAX_DIGITS = 4300
+_RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 
 
 def _parse_rational(value):
-    """A "p/q" string or an integer; booleans and floats are refused."""
+    """An integer, or a string of an optional sign, digits and an optional
+    "/digits"; booleans, floats, exponents and longer numbers are refused."""
     try:
-        if type(value) in (int, str):
+        if type(value) is int or (type(value) is str
+                                   and _RATIONAL.fullmatch(value)):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -377,6 +384,12 @@ def main(argv=None) -> int:
     except MetricLieError as exc:
         err.write(f"error: {exc}\n")
         return 1
+    except ValueError as exc:
+        # str() of a rational past sys.get_int_max_str_digits()
+        if "integer string conversion" not in str(exc):
+            raise
+        err.write("error: a result has too many digits to print\n")
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

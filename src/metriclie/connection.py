@@ -26,13 +26,13 @@ from functools import reduce
 from typing import Sequence
 
 from . import catalog
-from .algebra import LieAlgebra, Subspace, bracket
+from .algebra import LieAlgebra, Subspace, add3, bracket
 from .base import (CheckResult, DegenerateMetricError, InputError)
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
-from .linalg import (basis_vector, contract, identity_matrix, invert,
-                     is_zero_vector, mat, mat_mul, mat_vec, nullspace, rank,
-                     solve_with_certificate, transpose, vec)
+from .linalg import (basis_vector, contract, first_nonzero, identity_matrix,
+                     invert, mat, mat_mul, mat_vec, nullspace, rank,
+                     solve_with_certificate, tensor, transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
 
@@ -70,35 +70,25 @@ def levi_civita(g: LieAlgebra, B: SymBilinearForm) -> Connection:
     n = g.dim
     Binv = invert(B.matrix)
     # Bc[i][j] = B c_ij, so <[e_i, e_j], e_k> = Bc[i][j][k]
-    Bc = [[mat_vec(B.matrix, g.bracket_basis(i, j)) for j in range(n)]
-          for i in range(n)]
-    gamma = tuple(
-        tuple(mat_vec(Binv, tuple((Bc[i][j][k] - Bc[j][k][i] + Bc[k][i][j]) / 2
-                                  for k in range(n)))
-              for j in range(n))
-        for i in range(n))
+    Bc = tensor(n, 2, lambda i, j: mat_vec(B.matrix, g.bracket_basis(i, j)))
+    gamma = tensor(n, 2, lambda i, j: mat_vec(Binv, tuple(
+        (Bc[i][j][k] - Bc[j][k][i] + Bc[k][i][j]) / 2 for k in range(n))))
     return Connection(g, B, gamma)
 
 
 def metric_compatibility_check(conn: Connection) -> CheckResult:
     """<nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0 on basis triples."""
-    bad = _skew_witness(conn.metric, conn.gamma)
-    if bad is not None:
-        return CheckResult(False, "metric compatibility fails", bad)
-    return CheckResult(True)
+    return CheckResult.from_witness(_skew_witness(conn.metric, conn.gamma),
+                                    "metric compatibility fails")
 
 
 def torsion_check(conn: Connection) -> CheckResult:
     """nabla_i e_j - nabla_j e_i = [e_i, e_j]."""
-    g = conn.algebra
-    for i in range(g.dim):
-        for j in range(g.dim):
-            diff = tuple(a - b - c for a, b, c in
-                         zip(conn.gamma[i][j], conn.gamma[j][i],
-                             g.bracket_basis(i, j)))
-            if not is_zero_vector(diff):
-                return CheckResult(False, "torsion does not vanish", (i, j))
-    return CheckResult(True)
+    g, gam = conn.algebra, conn.gamma
+    residual = tensor(g.dim, 2, lambda i, j: tuple(
+        a - b - c for a, b, c in zip(gam[i][j], gam[j][i], g.bracket_basis(i, j))))
+    return CheckResult.from_witness(first_nonzero(residual, 2),
+                                    "torsion does not vanish")
 
 
 @dataclass(frozen=True)
@@ -113,10 +103,7 @@ class CurvatureTensor:
         return contract(self.components, (vec(x), vec(y), vec(z)))
 
     def is_zero(self) -> bool:
-        return all(is_zero_vector(self.components[i][j][k])
-                   for i in range(self.algebra.dim)
-                   for j in range(self.algebra.dim)
-                   for k in range(self.algebra.dim))
+        return first_nonzero(self.components, 3) is None
 
 
 def curvature(conn: Connection, convention: str = "default") -> CurvatureTensor:
@@ -127,39 +114,23 @@ def curvature(conn: Connection, convention: str = "default") -> CurvatureTensor:
     n = g.dim
     gam = conn.gamma
     E = [basis_vector(n, k) for k in range(n)]
-    comps = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            cij = g.bracket_basis(i, j)
-            col = []
-            for k in range(n):
-                term = tuple(
-                    a - b - c for a, b, c in zip(
-                        contract(gam[i], (gam[j][k],)),
-                        contract(gam[j], (gam[i][k],)),
-                        # nabla_{c_ij} e_k: tensorial in the first slot
-                        contract(gam, (cij, E[k]))))
-                if convention == "oneill":
-                    term = tuple(-t for t in term)
-                col.append(term)
-            plane.append(tuple(col))
-        comps.append(tuple(plane))
-    return CurvatureTensor(g, tuple(comps), convention)
+    sign = -1 if convention == "oneill" else 1
+    comps = tensor(n, 3, lambda i, j, k: tuple(
+        sign * (a - b - c) for a, b, c in zip(
+            contract(gam[i], (gam[j][k],)),
+            contract(gam[j], (gam[i][k],)),
+            # nabla_{c_ij} e_k: tensorial in the first slot
+            contract(gam, (g.bracket_basis(i, j), E[k])))))
+    return CurvatureTensor(g, comps, convention)
 
 
 def bianchi_check(R: CurvatureTensor) -> CheckResult:
     """First Bianchi identity R(x,y)z + R(y,z)x + R(z,x)y = 0."""
-    n = R.algebra.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = tuple(a + b + c for a, b, c in zip(
-                    R.components[i][j][k], R.components[j][k][i],
-                    R.components[k][i][j]))
-                if not is_zero_vector(s):
-                    return CheckResult(False, "first Bianchi fails", (i, j, k))
-    return CheckResult(True)
+    C = R.components
+    residual = tensor(R.algebra.dim, 3,
+                      lambda i, j, k: add3(C[i][j][k], C[j][k][i], C[k][i][j]))
+    return CheckResult.from_witness(first_nonzero(residual, 3),
+                                    "first Bianchi fails")
 
 
 def biinvariant_curvature_check(conn: Connection,
@@ -168,28 +139,22 @@ def biinvariant_curvature_check(conn: Connection,
     convention 'default')."""
     g = conn.algebra
     n = g.dim
-    quarter = Fraction(-1, 4)
-    for i in range(n):
-        for j in range(n):
-            cij = g.bracket_basis(i, j)
-            for k in range(n):
-                expect = tuple(quarter * t for t in
-                               bracket(g, cij, basis_vector(n, k)))
-                if R.components[i][j][k] != expect:
-                    return CheckResult(False, "R != -1/4 ad([X,Y])", (i, j, k))
-    return CheckResult(True)
+    E = [basis_vector(n, k) for k in range(n)]
+    quarter = Fraction(1, 4)
+    # R + 1/4 [c_ij, e_k] is nonzero exactly where R differs from the claim
+    residual = tensor(n, 3, lambda i, j, k: tuple(
+        r + quarter * t for r, t in zip(
+            R.components[i][j][k], bracket(g, g.bracket_basis(i, j), E[k]))))
+    return CheckResult.from_witness(first_nonzero(residual, 3),
+                                    "R != -1/4 ad([X,Y])")
 
 
 def ricci_form(conn: Connection, convention: str = "default") -> SymBilinearForm:
     """Ric(x, y) = trace(z -> R(z, x) y) as a bilinear form on the algebra."""
-    R = curvature(conn, convention)
+    R = curvature(conn, convention).components
     n = conn.algebra.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            m[a][b] = sum((R.components[k][a][b][k] for k in range(n)),
-                          start=Fraction(0))
-    return SymBilinearForm(n, tuple(tuple(r) for r in m))
+    return SymBilinearForm(n, tensor(n, 2, lambda a, b: sum(
+        (R[k][a][b][k] for k in range(n)), start=Fraction(0))))
 
 
 def ricci_operator(conn: Connection, convention: str = "default") -> tuple:
@@ -210,32 +175,16 @@ def nabla_R(conn: Connection, convention: str = "default") -> tuple:
     Rc = curvature(conn, convention).components
     gam = conn.gamma
     E = [basis_vector(n, i) for i in range(n)]
-    out = []
-    for h in range(n):
-        block = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                col = []
-                for k in range(n):
-                    first = contract(gam[h], (Rc[i][j][k],))
-                    t1 = contract(Rc, (gam[h][i], E[j], E[k]))
-                    t2 = contract(Rc, (gam[h][j], E[i], E[k]))
-                    t3 = contract(Rc, (E[i], E[j], gam[h][k]))
-                    col.append(tuple(a - b + c - d for a, b, c, d in
-                                     zip(first, t1, t2, t3)))
-                plane.append(tuple(col))
-            block.append(tuple(plane))
-        out.append(tuple(block))
-    return tuple(out)
+    return tensor(n, 4, lambda h, i, j, k: tuple(
+        a - b + c - d for a, b, c, d in zip(
+            contract(gam[h], (Rc[i][j][k],)),
+            contract(Rc, (gam[h][i], E[j], E[k])),
+            contract(Rc, (gam[h][j], E[i], E[k])),
+            contract(Rc, (E[i], E[j], gam[h][k])))))
 
 
 def is_locally_symmetric(conn: Connection) -> bool:
-    nr = nabla_R(conn)
-    n = conn.algebra.dim
-    return all(is_zero_vector(nr[h][i][j][k])
-               for h in range(n) for i in range(n)
-               for j in range(n) for k in range(n))
+    return first_nonzero(nabla_R(conn), 4) is None
 
 
 @dataclass(frozen=True)
@@ -337,10 +286,8 @@ def naturally_reductive_check(g: LieAlgebra, h: Subspace, m: Subspace,
                 return CheckResult(False, "[h, m] not contained in m", (x, y))
     bad = _skew_witness(B_m, [[m_part(bracket(g, x, y)) for y in m.basis]
                               for x in m.basis])
-    if bad is not None:
-        return CheckResult(False, "naturally reductive identity fails",
-                           tuple(m.basis[a] for a in bad))
-    return CheckResult(True)
+    return CheckResult.from_witness(bad and tuple(m.basis[a] for a in bad),
+                                    "naturally reductive identity fails")
 
 
 def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
@@ -375,11 +322,9 @@ def _metric_preserved(B: SymBilinearForm, A) -> CheckResult:
     lhs = transform_form(B, A).matrix
     if len(lhs) != B.dim:
         raise InputError("matrix size does not match the form")
-    bad = next(((i, j) for i in range(B.dim) for j in range(B.dim)
-                if lhs[i][j] != B.matrix[i][j]), None)
-    if bad is None:
-        return CheckResult(True)
-    return CheckResult(False, "metric not preserved", bad)
+    return CheckResult.from_witness(
+        next(((i, j) for i in range(B.dim) for j in range(B.dim)
+              if lhs[i][j] != B.matrix[i][j]), None), "metric not preserved")
 
 
 _PAIRINGS = {"g0": ("orthogonal", SymBilinearForm(2, identity_matrix(2))),
@@ -453,8 +398,8 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
         raise DegenerateMetricError("metric must be nondegenerate",
                                     radical=B.radical())
     n = g.dim
-    dbl = [[[bracket(g, g.bracket_basis(i, j), basis_vector(n, k))
-             for k in range(n)] for j in range(n)] for i in range(n)]
+    dbl = tensor(n, 3, lambda i, j, k: bracket(g, g.bracket_basis(i, j),
+                                               basis_vector(n, k)))
     rows = _skew_rows(B) | _derivation_rows(dbl, 3)
     return len(nullspace(sorted(rows), ncols=n * n))
 

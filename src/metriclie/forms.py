@@ -89,10 +89,8 @@ def is_ad_invariant(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:
     """<[x,y],z> + <y,[x,z]> = 0 on all basis triples."""
     if B.dim != g.dim:
         raise InputError("form and algebra dimensions differ")
-    bad = _skew_witness(B, g.structure)
-    if bad is not None:
-        return CheckResult(False, "ad-invariance fails", bad)
-    return CheckResult(True)
+    return CheckResult.from_witness(_skew_witness(B, g.structure),
+                                    "ad-invariance fails")
 
 
 def orthogonal_complement(B: SymBilinearForm, m: Subspace) -> Subspace:

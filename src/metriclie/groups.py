@@ -48,12 +48,17 @@ class GeodesicSpec:
     a: tuple
 
     def __post_init__(self):
-        want = 3 if self.model == "H3" else 4
-        if len(self.a) != want:
-            raise InputError(f"{self.model} takes {want} frame coefficients")
+        a = _frame_coefficients(self.model, self.a)
         if self.base.model != self.model:
             raise InputError("base point model mismatch")
-        object.__setattr__(self, "a", tuple(self.a))
+        object.__setattr__(self, "a", a)
+
+
+def _frame_coefficients(model: str, a: Sequence) -> tuple:
+    want = 3 if model == "H3" else 4
+    if len(a) != want:
+        raise InputError(f"{model} takes {want} frame coefficients")
+    return tuple(a)
 
 
 def group_identity(model: str) -> GroupElement:
@@ -236,7 +241,7 @@ def exp_map(model: str, a: Sequence) -> GroupElement:
     geodesic through the identity; on H3 it is only the group exponential
     (the h1/h2 geodesics are not one-parameter subgroups in general).
     """
-    return _one_parameter(model, a, 1.0)
+    return _one_parameter(model, _frame_coefficients(model, a), 1.0)
 
 
 def geodesic_closed_form(spec: GeodesicSpec, s) -> GroupElement:

@@ -59,15 +59,8 @@ def _h1_partials(p):
 
 
 def _h2_partials(p):
-    x, y, _ = p
-    out = np.zeros((3, 3, 3))
-    out[1, 0, 0] = y / 2
-    out[0, 1, 1] = x / 2
-    out[0, 0, 1] = out[0, 1, 0] = -y / 4
-    out[1, 0, 1] = out[1, 1, 0] = -x / 4
-    out[1, 0, 2] = out[1, 2, 0] = 0.5
-    out[0, 1, 2] = out[0, 2, 1] = -0.5
-    return out
+    # g_h1 + g_h2 is constant, so the partials are opposite
+    return -_h1_partials(p)
 
 
 def chart(name: str) -> MetricChart:
@@ -112,7 +105,6 @@ class Trajectory:
     positions: np.ndarray
     velocities: np.ndarray
     step: float
-    method: str = "rk4"
     aborted: bool = False
 
     def __len__(self):

@@ -9,7 +9,10 @@ equality a tuple comparison.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .base import InputError
@@ -58,6 +61,23 @@ def transpose(A) -> Matrix:
 
 def is_zero_vector(x) -> bool:
     return all(not a for a in x)
+
+
+def tensor(n, p, entry):
+    """The rank-p tensor with leaf entry(i_1, .., i_p) at T[i_1]..[i_p], for
+    indices in range(n), stored as the nested tuples ``contract`` reads.
+    Entries are computed in lexicographic order of the indices."""
+    T = [entry(*idx) for idx in itertools.product(range(n), repeat=p)]
+    for _ in range(p):
+        T = [tuple(T[a:a + n]) for a in range(0, len(T), n)]
+    return T[0]
+
+
+def first_nonzero(T, p):
+    """First index tuple, in lexicographic order, whose leaf vector in the
+    rank-p tensor T is nonzero; None when every leaf is zero."""
+    return next((idx for idx in itertools.product(range(len(T)), repeat=p)
+                 if not is_zero_vector(reduce(operator.getitem, idx, T))), None)
 
 
 def contract(T, vectors) -> Vector:

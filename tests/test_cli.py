@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import warnings
 from fractions import Fraction
 
@@ -182,6 +183,51 @@ def test_unreadable_file_exit_2(capsys, tmp_path, raw):
     code, out, err = run(capsys, "report", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+LONGEST = "9" * cli.MAX_DIGITS
+
+
+@pytest.mark.parametrize("value", [
+    "1e2000000", "1e5000", "1E3", "0.5", "1.", " 1", "1 ", "1_000", "3/-4",
+    "--1", "+", "/2", "\u0663", "9" + LONGEST, "1/9" + LONGEST,
+])
+def test_value_outside_the_documented_forms_exit_2(capsys, tmp_path, value):
+    path = write_json(tmp_path, "exp.json",
+                      {"dim": 2, "brackets": [[0, 1, 1, value]]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "report", path)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: not a rational value: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["+3", "-3/4", "0/5", LONGEST,
+                                   f"-{LONGEST}/{LONGEST}"])
+def test_values_in_the_documented_forms_parse(value):
+    assert cli._parse_rational(value) == Fraction(value)
+
+
+@pytest.mark.parametrize("payload, code, lines", [
+    # Ric = -1/a Id here, so the longest value the parser takes still prints
+    ({"dim": 2, "brackets": [[0, 1, 1, 1]],
+      "metrics": {"B": [[0, 0, LONGEST], [1, 1, "1"]]}}, 0, 0),
+    ({"dim": 2, "brackets": [[0, 1, 1, 1]],
+      "metrics": {"B": [[0, 0, "1e5000"], [1, 1, "1"]]}}, 2, 1),
+    # on h3 the Ricci operator holds 1/a^2: more digits than str() allows
+    ({"dim": 3, "brackets": [[0, 1, 2, 1]],
+      "metrics": {"B": [[0, 0, LONGEST], [1, 1, LONGEST], [2, 2, 1]]}}, 5, 1),
+])
+def test_long_values_keep_the_exit_code_contract(capsys, tmp_path, payload,
+                                                 code, lines):
+    path = write_json(tmp_path, "big.json", payload)
+    start = time.perf_counter()
+    got, out, err = run(capsys, "geometry", path, "B")
+    assert time.perf_counter() - start < 1
+    assert got == code and err.count("\n") == lines
+    assert code == 0 or err.startswith("error: ")
+    if code == 5:
+        assert err == "error: a result has too many digits to print\n"
 
 
 # --- geometry ------------------------------------------------------------
@@ -369,7 +415,10 @@ def test_geodesic_overflow_exits_5_without_output(capsys, tmp_path, argv):
 
 
 EXTREMES = ("0", "-0.0", "-1", "nan", "inf", "-inf", "1e300", "-1e300",
-            "1e-300", "1e-320")
+            "1e-300", "1e-320", "1e2000000", "9" * 4301)
+# seconds one fuzzed call may take; the slowest accepted ones take well
+# under a second
+BUDGET = 5
 
 
 def _numbers(lo, hi):
@@ -413,11 +462,14 @@ def test_geodesic_fuzz_keeps_exit_code_contract(args, separate, to_file):
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
+            start = time.perf_counter()
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors only
                 code = exc.code
                 assert code == 2
+            elapsed = time.perf_counter() - start
+    assert elapsed < BUDGET, argv
     assert code in (0, 1, 2, 5), (argv, err.getvalue())
     assert not caught, (argv, [str(w.message) for w in caught])
     assert "Warning" not in err.getvalue() and "Traceback" not in err.getvalue()
@@ -428,6 +480,9 @@ def test_geodesic_fuzz_keeps_exit_code_contract(args, separate, to_file):
 fuzz_rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 1, 2)))
 JUNK = (True, False, None, 1.5, "1/0", "nan", "inf", "x", [], {}, [1, 2],
         -1, 7, "1e3", "3/4")
+# exponents (cheap to write, dear to expand) and values at and past the
+# digit bound
+LONG = ("1e2000000", "1e5000", "9" * 4301, "9" * 4300, "-1/" + "9" * 4300)
 
 
 def _entries(form):
@@ -473,14 +528,14 @@ def algebra_payloads(draw):
 def algebra_files(draw):
     """The bytes of an algebra file, possibly broken: a wrong JSON type, a
     boolean, a float or a bad string where a value or an index belongs, an
-    index out of range, conflicting entries, non-UTF-8 bytes or deep
-    nesting."""
+    index out of range, conflicting entries, a long value, non-UTF-8 bytes
+    or deep nesting."""
     payload = draw(algebra_payloads())
     lists = [rows for rows in (payload["brackets"],
                                *payload["metrics"].values()) if rows]
     kind = draw(st.sampled_from(["none", "none", "value", "index",
-                                 "conflict", "field", "bytes", "deep"]))
-    if kind in ("value", "index", "conflict") and lists:
+                                 "conflict", "long", "field", "bytes", "deep"]))
+    if kind in ("value", "index", "conflict", "long") and lists:
         rows = draw(st.sampled_from(lists))
         row = draw(st.sampled_from(rows))
         if kind == "conflict":
@@ -489,6 +544,8 @@ def algebra_files(draw):
             if len(row) == 3:
                 row[-1] = str(Fraction(row[-1]) + 1)
             rows.append(row)
+        elif kind == "long":
+            row[-1] = draw(st.sampled_from(LONG))
         else:
             junk = st.sampled_from(JUNK + (payload["dim"], payload["dim"] + 3))
             slot = -1 if kind == "value" else draw(st.integers(0, len(row) - 2))
@@ -532,11 +589,14 @@ def test_algebra_file_fuzz_keeps_exit_code_contract(case, verb, data, flag):
             argv += ["--metric", metric] if flag else [metric]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            start = time.perf_counter()
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors only
                 code = exc.code
                 assert code == 2
+            elapsed = time.perf_counter() - start
+    assert elapsed < BUDGET, (argv, payload)
     assert code in (0, 1, 2, 3, 4, 5), (argv, payload, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, payload)
     assert code == 0 or err.getvalue().startswith("error: "), (argv, payload)

@@ -257,6 +257,18 @@ def test_exp_examples():
     assert exp_map("H3", (1, 2, 3)).coords == pytest.approx((1, 2, 3))
 
 
+@pytest.mark.parametrize("model, a", [
+    ("G0", (1, 2, 3)), ("G1", (1, 2, 3, 4, 5)), ("H3", (1, 2, 3, 4)),
+    ("H3", (1, 2)), ("G0", ()),
+])
+def test_exp_with_wrong_coefficient_count_raises_input_error(model, a):
+    want = 3 if model == "H3" else 4
+    with pytest.raises(InputError, match=f"{model} takes {want} frame"):
+        exp_map(model, a)
+    with pytest.raises(InputError, match=f"{model} takes {want} frame"):
+        GeodesicSpec(model, group_identity(model), a)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model, a", [
     ("G0", (1e-300, 1, 0, 0)),    # a0 * a0 underflows to 0

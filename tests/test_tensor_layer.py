@@ -1,9 +1,10 @@
 """The exact tensor layer against the loops it replaced.
 
-``linalg.contract`` evaluates a tensor stored as nested tuples at coefficient
-vectors, and ``forms._skew_witness`` finds the first place where a family of
-maps is not skew for a metric.  The hand-written loops they replaced are
-kept here as the oracle.
+``linalg.tensor`` builds a tensor stored as nested tuples, ``linalg.contract``
+evaluates it at coefficient vectors and ``linalg.first_nonzero`` finds its
+first nonzero leaf; ``forms._skew_witness`` finds the first place where a
+family of maps is not skew for a metric.  The hand-written loops they
+replaced are kept here as the oracle.
 """
 
 import itertools
@@ -14,13 +15,16 @@ from hypothesis import assume, given, settings, strategies as st
 from metriclie.algebra import Subspace, bracket, change_of_basis
 from metriclie.base import CheckResult
 from metriclie.catalog import get
-from metriclie.connection import (Connection, curvature, levi_civita,
+from metriclie.connection import (Connection, CurvatureTensor, bianchi_check,
+                                  biinvariant_curvature_check, curvature,
+                                  is_locally_symmetric, levi_civita,
                                   metric_compatibility_check, nabla_R,
-                                  naturally_reductive_check)
+                                  naturally_reductive_check, torsion_check)
 from metriclie.forms import (SymBilinearForm, is_ad_invariant, restrict_form,
                              transform_form)
-from metriclie.linalg import (basis_vector, contract, determinant, invert,
-                              mat_vec, rank)
+from metriclie.linalg import (basis_vector, contract, determinant,
+                              first_nonzero, invert, is_zero_vector, mat_vec,
+                              rank, tensor)
 
 SOURCES = {"g0": "gmatrix0", "g1": "gmatrix0", "r+sl2": "killing+1",
            "r+so3": "killing+1"}
@@ -226,6 +230,122 @@ def _reference_naturally_reductive(g, h, m, B_m):
     return CheckResult(True)
 
 
+def _reference_torsion_check(conn):
+    g = conn.algebra
+    for i in range(g.dim):
+        for j in range(g.dim):
+            diff = tuple(a - b - c for a, b, c in
+                         zip(conn.gamma[i][j], conn.gamma[j][i],
+                             g.bracket_basis(i, j)))
+            if not is_zero_vector(diff):
+                return CheckResult(False, "torsion does not vanish", (i, j))
+    return CheckResult(True)
+
+
+def _reference_bianchi_check(R):
+    n = R.algebra.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                s = tuple(a + b + c for a, b, c in zip(
+                    R.components[i][j][k], R.components[j][k][i],
+                    R.components[k][i][j]))
+                if not is_zero_vector(s):
+                    return CheckResult(False, "first Bianchi fails", (i, j, k))
+    return CheckResult(True)
+
+
+def _reference_biinvariant_curvature_check(conn, R):
+    g = conn.algebra
+    n = g.dim
+    quarter = F(-1, 4)
+    for i in range(n):
+        for j in range(n):
+            cij = g.bracket_basis(i, j)
+            for k in range(n):
+                expect = tuple(quarter * t for t in
+                               bracket(g, cij, basis_vector(n, k)))
+                if R.components[i][j][k] != expect:
+                    return CheckResult(False, "R != -1/4 ad([X,Y])", (i, j, k))
+    return CheckResult(True)
+
+
+def _reference_is_zero(R):
+    return all(is_zero_vector(R.components[i][j][k])
+               for i in range(R.algebra.dim)
+               for j in range(R.algebra.dim)
+               for k in range(R.algebra.dim))
+
+
+def _reference_is_locally_symmetric(conn):
+    nr = nabla_R(conn)
+    n = conn.algebra.dim
+    return all(is_zero_vector(nr[h][i][j][k])
+               for h in range(n) for i in range(n)
+               for j in range(n) for k in range(n))
+
+
+# --- tensor and first_nonzero ---------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from((1, 2, 3, 4)), st.integers(1, 3), st.integers(1, 3),
+       st.data())
+def test_tensor_holds_entry_at_every_index(p, n, leaf, data):
+    values = data.draw(st.lists(st.lists(sparse_rationals, min_size=leaf,
+                                         max_size=leaf),
+                                min_size=n ** p, max_size=n ** p))
+    index = {idx: tuple(v) for idx, v in
+             zip(itertools.product(range(n), repeat=p), values)}
+    T = tensor(n, p, lambda *idx: index[idx])
+    E = [basis_vector(n, i) for i in range(n)]
+    for idx, v in index.items():
+        node = T
+        for i in idx:
+            assert len(node) == n
+            node = node[i]
+        assert node == v
+        assert contract(T, [E[i] for i in idx]) == v
+
+
+def test_tensor_computes_entries_in_lexicographic_order():
+    seen = []
+    tensor(2, 3, lambda *idx: seen.append(idx) or (F(0),))
+    assert seen == list(itertools.product(range(2), repeat=3))
+
+
+@st.composite
+def sparse_tensors(draw):
+    """A rank-p tensor (p = 1..4) with few nonzero leaves, sometimes none."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    leaf = draw(st.integers(1, 3))
+    index = list(itertools.product(range(n), repeat=p))
+    hot = draw(st.sets(st.sampled_from(index), max_size=3))
+    values = {idx: tuple(draw(sparse_rationals) for _ in range(leaf))
+              for idx in hot}
+    zero = (F(0),) * leaf
+    return tensor(n, p, lambda *idx: values.get(idx, zero)), p, values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_tensors())
+def test_first_nonzero_is_the_lexicographic_search(case):
+    T, p, values = case
+    want = min((idx for idx, v in values.items() if any(v)), default=None)
+    assert first_nonzero(T, p) == want
+
+
+def test_first_nonzero_of_zero_tensors_is_none():
+    for n, p in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        assert first_nonzero(tensor(n, p, lambda *idx: (F(0),) * 2), p) is None
+
+
+def test_from_witness():
+    assert CheckResult.from_witness(None, "x") == CheckResult(True)
+    assert CheckResult.from_witness((0, 1), "x") == \
+        CheckResult(False, "x", (0, 1))
+
+
 # --- contract -------------------------------------------------------------
 
 sparse_rationals = st.one_of(st.just(F(0)), st.just(F(0)), rationals)
@@ -352,3 +472,38 @@ def test_reductive_pair_check_matches_the_replaced_loop(P, perturbation):
     for form in (B_m, bent):
         assert _outcome(naturally_reductive_check(g, h, m, form)) == \
             _outcome(_reference_naturally_reductive(g, h, m, form))
+
+
+# --- the tensor checks on failing input -----------------------------------
+
+def _bent(T, idx, q):
+    """T with q added to component idx[-1] of the leaf at idx[:-1]."""
+    if len(idx) == 1:
+        return tuple(c + q if a == idx[0] else c for a, c in enumerate(T))
+    return tuple(_bent(sub, idx[1:], q) if a == idx[0] else sub
+                 for a, sub in enumerate(T))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(moved_pairs(), st.data())
+def test_tensor_checks_match_the_replaced_loops(pair, data):
+    """Perturb one Christoffel symbol or one curvature component; every
+    check gives the same ok, reason and witness as the loop it replaced."""
+    g, B = pair
+    n = g.dim
+    conn = levi_civita(g, B)
+    slot = st.integers(0, n - 1)
+    nonzero = rationals.filter(lambda q: q != 0)
+    idx, q = data.draw(st.tuples(st.tuples(slot, slot, slot), nonzero))
+    bent = Connection(g, B, _bent(conn.gamma, idx, q))
+    for c in (conn, bent):
+        assert _outcome(torsion_check(c)) == _outcome(_reference_torsion_check(c))
+        assert is_locally_symmetric(c) == _reference_is_locally_symmetric(c)
+        R = curvature(c)
+        idx, q = data.draw(st.tuples(st.tuples(slot, slot, slot, slot), nonzero))
+        for T in (R, CurvatureTensor(g, _bent(R.components, idx, q), "default")):
+            assert T.is_zero() == _reference_is_zero(T)
+            assert _outcome(bianchi_check(T)) == \
+                _outcome(_reference_bianchi_check(T))
+            assert _outcome(biinvariant_curvature_check(c, T)) == \
+                _outcome(_reference_biinvariant_curvature_check(c, T))
