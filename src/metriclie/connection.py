@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Sequence
@@ -44,6 +44,9 @@ class Connection:
     algebra: LieAlgebra
     metric: SymBilinearForm
     gamma: tuple
+    # curvature tensors built so far, by convention (filled by ``curvature``)
+    _curvature: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def nabla(self, i: int, j: int) -> tuple:
         return self.gamma[i][j]
@@ -107,9 +110,16 @@ class CurvatureTensor:
 
 
 def curvature(conn: Connection, convention: str = "default") -> CurvatureTensor:
-    """Curvature tensor of the connection in the requested convention."""
+    """Curvature tensor of the connection in the requested convention,
+    built once per connection and convention."""
     if convention not in CONVENTIONS:
         raise InputError(f"convention must be one of {CONVENTIONS}")
+    if convention not in conn._curvature:
+        conn._curvature[convention] = _build_curvature(conn, convention)
+    return conn._curvature[convention]
+
+
+def _build_curvature(conn: Connection, convention: str) -> CurvatureTensor:
     g = conn.algebra
     n = g.dim
     gam = conn.gamma

@@ -2,9 +2,19 @@
 
 Degenerate forms are first-class values here: most of the structure theory
 in low dimensions runs on degeneracy arguments, so nothing silently assumes
-an invertible matrix.  Nondegeneracy claims are certified exactly, either by
-an explicit witness or by determinant-polynomial identity testing on an
-integer grid.
+an invertible matrix.  Nondegeneracy claims are certified exactly: "yes" by
+an explicit witness, "no" by the determinant of the generic invariant form
+vanishing on the simplex lattice.
+
+The lattice certificate.  For a basis B_1..B_k of the invariant forms of an
+n-dimensional algebra, p(t) = det(sum t_i B_i) is homogeneous of degree n.
+It is the zero polynomial as soon as it vanishes at the C(n+k-1, k-1)
+integer points t >= 0 with sum t = n.  Proof: on the hyperplane sum t = n,
+p has degree <= n in k-1 free coordinates, and the principal lattice is
+unisolvent for that degree (Chung and Yao, SIAM J. Numer. Anal. 14, 1977),
+so p vanishes on the hyperplane; by homogeneity it then vanishes on every
+hyperplane sum t = c != 0, a dense set.  The argument holds over any field
+of characteristic 0, so Q(sqrt d) entries need nothing extra.
 """
 
 from __future__ import annotations
@@ -214,9 +224,14 @@ class FormSearch:
     """Outcome of the nondegenerate-invariant-form search.
 
     ``witness`` is a nondegenerate ad-invariant form when ``found`` is True.
-    Otherwise the determinant polynomial vanished on the whole certification
-    grid, which proves it vanishes identically: the determinant has degree at
-    most n in each coefficient and the grid has n+1 points per variable.
+    Otherwise det(sum t_i B_i) vanished at every point of the simplex
+    lattice {t in Z^k : t >= 0, sum t = n}, which proves it vanishes
+    identically (see the module docstring): unisolvence of the principal
+    lattice (Chung and Yao 1977) makes it zero on sum t = n, and homogeneity
+    of degree n on every other sum t = c != 0.  ``grid_points_checked`` counts the determinants
+    taken after the cheap candidates: on "no" the C(n+k-1, k-1) lattice
+    points, on "yes" the points of the (n+1)^k grid walked up to the witness
+    (0 when a cheap candidate was nondegenerate).
     """
 
     found: bool
@@ -236,13 +251,20 @@ def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
     """Search the invariant-form space for a nondegenerate element.
 
     Cheap candidates (identity-in-span, basis elements, a weighted sum) are
-    tried first so 'yes' answers never enumerate the certification grid.
+    tried first.  Then the simplex lattice decides: if every determinant
+    there vanishes the answer is a certified "no"; otherwise the witness is
+    the first nondegenerate point of the (n+1)^k grid in lexicographic order.
     """
-    space = invariant_form_space(g)
+    return _search_span(invariant_form_space(g))
+
+
+def _search_span(space: list[SymBilinearForm]) -> FormSearch:
+    """The search of ``has_nondegenerate_invariant_form`` on the span of the
+    given n x n forms."""
     k = len(space)
-    n = g.dim
     if k == 0:
         return FormSearch(False, None, 0)
+    n = space[0].dim
 
     target = [Fraction(1 if i == j else 0) for (i, j) in _pair_index(n)]
     cols = [[B.matrix[i][j] for B in space] for (i, j) in _pair_index(n)]
@@ -256,13 +278,26 @@ def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
         B = _combination(space, coeffs)
         if B.is_nondegenerate():
             return FormSearch(True, B, k)
-    checked = 0
-    for coeffs in itertools.product(range(n + 1), repeat=k):
-        checked += 1
+    lattice = _simplex_lattice(n, k)
+    if not any(_combination(space, coeffs).is_nondegenerate()
+               for coeffs in lattice):
+        return FormSearch(False, None, k, len(lattice))
+    for checked, coeffs in enumerate(
+            itertools.product(range(n + 1), repeat=k), start=1):
         B = _combination(space, [Fraction(c) for c in coeffs])
         if B.is_nondegenerate():
             return FormSearch(True, B, k, checked)
-    return FormSearch(False, None, k, checked)
+    raise AssertionError("a nonzero determinant polynomial vanished on the grid")
+
+
+def _simplex_lattice(n: int, k: int) -> list:
+    """The C(n+k-1, k-1) points t in Z^k with t >= 0 and sum t = n, one per
+    placement of k-1 bars among n+k-1 slots (stars and bars)."""
+    points = []
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        ends = (-1,) + bars + (n + k - 1,)
+        points.append(tuple(Fraction(b - a - 1) for a, b in zip(ends, ends[1:])))
+    return points
 
 
 def killing_form(g: LieAlgebra) -> SymBilinearForm:

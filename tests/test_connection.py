@@ -1,9 +1,12 @@
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from metriclie import cli, connection
 from metriclie.algebra import Subspace
 from metriclie.base import DegenerateMetricError, InputError
 from metriclie.catalog import get
@@ -95,6 +98,33 @@ def test_curvature_conventions_opposite(g0, gmatrix0_g0):
                     tuple(-x for x in R.components[i][j][k])
     with pytest.raises(InputError):
         curvature(conn, "other")
+
+
+def test_curvature_built_once_per_connection_and_convention(g1, gmatrix0_g1):
+    conn = levi_civita(g1, gmatrix0_g1)
+    R, Ro = curvature(conn), curvature(conn, "oneill")
+    assert curvature(conn, "default") is R and curvature(conn, "oneill") is Ro
+    assert (R.convention, Ro.convention) == ("default", "oneill")
+    assert R != Ro
+    # the memo is not part of the connection's value
+    fresh = levi_civita(g1, gmatrix0_g1)
+    assert fresh == conn and repr(fresh) == repr(conn)
+    assert curvature(fresh, "oneill") == Ro and curvature(fresh) == R
+
+
+def test_geometry_shares_the_curvature_tensor(monkeypatch):
+    # cmd_geometry, nabla_R and ricci_form share one build on the geometry
+    # verb's connection; soliton_solve makes its own Levi-Civita connection
+    builds = []
+    build = connection._build_curvature
+    monkeypatch.setattr(connection, "_build_curvature",
+                        lambda conn, conv: builds.append(conv) or build(conn, conv))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["geometry", "g0", "gmatrix0"]) == 0
+    assert "ad-invariant: yes" in out.getvalue()
+    assert "nabla R = 0: PASS" in out.getvalue()
+    assert builds == ["default", "default"]
 
 
 def test_flatness_dichotomy(h3, h3_metrics):
