@@ -117,8 +117,12 @@ def test_geometry_shares_the_curvature_tensor(monkeypatch):
     # verb's connection; soliton_solve makes its own Levi-Civita connection
     builds = []
     build = connection._build_curvature
-    monkeypatch.setattr(connection, "_build_curvature",
-                        lambda conn, conv: builds.append(conv) or build(conn, conv))
+
+    def counted(conn, convention):
+        builds.append(convention)
+        return build(conn, convention)
+
+    monkeypatch.setattr(connection, "_build_curvature", counted)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["geometry", "g0", "gmatrix0"]) == 0
