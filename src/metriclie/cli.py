@@ -31,11 +31,10 @@ from .algebra import (LieAlgebra, center, commutator, is_abelian, jacobi_check,
                       lower_central, upper_central)
 from .base import (DegenerateMetricError, InputError, JacobiError,
                    MetricLieError, NumericalError, ParseError)
-from .connection import (ahc_isometry_check, bianchi_check,
+from .connection import (_soliton_on, ahc_isometry_check, bianchi_check,
                          biinvariant_curvature_check, curvature, h3_isotropy,
                          is_locally_symmetric, isometry_family, levi_civita,
-                         linearized_isotropy_dim, ricci_operator,
-                         soliton_solve)
+                         linearized_isotropy_dim, ricci_operator)
 from .forms import (SymBilinearForm, has_nondegenerate_invariant_form,
                     is_ad_invariant, series_duality_check, signature)
 from .groups import GeodesicSpec, GroupElement, group_identity
@@ -207,7 +206,7 @@ def cmd_geometry(args, out) -> int:
     out.write(f"first Bianchi: {'PASS' if bianchi else 'FAIL'}\n")
     out.write(f"flat: {'YES' if R.is_zero() else 'NO'}\n")
     out.write("Ricci operator:\n" + _fmt_matrix(ricci_operator(conn)) + "\n")
-    sol = soliton_solve(g, B)
+    sol = _soliton_on(conn)
     if sol.feasible:
         out.write(f"soliton: FEASIBLE  c = {sol.c}\n")
         out.write("derivation D:\n" + _fmt_matrix(sol.derivation) + "\n")

@@ -223,7 +223,13 @@ def soliton_solve(g: LieAlgebra, B: SymBilinearForm,
     identity D[x,y] = [Dx,y] + [x,Dy] adds the structural rows.  The system
     is genuinely linear, so infeasibility comes with the inconsistent row.
     """
-    conn = levi_civita(g, B)
+    return _soliton_on(levi_civita(g, B), convention)
+
+
+def _soliton_on(conn: Connection, convention: str = "default") -> SolitonResult:
+    """``soliton_solve`` on a Levi-Civita connection already built, so its
+    curvature is shared with the caller's."""
+    g = conn.algebra
     ric = ricci_operator(conn, convention)
     n = g.dim
     zero, one = Fraction(0), Fraction(1)

@@ -20,6 +20,7 @@ of characteristic 0, so Q(sqrt d) entries need nothing extra.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +31,9 @@ from .base import CheckResult, DegenerateMetricError, InputError
 from .linalg import (basis_vector, contract, determinant, mat, mat_mul,
                      mat_vec, nullspace, solve, transpose, vec)
 from .scalars import sign_of
+
+# determinants one "no" certificate may take: C(n+k-1, k-1) lattice points
+MAX_LATTICE_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -254,6 +258,8 @@ def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
     tried first.  Then the simplex lattice decides: if every determinant
     there vanishes the answer is a certified "no"; otherwise the witness is
     the first nondegenerate point of the (n+1)^k grid in lexicographic order.
+    A lattice of more than MAX_LATTICE_POINTS points raises InputError
+    before its first determinant.
     """
     return _search_span(invariant_form_space(g))
 
@@ -278,6 +284,11 @@ def _search_span(space: list[SymBilinearForm]) -> FormSearch:
         B = _combination(space, coeffs)
         if B.is_nondegenerate():
             return FormSearch(True, B, k)
+    points = math.comb(n + k - 1, k - 1)
+    if points > MAX_LATTICE_POINTS:
+        raise InputError(
+            f"deciding the {k}-dim invariant-form space takes {points} lattice "
+            f"determinants, more than {MAX_LATTICE_POINTS}")
     lattice = _simplex_lattice(n, k)
     if not any(_combination(space, coeffs).is_nondegenerate()
                for coeffs in lattice):

@@ -2,9 +2,13 @@
 
 Matrices are tuples of row tuples, vectors plain tuples.  Entries are
 Fractions in normal use; anything supporting field arithmetic and truthiness
-(e.g. QuadExt) works as well.  Row reduction is plain Gauss-Jordan with
-leading-one pivots, which makes reduced forms canonical and subspace
-equality a tuple comparison.
+(e.g. QuadExt) works as well.  Reduced forms are canonical (RREF with
+leading-one pivots), so subspace equality is a tuple comparison.  A matrix
+of ints and Fractions only is reduced over the integers (``_rref_int``:
+denominators cleared row by row, fraction-free Gauss-Jordan with
+gcd-content removal, one division per entry at the end); any other scalar
+takes the Gauss-Jordan loop over the field (``_rref_generic``).  The RREF
+is unique, so both give the same rows and pivots.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from typing import Sequence
 
 from .base import InputError
@@ -106,7 +111,65 @@ def contract(T, vectors) -> Vector:
 
 
 def rref(A: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns."""
+    """Reduced row echelon form and the pivot columns.
+
+    Entries that are all exactly ``int`` or ``Fraction`` take the integer
+    kernel and come back as Fractions; any other scalar (QuadExt, bool, a
+    mix with them) takes the generic field loop.
+    """
+    if A and all(type(x) is Fraction or type(x) is int for row in A for x in row):
+        return _rref_int(A)
+    return _rref_generic(A)
+
+
+def _rref_int(A) -> tuple[Matrix, tuple[int, ...]]:
+    """RREF of a nonempty matrix of ints and Fractions, computed over Z.
+
+    Each row is scaled by the lcm of its denominators and made primitive.
+    Eliminating row i with pivot row p at column c replaces it by the
+    primitive part of (p_c/g) row_i - (row_i[c]/g) p with g = gcd(p_c,
+    row_i[c]), so entries stay integers and small.  The pivot is the
+    candidate of least absolute value; the RREF does not depend on it.
+    At the end each pivot row is divided by its pivot once.
+    """
+    rows = []
+    for row in A:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        h = gcd(*ints)
+        rows.append([x // h for x in ints] if h > 1 else ints)
+    m, ncols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = min((i for i in range(r, m) if rows[i][c]),
+                  key=lambda i: abs(rows[i][c]), default=None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(m):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(rows[i], prow)]
+                h = gcd(*new)
+                rows[i] = [x // h for x in new] if h > 1 else new
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    zero = Fraction(0)
+    out = [tuple(Fraction(x, row[c]) if x else zero for x in row)
+           for row, c in zip(rows, pivots)]
+    out += [(zero,) * ncols] * (m - r)
+    return tuple(out), tuple(pivots)
+
+
+def _rref_generic(A) -> tuple[Matrix, tuple[int, ...]]:
+    """Gauss-Jordan with leading-one pivots over any exact field scalar."""
     rows = [list(r) for r in A]
     if not rows:
         return (), ()

@@ -113,8 +113,8 @@ def test_curvature_built_once_per_connection_and_convention(g1, gmatrix0_g1):
 
 
 def test_geometry_shares_the_curvature_tensor(monkeypatch):
-    # cmd_geometry, nabla_R and ricci_form share one build on the geometry
-    # verb's connection; soliton_solve makes its own Levi-Civita connection
+    # cmd_geometry, nabla_R, ricci_form and the soliton system share one
+    # build on the geometry verb's connection
     builds = []
     build = connection._build_curvature
 
@@ -128,7 +128,7 @@ def test_geometry_shares_the_curvature_tensor(monkeypatch):
         assert cli.main(["geometry", "g0", "gmatrix0"]) == 0
     assert "ad-invariant: yes" in out.getvalue()
     assert "nabla R = 0: PASS" in out.getvalue()
-    assert builds == ["default", "default"]
+    assert builds == ["default"]
 
 
 def test_flatness_dichotomy(h3, h3_metrics):

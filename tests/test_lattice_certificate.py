@@ -7,14 +7,19 @@ points per variable.  It is slow (15,625 determinants for k = 6) but
 independent of the lattice argument.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from metriclie import cli, forms
 from metriclie.algebra import LieAlgebra, change_of_basis
 from metriclie.forms import (FormSearch, SymBilinearForm, _combination,
                              _search_span,
@@ -137,3 +142,46 @@ def test_cheap_candidates_degenerate_then_lattice_then_grid():
     assert search.grid_points_checked == 6
     assert search.witness.matrix == mat(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
     assert determinant(search.witness.matrix) == -1
+
+
+# --- the budget of a "no": forms.MAX_LATTICE_POINTS ----------------------
+
+def _report_h3_plus_abelian(tmp_path, dim):
+    """report on h3 + R^(dim-3); its invariant-form space has dimension
+    dim(dim-1)/2 and no nondegenerate element."""
+    path = tmp_path / f"h3r{dim}.json"
+    path.write_text(json.dumps({"dim": dim, "brackets": [[0, 1, 2, 1]]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["report", str(path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_lattice_budget_refuses_dimension_7(tmp_path):
+    # k = 21: C(27, 20) = 888,030 lattice determinants, over the budget
+    assert comb(7 + 21 - 1, 21 - 1) > forms.MAX_LATTICE_POINTS
+    t0 = time.perf_counter()
+    rc, out, err = _report_h3_plus_abelian(tmp_path, 7)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert err.splitlines() == [
+        "error: deciding the 21-dim invariant-form space takes 888030 "
+        "lattice determinants, more than 100000"]
+
+
+def test_lattice_budget_admits_dimension_6(tmp_path, monkeypatch):
+    # k = 15: C(20, 14) = 38,760 lattice determinants, under the budget.
+    # Every one of them vanishes; the walk takes about 10 s, so here it is
+    # cut to the first 200 points after the budget check has let it through
+    walked = []
+
+    def first_points(n, k):
+        walked.append((n, k))
+        return lattice(n, k)[:200]
+
+    lattice = forms._simplex_lattice
+    monkeypatch.setattr(forms, "_simplex_lattice", first_points)
+    rc, out, err = _report_h3_plus_abelian(tmp_path, 6)
+    assert (rc, err) == (0, "")
+    assert walked == [(6, 15)]
+    assert "invariant form space: 15\nno nondegenerate ad-invariant form\n" in out

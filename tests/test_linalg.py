@@ -2,12 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from metriclie import linalg
 from metriclie.base import InputError
-from metriclie.linalg import (determinant, identity_matrix, invert, mat,
-                              mat_mul, mat_vec, nullspace, rank,
+from metriclie.linalg import (_rref_generic, determinant, identity_matrix,
+                              invert, mat, mat_mul, mat_vec, nullspace, rank,
                               reduce_against, row_space, rref, solve,
                               solve_with_certificate)
+from metriclie.scalars import QuadExt
 
 
 def test_rref_canonical():
@@ -68,3 +71,80 @@ def test_rank_and_reduce_against():
 
 def test_mat_vec():
     assert mat_vec(mat([[1, 2], [3, 4]]), (F(1), F(1))) == (3, 7)
+
+
+# --- the integer rref kernel against the generic field loop --------------
+
+big = st.integers(10**100, 10**130).flatmap(
+    lambda x: st.sampled_from((x, -x)))
+numerators = st.one_of(st.just(0), st.just(0), st.integers(-9, 9), big)
+denominators = st.one_of(st.just(1), st.integers(1, 12), big.map(abs))
+rationals = st.builds(F, numerators, denominators)
+
+
+@st.composite
+def rational_matrices(draw, entries=rationals):
+    """Tall, wide and square matrices, with zero rows, duplicate rows and
+    all-zero columns mixed in."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, m - 1))
+        kind = draw(st.sampled_from(("zero row", "duplicate", "zero column")))
+        if kind == "zero row":
+            rows[i] = [F(0)] * n
+        elif kind == "duplicate":
+            rows.append(list(rows[i]))
+        elif n:
+            c = draw(st.integers(0, n - 1))
+            for row in rows:
+                row[c] = F(0)
+    return [tuple(row) for row in rows]
+
+
+def _as_fractions(A):
+    return [tuple(F(x) for x in row) for row in A]
+
+
+def _same_rref(A):
+    got, want = rref(A), _rref_generic(_as_fractions(A))
+    assert got == want
+    assert repr(got) == repr(want)  # Fractions in, Fractions out, entry by entry
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_rref_integer_kernel_matches_generic(A):
+    _same_rref(A)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_matrices(entries=st.one_of(numerators, rationals)))
+def test_rref_integer_kernel_takes_ints_and_mixed_rows(A):
+    # all-int and mixed int/Fraction rows are exact rationals too; the
+    # generic loop would divide ints into floats, so the oracle gets Fractions
+    _same_rref(A)
+
+
+def test_rref_dispatch(monkeypatch):
+    def refuse(A):
+        raise AssertionError("wrong kernel")
+
+    monkeypatch.setattr(linalg, "_rref_generic", refuse)
+    assert rref([(2, F(1, 3)), (4, 1)])[1] == (0, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_rref_int", refuse)
+    r2 = QuadExt(0, 1, 2)
+    R, pivots = rref([(r2, F(2)), (F(1), r2)])
+    assert pivots == (0,) and R[0] == (1, r2)
+    assert rref([(True, False), (False, True)])[1] == (0, 1)
+    assert rref([]) == ((), ())
+
+
+def test_rref_of_long_rationals_is_exact():
+    # 120-digit numerators and denominators, rank 2, one dependent row
+    p, q = 10**120 + 7, 3 * 10**119 - 1
+    A = [(F(p, q), F(-q, p), F(1)), (F(1), F(0), F(p)), (F(p + q, q), F(-q, p), F(p + 1))]
+    R, pivots = rref(A)
+    assert pivots == (0, 1) and R[2] == (0, 0, 0)
+    assert R == _rref_generic(A)[0]
