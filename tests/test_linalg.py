@@ -42,6 +42,9 @@ def test_solve_and_certificate():
     sol, bad = solve_with_certificate(mat([[1, 1], [2, 2]]), (1, 3))
     assert sol is None
     assert bad is not None and bad[-1] != 0 and not any(bad[:-1])
+    # an int right-hand side gives an exact certificate, not 1.0
+    assert repr(solve_with_certificate(mat([[0]]), (1,))) == repr(
+        (None, (F(0), F(1))))
 
 
 def test_invert_and_det():
