@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (LieAlgebra, Subspace, is_ideal, lower_central,
                       restricted_algebra, upper_central)
@@ -289,10 +289,9 @@ def _search_span(space: list[SymBilinearForm]) -> FormSearch:
         raise InputError(
             f"deciding the {k}-dim invariant-form space takes {points} lattice "
             f"determinants, more than {MAX_LATTICE_POINTS}")
-    lattice = _simplex_lattice(n, k)
     if not any(_combination(space, coeffs).is_nondegenerate()
-               for coeffs in lattice):
-        return FormSearch(False, None, k, len(lattice))
+               for coeffs in _simplex_lattice(n, k)):
+        return FormSearch(False, None, k, points)
     for checked, coeffs in enumerate(
             itertools.product(range(n + 1), repeat=k), start=1):
         B = _combination(space, [Fraction(c) for c in coeffs])
@@ -301,14 +300,13 @@ def _search_span(space: list[SymBilinearForm]) -> FormSearch:
     raise AssertionError("a nonzero determinant polynomial vanished on the grid")
 
 
-def _simplex_lattice(n: int, k: int) -> list:
+def _simplex_lattice(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """The C(n+k-1, k-1) points t in Z^k with t >= 0 and sum t = n, one per
-    placement of k-1 bars among n+k-1 slots (stars and bars)."""
-    points = []
+    placement of k-1 bars among n+k-1 slots (stars and bars), yielded one
+    at a time as int tuples."""
     for bars in itertools.combinations(range(n + k - 1), k - 1):
         ends = (-1,) + bars + (n + k - 1,)
-        points.append(tuple(Fraction(b - a - 1) for a, b in zip(ends, ends[1:])))
-    return points
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
 def killing_form(g: LieAlgebra) -> SymBilinearForm:

@@ -194,44 +194,56 @@ def frame(model: str, p: GroupElement) -> np.ndarray:
     return F
 
 
+def _metric_template(dim, ones) -> np.ndarray:
+    g = np.zeros((dim, dim))
+    for (i, j), value in ones.items():
+        g[i, j] = g[j, i] = value
+    g.flags.writeable = False
+    return g
+
+
+# the point-independent entries of each coordinate metric
+_METRIC_TEMPLATES = {
+    "g0": _metric_template(4, {(0, 3): 1.0, (1, 1): 1.0, (2, 2): 1.0}),
+    "g1": _metric_template(4, {(0, 3): 1.0, (1, 2): 1.0}),
+    "h1": _metric_template(3, {(2, 2): -1.0}),
+    "h2": _metric_template(3, {(2, 2): 1.0}),
+}
+
+
 def coordinate_metric(name: str, p: Sequence) -> np.ndarray:
     """Matrix of the coordinate metric at p.
 
     These are the unique coordinate tensors whose values on the
     left-invariant frame are the constant matrices of the corresponding
     algebra metrics (gmatrix0 for g0/g1; diag(1,1,-1) for h1 and the
-    <X1,X2> = <X3,X3> = 1 pattern for h2).
+    <X1,X2> = <X3,X3> = 1 pattern for h2).  The point-dependent entries are
+    computed on the scalars of p, so a list of Python floats is cheaper
+    than a float array.
     """
+    template = _METRIC_TEMPLATES.get(name)
+    if template is None:
+        raise InputError(f"no coordinate metric named {name!r}")
+    g = template.copy()
     if name in ("g0", "g1"):
         t, x, y, z = p
-        g = np.zeros((4, 4))
-        g[0, 3] = g[3, 0] = 1.0
         g[0, 1] = g[1, 0] = y / 2
         g[0, 2] = g[2, 0] = -x / 2
-        if name == "g0":
-            g[1, 1] = g[2, 2] = 1.0
-        else:
-            g[1, 2] = g[2, 1] = 1.0
-        return g
-    if name in ("h1", "h2"):
+    elif name == "h1":
         x, y, z = p
-        g = np.zeros((3, 3))
-        if name == "h1":
-            g[0, 0] = 1 - y * y / 4
-            g[1, 1] = 1 - x * x / 4
-            g[2, 2] = -1.0
-            g[0, 1] = g[1, 0] = x * y / 4
-            g[0, 2] = g[2, 0] = -y / 2
-            g[1, 2] = g[2, 1] = x / 2
-        else:
-            g[0, 0] = y * y / 4
-            g[1, 1] = x * x / 4
-            g[2, 2] = 1.0
-            g[0, 1] = g[1, 0] = 1 - x * y / 4
-            g[0, 2] = g[2, 0] = y / 2
-            g[1, 2] = g[2, 1] = -x / 2
-        return g
-    raise InputError(f"no coordinate metric named {name!r}")
+        g[0, 0] = 1 - y * y / 4
+        g[1, 1] = 1 - x * x / 4
+        g[0, 1] = g[1, 0] = x * y / 4
+        g[0, 2] = g[2, 0] = -y / 2
+        g[1, 2] = g[2, 1] = x / 2
+    else:
+        x, y, z = p
+        g[0, 0] = y * y / 4
+        g[1, 1] = x * x / 4
+        g[0, 1] = g[1, 0] = 1 - x * y / 4
+        g[0, 2] = g[2, 0] = y / 2
+        g[1, 2] = g[2, 1] = -x / 2
+    return g
 
 
 def exp_map(model: str, a: Sequence) -> GroupElement:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .base import InputError, NumericalError
 from .groups import (GeodesicSpec, GroupElement, coordinate_metric, frame,
@@ -37,6 +38,24 @@ class MetricChart:
     metric_at: Callable[[np.ndarray], np.ndarray]
     partials_at: Callable[[np.ndarray], np.ndarray]
 
+    def lowered_at(self, p) -> np.ndarray:
+        """T[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij at p."""
+        dg = self.partials_at(p)  # dg[k,i,j] = d_k g_ij
+        return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+
+
+@dataclass
+class _ConstantPartialsChart(MetricChart):
+    """A chart whose partials do not depend on the point: its lowered
+    tensor is built once."""
+
+    def __post_init__(self):
+        self._lowered = MetricChart.lowered_at(self, None)
+        self._lowered.flags.writeable = False
+
+    def lowered_at(self, p) -> np.ndarray:
+        return self._lowered
+
 
 def _g0g1_partials(p):
     out = np.zeros((4, 4, 4))
@@ -46,15 +65,25 @@ def _g0g1_partials(p):
     return out
 
 
-def _h1_partials(p):
-    x, y, _ = p
+def _h1_template():
     out = np.zeros((3, 3, 3))
+    out[1, 0, 2] = out[1, 2, 0] = -0.5
+    out[0, 1, 2] = out[0, 2, 1] = 0.5
+    out.flags.writeable = False
+    return out
+
+
+# the point-independent partials of h1
+_H1_PARTIALS = _h1_template()
+
+
+def _h1_partials(p):
+    x, y, _ = _floats(p)
+    out = _H1_PARTIALS.copy()
     out[1, 0, 0] = -y / 2
     out[0, 1, 1] = -x / 2
     out[0, 0, 1] = out[0, 1, 0] = y / 4
     out[1, 0, 1] = out[1, 1, 0] = x / 4
-    out[1, 0, 2] = out[1, 2, 0] = -0.5
-    out[0, 1, 2] = out[0, 2, 1] = 0.5
     return out
 
 
@@ -63,18 +92,28 @@ def _h2_partials(p):
     return -_h1_partials(p)
 
 
+def _floats(p) -> list:
+    """The coordinates of p as Python floats, which compute the chart
+    entries faster than numpy scalars and round the same."""
+    return np.asarray(p, dtype=float).tolist()
+
+
 def chart(name: str) -> MetricChart:
     """Built-in charts: g0, g1 (4-dim) and h1, h2 (3-dim on H3)."""
+    def metric_at(p):
+        return coordinate_metric(name, _floats(p))
+
     if name in ("g0", "g1"):
-        return MetricChart(name, 4, lambda p, n=name: coordinate_metric(n, p),
-                           _g0g1_partials)
+        return _ConstantPartialsChart(name, 4, metric_at, _g0g1_partials)
     if name == "h1":
-        return MetricChart(name, 3, lambda p: coordinate_metric("h1", p),
-                           _h1_partials)
+        return MetricChart(name, 3, metric_at, _h1_partials)
     if name == "h2":
-        return MetricChart(name, 3, lambda p: coordinate_metric("h2", p),
-                           _h2_partials)
+        return MetricChart(name, 3, metric_at, _h2_partials)
     raise InputError(f"no chart named {name!r}; have g0, g1, h1, h2")
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("singular matrix")
 
 
 def christoffel(ch: MetricChart, p: Sequence) -> np.ndarray:
@@ -82,13 +121,16 @@ def christoffel(ch: MetricChart, p: Sequence) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     g = ch.metric_at(p)
     try:
-        ginv = np.linalg.inv(g)
+        # the LAPACK gufunc and error state of np.linalg.inv, without its
+        # Python wrapper: the same bits
+        with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            ginv = _umath_linalg.inv(g, signature="d->d")
     except np.linalg.LinAlgError:
         raise NumericalError(f"metric of chart {ch.name} singular at {p.tolist()}")
-    dg = ch.partials_at(p)
-    # T[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij  (dg[k,i,j] = d_k g_ij)
-    T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+    gam = np.einsum("kl,ijl->kij", ginv, ch.lowered_at(p))
+    gam *= 0.5
+    return gam
 
 
 def geodesic_rhs(ch: MetricChart, pos: np.ndarray, vel: np.ndarray) -> tuple:
@@ -123,7 +165,11 @@ def integrate_geodesic(ch: MetricChart, p0: Sequence, v0: Sequence,
     n = len(p0)
 
     def rhs(y):
-        return np.concatenate(geodesic_rhs(ch, y[:n], y[n:]))
+        vel, acc = geodesic_rhs(ch, y[:n], y[n:])
+        dy = np.empty(2 * n)
+        dy[:n] = vel
+        dy[n:] = acc
+        return dy
 
     y = np.concatenate((np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)))
     ys = [y]
@@ -135,7 +181,7 @@ def integrate_geodesic(ch: MetricChart, p0: Sequence, v0: Sequence,
             except NumericalError:
                 aborted = True
                 break
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 aborted = True
                 break
             ys.append(y)
@@ -257,10 +303,11 @@ def write_trajectory_csv(traj: Trajectory, stream, model: str = "G0") -> None:
     Values carry 17 significant digits so doubles round-trip.
     """
     stream.write(CSV_HEADER + "\n")
-    pad = model == "H3" or traj.positions.shape[1] == 3
-    for s, p, v in zip(traj.s, traj.positions, traj.velocities):
-        if pad:
-            row = [s, 0.0, *p, 0.0, *v]
-        else:
-            row = [s, *p, *v]
-        stream.write(",".join(format(x, ".17g") for x in row) + "\n")
+    n = traj.positions.shape[1]
+    cells = ["{:.17g}"] * n
+    if model == "H3" or n == 3:
+        cells.insert(0, "0")  # format(0.0, ".17g")
+    row = ",".join(["{:.17g}", *cells, *cells]) + "\n"
+    for s, p, v in zip(traj.s.tolist(), traj.positions.tolist(),
+                       traj.velocities.tolist()):
+        stream.write(row.format(s, *p, *v))

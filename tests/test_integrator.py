@@ -4,14 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from numpy.linalg import _umath_linalg
 
 from metriclie.base import InputError, NumericalError
 from metriclie.groups import GeodesicSpec, GroupElement, exp_map, group_identity
-from metriclie.integrate import (MetricChart, _step_count, chart, christoffel,
-                                 compare_to_closed_form, energy_series,
-                                 flow_left_invariant_field, geodesic_rhs,
-                                 initial_velocity, integrate_geodesic,
-                                 integrate_spec, write_trajectory_csv)
+from metriclie.integrate import (MetricChart, Trajectory, _step_count, chart,
+                                 christoffel, compare_to_closed_form,
+                                 energy_series, flow_left_invariant_field,
+                                 geodesic_rhs, initial_velocity,
+                                 integrate_geodesic, integrate_spec,
+                                 write_trajectory_csv)
 
 
 def known_ode_gamma_g0(p):
@@ -278,3 +281,195 @@ def test_singular_chart_aborts_with_last_valid_sample():
     assert traj.aborted
     assert 0 < len(traj) < 501
     assert np.all(np.isfinite(traj.positions))
+
+
+# The right-hand side and CSV writer as they were before the lowered tensor
+# was cached per chart: metric and partials built from np.zeros on numpy
+# scalars, np.linalg.inv, T per call, and the same einsum contractions.  The
+# production code must reproduce them bit for bit.
+
+def _oracle_metric(name, p):
+    if name in ("g0", "g1"):
+        t, x, y, z = p
+        g = np.zeros((4, 4))
+        g[0, 3] = g[3, 0] = 1.0
+        g[0, 1] = g[1, 0] = y / 2
+        g[0, 2] = g[2, 0] = -x / 2
+        if name == "g0":
+            g[1, 1] = g[2, 2] = 1.0
+        else:
+            g[1, 2] = g[2, 1] = 1.0
+        return g
+    x, y, z = p
+    g = np.zeros((3, 3))
+    if name == "h1":
+        g[0, 0] = 1 - y * y / 4
+        g[1, 1] = 1 - x * x / 4
+        g[2, 2] = -1.0
+        g[0, 1] = g[1, 0] = x * y / 4
+        g[0, 2] = g[2, 0] = -y / 2
+        g[1, 2] = g[2, 1] = x / 2
+    else:
+        g[0, 0] = y * y / 4
+        g[1, 1] = x * x / 4
+        g[2, 2] = 1.0
+        g[0, 1] = g[1, 0] = 1 - x * y / 4
+        g[0, 2] = g[2, 0] = y / 2
+        g[1, 2] = g[2, 1] = -x / 2
+    return g
+
+
+def _oracle_partials(name, p):
+    if name in ("g0", "g1"):
+        out = np.zeros((4, 4, 4))
+        out[2, 0, 1] = out[2, 1, 0] = 0.5
+        out[1, 0, 2] = out[1, 2, 0] = -0.5
+        return out
+    x, y, _ = p
+    out = np.zeros((3, 3, 3))
+    out[1, 0, 0] = -y / 2
+    out[0, 1, 1] = -x / 2
+    out[0, 0, 1] = out[0, 1, 0] = y / 4
+    out[1, 0, 1] = out[1, 1, 0] = x / 4
+    out[1, 0, 2] = out[1, 2, 0] = -0.5
+    out[0, 1, 2] = out[0, 2, 1] = 0.5
+    return out if name == "h1" else -out
+
+
+def _oracle_christoffel(name, p):
+    p = np.asarray(p, dtype=float)
+    ginv = np.linalg.inv(_oracle_metric(name, p))
+    dg = _oracle_partials(name, p)
+    T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+
+
+def _oracle_integrate(name, p0, v0, s_end, step):
+    """(positions, velocities, aborted) of the RK4 loop on the concatenated
+    state, with the oracle Christoffel symbols."""
+    n = len(p0)
+
+    def rhs(y):
+        vel = y[n:]
+        acc = -np.einsum("kij,i,j->k", _oracle_christoffel(name, y[:n]),
+                         vel, vel)
+        return np.concatenate((vel, acc))
+
+    y = np.concatenate((np.asarray(p0, dtype=float),
+                        np.asarray(v0, dtype=float)))
+    ys = [y]
+    aborted = False
+    with np.errstate(all="ignore"):
+        for _ in range(_step_count(s_end, step)):
+            try:
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * step * k1)
+                k3 = rhs(y + 0.5 * step * k2)
+                k4 = rhs(y + step * k3)
+            except np.linalg.LinAlgError:
+                aborted = True
+                break
+            y = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                aborted = True
+                break
+            ys.append(y)
+    Y = np.array(ys)
+    return Y[:, :n], Y[:, n:], aborted
+
+
+_coordinate = st.one_of(st.floats(-2, 2),
+                        st.sampled_from([0.0, -0.0, 1e-300, 1e200, -1e200]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(["g0", "g1", "h1", "h2"]),
+       data=st.lists(_coordinate, min_size=8, max_size=8),
+       nsteps=st.integers(1, 12))
+@example(name="h2", data=[0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0], nsteps=3)
+@example(name="g1", data=[0.3, -0.2, 0.1, 0.0, -1.1, 0.9, 1e200, 0.0], nsteps=4)
+def test_trajectory_matches_pre_cache_christoffel_bit_for_bit(name, data,
+                                                               nsteps):
+    # tobytes, not array_equal: -0.0 and 0.0 compare equal but print
+    # differently in the CSV
+    dim = chart(name).dim
+    p0, v0 = data[:dim], data[4:4 + dim]
+    traj = integrate_geodesic(chart(name), p0, v0, nsteps * 0.01, 0.01)
+    ps, vs, aborted = _oracle_integrate(name, p0, v0, nsteps * 0.01, 0.01)
+    assert traj.aborted == aborted
+    assert traj.positions.tobytes() == ps.tobytes()
+    assert traj.velocities.tobytes() == vs.tobytes()
+
+
+def test_christoffel_matches_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for name in ("g0", "g1", "h1", "h2"):
+        ch = chart(name)
+        points = [rng.uniform(-3, 3, ch.dim) for _ in range(50)]
+        points += [rng.choice([0.0, -0.0, 1e-300, -1e-300], ch.dim)
+                   for _ in range(20)]
+        for p in points:
+            assert christoffel(ch, p).tobytes() == \
+                _oracle_christoffel(name, p).tobytes()
+
+
+def _oracle_csv(traj, model):
+    buf = io.StringIO()
+    buf.write("s,t,x,y,z,vt,vx,vy,vz\n")
+    pad = model == "H3" or traj.positions.shape[1] == 3
+    for s, p, v in zip(traj.s, traj.positions, traj.velocities):
+        row = [s, 0.0, *p, 0.0, *v] if pad else [s, *p, *v]
+        buf.write(",".join(format(x, ".17g") for x in row) + "\n")
+    return buf.getvalue()
+
+
+_csv_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e-300, -1e-300, 1e300, 2.0, -3.0, 0.1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["G0", "G1", "H3"]),
+       rows=st.lists(st.lists(_csv_value, min_size=9, max_size=9),
+                     min_size=1, max_size=6))
+@example(model="H3", rows=[[0.0, -0.0, 1e-300, 1e300, 2.0, -0.0, 0.0, 2.0, 0.5]])
+@example(model="G0", rows=[[2.0, -0.0, 1e-300, 1e300, 2.0, -0.0, 0.0, 2.0, -1e300]])
+def test_csv_matches_row_by_row_writer(model, rows):
+    dim = 3 if model == "H3" else 4
+    A = np.array(rows)
+    traj = Trajectory(A[:, 0], A[:, 1:1 + dim], A[:, 5:5 + dim], 0.01)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf, model)
+    assert buf.getvalue() == _oracle_csv(traj, model)
+
+
+def test_csv_pads_three_dim_trajectory_of_any_model():
+    traj = Trajectory(np.array([0.0, 0.5]), np.array([[-0.0, 1e-300, 2.0]] * 2),
+                      np.array([[1e300, 0.0, -1.5]] * 2), 0.5)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf, "G0")
+    assert buf.getvalue() == _oracle_csv(traj, "G0")
+    assert buf.getvalue().splitlines()[1] == "0,0,-0,1e-300,2,0,1.0000000000000001e+300,0,-1.5"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_private_inverse_gufunc_is_np_linalg_inv(n):
+    # christoffel calls numpy's inverse gufunc directly; the private name can
+    # move between numpy releases, and its result must stay bit-equal
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        A = rng.standard_normal((n, n))
+        assert _umath_linalg.inv(A, signature="d->d").tobytes() == \
+            np.linalg.inv(A).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric", [
+    np.zeros((3, 3)),
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+])
+def test_singular_metric_raises_numerical_error_without_warning(metric):
+    singular = MetricChart("singular", 3, lambda p: metric,
+                           lambda p: np.zeros((3, 3, 3)))
+    with pytest.raises(NumericalError, match="singular"):
+        christoffel(singular, [0.1, 0.2, 0.3])
