@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .base import CheckResult, InputError
+from .base import CheckResult, InputError, once
 from .linalg import (basis_vector, invert, is_zero_vector, mat, mat_vec,
                      nullspace, reduce_against, row_space, solve, tensor,
                      transpose, vec)
@@ -56,12 +56,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
-
-    def annihilator_rows(self) -> list:
-        """Rows n with n.v = 0 for all v in the subspace (dot-pairing)."""
-        if not self.basis:
-            return [basis_vector(self.ambient_dim, i) for i in range(self.ambient_dim)]
-        return nullspace(self.basis)
 
     def __str__(self):
         if not self.basis:
@@ -170,43 +164,48 @@ def add3(a, b, c):
     return tuple(x + y + z for x, y, z in zip(a, b, c))
 
 
+def _chain(first, step, n: int) -> tuple:
+    """first, step(first), ... up to the first repeat, padded with it to n + 1
+    terms (a monotone chain of subspaces of Q^n repeats within n steps)."""
+    chain = [first]
+    while len(chain) <= n:
+        nxt = step(chain[-1])
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return tuple(chain) + (chain[-1],) * (n + 1 - len(chain))
+
+
 def lower_central(g: LieAlgebra, r: int) -> Subspace:
-    """C^r: C^0 = g, C^r = [g, C^(r-1)].  Stabilizes by r = dim g."""
+    """C^r: C^0 = g, C^r = [g, C^(r-1)]; stable by r = dim g, built once."""
     if r < 0:
         raise InputError("r must be nonnegative")
     n = g.dim
-    current = Subspace.full(n)
-    for _ in range(min(r, n)):
-        gens = [bracket(g, basis_vector(n, i), b)
-                for i in range(n) for b in current.basis]
-        new = Subspace.span(gens, n)
-        if new == current:
-            break
-        current = new
-    return current
+
+    def step(c):
+        return Subspace.span([bracket(g, basis_vector(n, i), b)
+                              for i in range(n) for b in c.basis], n)
+
+    return once(g, "_lower_central",
+                lambda: _chain(Subspace.full(n), step, n))[min(r, n)]
 
 
 def upper_central(g: LieAlgebra, r: int) -> Subspace:
-    """C_r: C_0 = 0, C_r = {x : [x, g] in C_(r-1)}."""
+    """C_r: C_0 = 0, C_r = {x : [x, g] in C_(r-1)}; built once per algebra."""
     if r < 0:
         raise InputError("r must be nonnegative")
     n = g.dim
-    current = Subspace.zero(n)
-    for _ in range(min(r, n)):
-        ann = current.annihilator_rows()
-        rows = []
-        for j in range(n):
-            # x -> [x, e_j] has matrix M with M[k][i] = c[i][j][k]
-            for a in ann:
-                rows.append(tuple(
-                    sum((a[k] * g.structure[i][j][k] for k in range(n)),
-                        start=Fraction(0))
-                    for i in range(n)))
-        new = Subspace.span(nullspace(rows, ncols=n), n)
-        if new == current:
-            break
-        current = new
-    return current
+
+    def step(c):
+        ann = nullspace(c.basis, ncols=n)
+        # x -> [x, e_j] has matrix M with M[k][i] = c[i][j][k]
+        rows = [tuple(sum((a[k] * g.structure[i][j][k] for k in range(n)),
+                          start=Fraction(0)) for i in range(n))
+                for j in range(n) for a in ann]
+        return Subspace.span(nullspace(rows, ncols=n), n)
+
+    return once(g, "_upper_central",
+                lambda: _chain(Subspace.zero(n), step, n))[min(r, n)]
 
 
 def center(g: LieAlgebra) -> Subspace:
@@ -232,16 +231,9 @@ def is_abelian(g: LieAlgebra) -> bool:
 
 def is_solvable(g: LieAlgebra) -> bool:
     """Derived series g, [g,g], [[g,g],[g,g]], ... reaches zero."""
-    current = Subspace.full(g.dim)
-    for _ in range(g.dim + 1):
-        gens = [bracket(g, a, b) for a in current.basis for b in current.basis]
-        new = Subspace.span(gens, g.dim)
-        if new.dim == 0:
-            return True
-        if new == current:
-            return False
-        current = new
-    return False
+    derived = _chain(Subspace.full(g.dim), lambda c: Subspace.span(
+        [bracket(g, a, b) for a in c.basis for b in c.basis], g.dim), g.dim)
+    return derived[-1].dim == 0
 
 
 def is_nilpotent(g: LieAlgebra) -> bool:

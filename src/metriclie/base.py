@@ -1,9 +1,9 @@
-"""Shared error types and the pass/fail result object used by verification ops."""
+"""Shared error types, the pass/fail check result and the per-object memo."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 
 class MetricLieError(Exception):
@@ -71,3 +71,11 @@ class CheckResult:
         if self.witness is not None:
             return f"fail: {self.reason} at {self.witness}"
         return f"fail: {self.reason}"
+
+
+def once(obj: Any, key: str, build: Callable[[], Any]) -> Any:
+    """``build()``, kept in ``obj.__dict__[key]`` from the first call on: outside
+    the dataclass fields, so ``==``, ``hash`` and ``repr`` of obj ignore it."""
+    if key not in obj.__dict__:
+        obj.__dict__[key] = build()
+    return obj.__dict__[key]

@@ -15,9 +15,8 @@ from typing import Mapping
 from .algebra import (LieAlgebra, center, commutator, is_abelian, is_solvable,
                       jacobi_check)
 from .base import InputError
-from .forms import (FormSearch, SymBilinearForm,
-                    has_nondegenerate_invariant_form, is_ad_invariant,
-                    killing_form, signature)
+from .forms import (SymBilinearForm, has_nondegenerate_invariant_form,
+                    is_ad_invariant, killing_form, signature)
 from .linalg import basis_vector
 
 LABELS = ("R4", "R+sl2", "R+so3", "oscillator_g0", "g1", "not_in_list")
@@ -161,8 +160,7 @@ def get_metric(entry: CatalogEntry, metric_name: str) -> SymBilinearForm:
         f" available: {', '.join(metric_names(entry))}")
 
 
-def classify_dim4_metric(g: LieAlgebra,
-                         search: FormSearch | None = None) -> str:
+def classify_dim4_metric(g: LieAlgebra) -> str:
     """Place a 4-dim algebra admitting an ad-invariant metric in the
     five-entry list; anything outside the metric class lands in not_in_list.
 
@@ -177,16 +175,14 @@ def classify_dim4_metric(g: LieAlgebra,
       K(x, x) for any x outside the commutator separates the rotation
       case (negative, oscillator_g0) from the boost case (positive, g1).
 
-    ``search`` is the result of ``has_nondegenerate_invariant_form(g)`` when
-    the caller already holds it; otherwise the search runs here.
+    The form search and the central series are built once per algebra, so
+    ``report`` pays for them once although it prints them too.
     """
     if g.dim != 4:
         raise InputError("classifier expects a 4-dimensional algebra")
     if is_abelian(g):
         return "R4"
-    if search is None:
-        search = has_nondegenerate_invariant_form(g)
-    if not search.found:
+    if not has_nondegenerate_invariant_form(g).found:
         return "not_in_list"
     K = killing_form(g)
     sig = signature(K)
@@ -196,8 +192,8 @@ def classify_dim4_metric(g: LieAlgebra,
         if sig.as_tuple() == (2, 1, 1):
             return "R+sl2"
         return "not_in_list"
-    if is_solvable(g) and center(g).dim == 1 and commutator(g).dim == 3:
-        c1 = commutator(g)
+    c1 = commutator(g)
+    if is_solvable(g) and center(g).dim == 1 and c1.dim == 3:
         x = next(basis_vector(4, i) for i in range(4)
                  if not c1.contains(basis_vector(4, i)))
         kxx = K.evaluate(x, x)

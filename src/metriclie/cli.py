@@ -163,7 +163,7 @@ def cmd_report(args, out) -> int:
     else:
         out.write("no nondegenerate ad-invariant form\n")
     if g.dim == 4:
-        out.write(f"class: {catalog.classify_dim4_metric(g, search)}\n")
+        out.write(f"class: {catalog.classify_dim4_metric(g)}\n")
     return EXIT_OK
 
 
@@ -253,10 +253,10 @@ def cmd_geodesic(args, out, err) -> int:
         dev = _closed_form_deviation(spec, traj, grid)
     if args.out:
         with open(args.out, "w") as fh:
-            write_trajectory_csv(traj, fh, model)
+            write_trajectory_csv(traj, fh)
         sink = out
     else:
-        write_trajectory_csv(traj, out, model)
+        write_trajectory_csv(traj, out)
         sink = err
     if dev is not None:
         sink.write(f"max deviation from closed form: {dev:.3e}\n")

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
 from . import catalog
 from .algebra import LieAlgebra, Subspace, add3, bracket
-from .base import (CheckResult, DegenerateMetricError, InputError)
+from .base import CheckResult, DegenerateMetricError, InputError, once
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
 from .linalg import (basis_vector, contract, first_nonzero, identity_matrix,
@@ -44,9 +44,6 @@ class Connection:
     algebra: LieAlgebra
     metric: SymBilinearForm
     gamma: tuple
-    # curvature tensors built so far, by convention (filled by ``curvature``)
-    _curvature: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     def nabla(self, i: int, j: int) -> tuple:
         return self.gamma[i][j]
@@ -114,9 +111,8 @@ def curvature(conn: Connection, convention: str = "default") -> CurvatureTensor:
     built once per connection and convention."""
     if convention not in CONVENTIONS:
         raise InputError(f"convention must be one of {CONVENTIONS}")
-    if convention not in conn._curvature:
-        conn._curvature[convention] = _build_curvature(conn, convention)
-    return conn._curvature[convention]
+    return once(conn, "_curvature_" + convention,
+                lambda: _build_curvature(conn, convention))
 
 
 def _build_curvature(conn: Connection, convention: str) -> CurvatureTensor:

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .algebra import (LieAlgebra, Subspace, is_ideal, lower_central,
                       restricted_algebra, upper_central)
-from .base import CheckResult, DegenerateMetricError, InputError
+from .base import CheckResult, DegenerateMetricError, InputError, once
 from .linalg import (basis_vector, contract, determinant, mat, mat_mul,
                      mat_vec, nullspace, solve, transpose, vec)
 from .scalars import sign_of
@@ -259,9 +259,10 @@ def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
     there vanishes the answer is a certified "no"; otherwise the witness is
     the first nondegenerate point of the (n+1)^k grid in lexicographic order.
     A lattice of more than MAX_LATTICE_POINTS points raises InputError
-    before its first determinant.
+    before its first determinant.  The search runs once per algebra.
     """
-    return _search_span(invariant_form_space(g))
+    return once(g, "_form_search",
+                lambda: _search_span(invariant_form_space(g)))
 
 
 def _search_span(space: list[SymBilinearForm]) -> FormSearch:
@@ -289,8 +290,10 @@ def _search_span(space: list[SymBilinearForm]) -> FormSearch:
         raise InputError(
             f"deciding the {k}-dim invariant-form space takes {points} lattice "
             f"determinants, more than {MAX_LATTICE_POINTS}")
-    if not any(_combination(space, coeffs).is_nondegenerate()
-               for coeffs in _simplex_lattice(n, k)):
+    # det(sum t_i B_i) from the rows of the B_i, without building each form
+    rows = [tuple(B.matrix[i] for B in space) for i in range(n)]
+    if not any(determinant([contract(r, (t,)) for r in rows])
+               for t in _simplex_lattice(n, k)):
         return FormSearch(False, None, k, points)
     for checked, coeffs in enumerate(
             itertools.product(range(n + 1), repeat=k), start=1):

@@ -296,7 +296,7 @@ def flow_left_invariant_field(model: str, a: Sequence, s_end: float,
     return GroupElement(model, tuple(pos))
 
 
-def write_trajectory_csv(traj: Trajectory, stream, model: str = "G0") -> None:
+def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """Delimited output, one row per sample: s,t,x,y,z,vt,vx,vy,vz.
 
     Three-dimensional (H3) trajectories fill the t and vt columns with 0.
@@ -305,7 +305,7 @@ def write_trajectory_csv(traj: Trajectory, stream, model: str = "G0") -> None:
     stream.write(CSV_HEADER + "\n")
     n = traj.positions.shape[1]
     cells = ["{:.17g}"] * n
-    if model == "H3" or n == 3:
+    if n == 3:
         cells.insert(0, "0")  # format(0.0, ".17g")
     row = ",".join(["{:.17g}", *cells, *cells]) + "\n"
     for s, p, v in zip(traj.s.tolist(), traj.positions.tolist(),

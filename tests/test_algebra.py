@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metriclie import algebra
 from metriclie.algebra import (LieAlgebra, Subspace, bracket, center,
                                change_of_basis, check_h3_subalgebra,
                                commutator, is_abelian, is_ideal, is_nilpotent,
@@ -12,7 +13,7 @@ from metriclie.algebra import (LieAlgebra, Subspace, bracket, center,
                                upper_central)
 from metriclie.base import InputError
 from metriclie.catalog import get
-from metriclie.linalg import basis_vector, identity_matrix
+from metriclie.linalg import basis_vector, identity_matrix, nullspace
 from metriclie.scalars import QuadExt
 
 from conftest import random_invertible, random_rational
@@ -95,6 +96,111 @@ def test_center_commutator(g1):
     aff = get("aff").algebra
     assert center(aff).dim == 0
     assert commutator(aff) == Subspace.span([(0, 1)], 2)
+
+
+# --- the series loops that algebra._chain replaced, kept as oracles ------
+
+def _lower_central_loop(g, r):
+    n = g.dim
+    current = Subspace.full(n)
+    for _ in range(min(r, n)):
+        gens = [bracket(g, basis_vector(n, i), b)
+                for i in range(n) for b in current.basis]
+        new = Subspace.span(gens, n)
+        if new == current:
+            break
+        current = new
+    return current
+
+
+def _annihilator_rows(s):
+    if not s.basis:
+        return [basis_vector(s.ambient_dim, i) for i in range(s.ambient_dim)]
+    return nullspace(s.basis)
+
+
+def _upper_central_loop(g, r):
+    n = g.dim
+    current = Subspace.zero(n)
+    for _ in range(min(r, n)):
+        ann = _annihilator_rows(current)
+        rows = []
+        for j in range(n):
+            for a in ann:
+                rows.append(tuple(
+                    sum((a[k] * g.structure[i][j][k] for k in range(n)),
+                        start=F(0))
+                    for i in range(n)))
+        new = Subspace.span(nullspace(rows, ncols=n), n)
+        if new == current:
+            break
+        current = new
+    return current
+
+
+def _is_solvable_loop(g):
+    current = Subspace.full(g.dim)
+    for _ in range(g.dim + 1):
+        gens = [bracket(g, a, b) for a in current.basis for b in current.basis]
+        new = Subspace.span(gens, g.dim)
+        if new.dim == 0:
+            return True
+        if new == current:
+            return False
+        current = new
+    return False
+
+
+@st.composite
+def _antisymmetric_algebras(draw):
+    """Sparse random antisymmetric structure constants (Jacobi not
+    required), seen in a random basis."""
+    n = draw(st.integers(1, 5))
+    cells = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+             for k in range(n)]
+    chosen = draw(st.lists(st.sampled_from(cells), max_size=2 * n,
+                           unique=True)) if cells else []
+    g = LieAlgebra.from_brackets(n, [(i, j, k, draw(rationals))
+                                     for (i, j, k) in chosen])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return change_of_basis(g, random_invertible(rng, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_antisymmetric_algebras())
+def test_series_match_the_loops_they_replaced(g):
+    for r in range(g.dim + 2):
+        assert lower_central(g, r) == _lower_central_loop(g, r)
+        assert upper_central(g, r) == _upper_central_loop(g, r)
+    assert is_solvable(g) == _is_solvable_loop(g)
+
+
+def test_series_built_once_per_algebra(monkeypatch):
+    chains = []
+    chain = algebra._chain
+
+    def counted(first, step, n):
+        chains.append(chain(first, step, n))
+        return chains[-1]
+
+    monkeypatch.setattr(algebra, "_chain", counted)
+    g = LieAlgebra.from_brackets(4, [(0, 1, 1, 1), (0, 2, 2, -1), (1, 2, 3, 1)])
+    for _ in range(2):
+        lower = [lower_central(g, r) for r in range(6)]
+        upper = [upper_central(g, r) for r in range(6)]
+        assert center(g) is upper[1] and commutator(g) is lower[1]
+    assert len(chains) == 2
+    assert lower[:5] == list(chains[0]) and upper[:5] == list(chains[1])
+    assert lower[5] is chains[0][4] and upper[5] is chains[1][4]
+
+
+def test_series_memo_is_not_part_of_the_value(g1):
+    a = LieAlgebra(g1.dim, g1.structure, "g1")
+    b = LieAlgebra(g1.dim, g1.structure, "g1")
+    before = (hash(a), repr(a))
+    lower_central(a, 2), upper_central(a, 2)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert (hash(a), repr(a)) == before
 
 
 def test_is_ideal(g0):

@@ -51,23 +51,25 @@ def test_report_aff(capsys):
     assert "no nondegenerate ad-invariant form" in out
 
 
-def test_report_searches_forms_once(capsys, monkeypatch):
+def test_report_searches_forms_once(capsys, monkeypatch, tmp_path):
+    # a fresh file algebra: a catalog algebra may already hold its search
     calls = {"space": 0, "search": 0}
-    space, search = forms.invariant_form_space, forms.has_nondegenerate_invariant_form
+    space, search = forms.invariant_form_space, forms._search_span
 
     def counted_space(g):
         calls["space"] += 1
         return space(g)
 
-    def counted_search(g):
+    def counted_search(span):
         calls["search"] += 1
-        return search(g)
+        return search(span)
 
     monkeypatch.setattr(forms, "invariant_form_space", counted_space)
-    for mod in (cli, catalog):
-        monkeypatch.setattr(mod, "has_nondegenerate_invariant_form",
-                            counted_search)
-    code, out, _ = run(capsys, "report", "g1")
+    monkeypatch.setattr(forms, "_search_span", counted_search)
+    path = tmp_path / "g1.json"
+    path.write_text(json.dumps({"dim": 4, "brackets": [
+        [0, 1, 1, 1], [0, 2, 2, -1], [1, 2, 3, 1]]}))
+    code, out, _ = run(capsys, "report", str(path))
     assert code == 0 and "class: g1" in out
     assert "invariant form space: 2" in out
     assert calls == {"space": 1, "search": 1}

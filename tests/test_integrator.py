@@ -227,7 +227,7 @@ def test_csv_format():
 def test_csv_h3_padding():
     traj = integrate_geodesic(chart("h1"), [0, 0, 0], [1.0, 0, 0], 0.01, 1e-3)
     buf = io.StringIO()
-    write_trajectory_csv(traj, buf, model="H3")
+    write_trajectory_csv(traj, buf)
     row = buf.getvalue().strip().split("\n")[1].split(",")
     assert len(row) == 9
     assert float(row[1]) == 0.0 and float(row[5]) == 0.0
@@ -439,7 +439,7 @@ def test_csv_matches_row_by_row_writer(model, rows):
     A = np.array(rows)
     traj = Trajectory(A[:, 0], A[:, 1:1 + dim], A[:, 5:5 + dim], 0.01)
     buf = io.StringIO()
-    write_trajectory_csv(traj, buf, model)
+    write_trajectory_csv(traj, buf)
     assert buf.getvalue() == _oracle_csv(traj, model)
 
 
@@ -447,7 +447,7 @@ def test_csv_pads_three_dim_trajectory_of_any_model():
     traj = Trajectory(np.array([0.0, 0.5]), np.array([[-0.0, 1e-300, 2.0]] * 2),
                       np.array([[1e300, 0.0, -1.5]] * 2), 0.5)
     buf = io.StringIO()
-    write_trajectory_csv(traj, buf, "G0")
+    write_trajectory_csv(traj, buf)
     assert buf.getvalue() == _oracle_csv(traj, "G0")
     assert buf.getvalue().splitlines()[1] == "0,0,-0,1e-300,2,0,1.0000000000000001e+300,0,-1.5"
 
