@@ -75,13 +75,14 @@ class LieAlgebra:
         n = self.dim
         if n <= 0:
             raise InputError("dimension must be positive")
-        c = tuple(tuple(vec(self.structure[i][j]) for j in range(n)) for i in range(n))
-        if len(self.structure) != n or any(len(self.structure[i]) != n for i in range(n)):
+        s = self.structure
+        if len(s) != n or any(len(s[i]) != n or any(len(s[i][j]) != n
+                                                    for j in range(n))
+                              for i in range(n)):
             raise InputError("structure array must be dim x dim x dim")
+        c = tuple(tuple(vec(s[i][j]) for j in range(n)) for i in range(n))
         for i in range(n):
             for j in range(n):
-                if len(c[i][j]) != n:
-                    raise InputError("structure array must be dim x dim x dim")
                 for k in range(n):
                     if c[i][j][k] != -c[j][i][k]:
                         raise InputError(

@@ -31,14 +31,14 @@ from .algebra import (LieAlgebra, center, commutator, is_abelian, jacobi_check,
                       lower_central, upper_central)
 from .base import (DegenerateMetricError, InputError, JacobiError,
                    MetricLieError, NumericalError, ParseError)
-from .connection import (_soliton_on, ahc_isometry_check, bianchi_check,
+from .connection import (ahc_isometry_check, bianchi_check,
                          biinvariant_curvature_check, curvature, h3_isotropy,
                          is_locally_symmetric, isometry_family, levi_civita,
-                         linearized_isotropy_dim, ricci_operator)
+                         linearized_isotropy_dim, ricci_operator, soliton_solve)
 from .forms import (SymBilinearForm, has_nondegenerate_invariant_form,
                     is_ad_invariant, series_duality_check, signature)
 from .groups import GeodesicSpec, GroupElement, group_identity
-from .integrate import (_closed_form_deviation, chart, initial_velocity,
+from .integrate import (chart, compare_to_closed_form, initial_velocity,
                         integrate_geodesic, write_trajectory_csv)
 
 EXIT_OK = 0
@@ -206,7 +206,7 @@ def cmd_geometry(args, out) -> int:
     out.write(f"first Bianchi: {'PASS' if bianchi else 'FAIL'}\n")
     out.write(f"flat: {'YES' if R.is_zero() else 'NO'}\n")
     out.write("Ricci operator:\n" + _fmt_matrix(ricci_operator(conn)) + "\n")
-    sol = _soliton_on(conn)
+    sol = soliton_solve(conn)
     if sol.feasible:
         out.write(f"soliton: FEASIBLE  c = {sol.c}\n")
         out.write("derivation D:\n" + _fmt_matrix(sol.derivation) + "\n")
@@ -250,7 +250,7 @@ def cmd_geodesic(args, out, err) -> int:
     if model in ("G0", "G1"):
         spec = GeodesicSpec(model, base, a)
         grid = np.linspace(0.0, args.s_end, 21)
-        dev = _closed_form_deviation(spec, traj, grid)
+        dev = compare_to_closed_form(spec, traj, grid)
     if args.out:
         with open(args.out, "w") as fh:
             write_trajectory_csv(traj, fh)
@@ -290,6 +290,8 @@ def _sample_family(which: str, rng: random.Random):
 
 
 def cmd_isometry(args, out) -> int:
+    if args.samples < 0:
+        raise InputError("--samples must be non-negative")
     target = args.model
     if target in ("G0", "G1"):
         which = target.lower()
@@ -336,6 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="metric name (alternative to the positional)")
 
     dp = sub.add_parser("geodesic", help="integrate a geodesic, emit CSV")
+    # values such as -1.2,0.5,0,0 and --base -0.5,0,0,0 are values, not
+    # options: argparse's default matcher takes only a lone negative number
+    dp._negative_number_matcher = re.compile(r"^-\.?\d")
     dp.add_argument("model", help="G0, G1, H3:h1 or H3:h2")
     dp.add_argument("a", help="frame coefficients a0,a1,a2,a3 (3 for H3)")
     dp.add_argument("--base", default=None, help="base point coordinates")

@@ -210,21 +210,15 @@ class SolitonResult:
     convention: str = "default"
 
 
-def soliton_solve(g: LieAlgebra, B: SymBilinearForm,
-                  convention: str = "default") -> SolitonResult:
+def soliton_solve(conn: Connection, convention: str = "default") -> SolitonResult:
     """Decide feasibility of the algebraic soliton equation Ric = c Id + D.
 
     c and the matrix D are solved jointly as one exact linear system: the
     identification rows pin D = Ric - c Id entrywise and the derivation
     identity D[x,y] = [Dx,y] + [x,Dy] adds the structural rows.  The system
     is genuinely linear, so infeasibility comes with the inconsistent row.
+    The Ricci operator comes from the curvature memoised on conn.
     """
-    return _soliton_on(levi_civita(g, B), convention)
-
-
-def _soliton_on(conn: Connection, convention: str = "default") -> SolitonResult:
-    """``soliton_solve`` on a Levi-Civita connection already built, so its
-    curvature is shared with the caller's."""
     g = conn.algebra
     ric = ricci_operator(conn, convention)
     n = g.dim

@@ -66,7 +66,7 @@ class SymBilinearForm:
                     raise InputError(f"conflicting metric entries at ({a},{b})")
                 seen[(a, b)] = value
                 m[a][b] = value
-        return SymBilinearForm(dim, mat(m))
+        return SymBilinearForm(dim, m)
 
     def evaluate(self, x: Sequence, y: Sequence):
         return sum((a * b for a, b in zip(vec(x), mat_vec(self.matrix, vec(y)))),
@@ -170,7 +170,7 @@ def _form_from_coeffs(n: int, coeffs) -> SymBilinearForm:
     for (i, j), c in zip(_pair_index(n), coeffs):
         m[i][j] = c
         m[j][i] = c
-    return SymBilinearForm(n, mat(m))
+    return SymBilinearForm(n, m)
 
 
 def _skew_form_rows(n: int, maps) -> set:
@@ -246,9 +246,9 @@ class FormSearch:
 
 def _combination(space, coeffs) -> SymBilinearForm:
     n = space[0].dim
-    return SymBilinearForm(n, mat(
+    return SymBilinearForm(n, [
         contract(tuple(B.matrix[i] for B in space), (coeffs,))
-        for i in range(n)))
+        for i in range(n)])
 
 
 def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
@@ -323,7 +323,7 @@ def killing_form(g: LieAlgebra) -> SymBilinearForm:
                       for r in range(n) for s in range(n)), start=Fraction(0))
             m[i][j] = tr
             m[j][i] = tr
-    return SymBilinearForm(n, mat(m))
+    return SymBilinearForm(n, m)
 
 
 def series_duality_check(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:

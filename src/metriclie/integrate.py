@@ -253,23 +253,15 @@ def integrate_spec(spec: GeodesicSpec, s_end: float,
                               s_end, step)
 
 
-def compare_to_closed_form(spec: GeodesicSpec, s_grid: Sequence[float],
-                           step: float = 1e-3) -> float:
-    """Integrate spec up to the end of the grid with RK4 and return its
-    ``_closed_form_deviation``."""
-    traj = integrate_spec(spec, max(s_grid), step)
-    if traj.aborted:
-        raise NumericalError("integration aborted before the grid end")
-    return _closed_form_deviation(spec, traj, s_grid)
-
-
-def _closed_form_deviation(spec: GeodesicSpec, traj: Trajectory,
+def compare_to_closed_form(spec: GeodesicSpec, traj: Trajectory,
                            s_grid: Sequence[float]) -> float:
     """Sup-norm coordinate error of a trajectory of spec against the closed
     form at the grid values (each snapped to the nearest sample).
 
-    Raises NumericalError when the comparison leaves the floating-point
-    range."""
+    Raises NumericalError when the trajectory was aborted or the comparison
+    leaves the floating-point range."""
+    if traj.aborted:
+        raise NumericalError("integration aborted before the grid end")
     worst = 0.0
     for s in s_grid:
         idx = min(int(round(s / traj.step)), len(traj) - 1)

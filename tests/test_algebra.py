@@ -298,3 +298,12 @@ def test_h3_rigidity_randomized_small(g0, g1):
 def test_abelian_flags():
     assert is_abelian(get("r3").algebra)
     assert not is_abelian(get("h3").algebra)
+
+
+@pytest.mark.parametrize("dim, structure", [
+    (3, (((0, 0, 0),) * 3,) * 2),
+    (2, (((0, 0), (0, 0)), ((0, 0),))),
+])
+def test_structure_of_the_wrong_shape_is_input_error(dim, structure):
+    with pytest.raises(InputError, match="dim x dim x dim"):
+        LieAlgebra(dim, structure)

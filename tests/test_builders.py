@@ -95,7 +95,7 @@ def _reference_skew_form_rows(n, maps):
 def test_exact_claims_survive_basis_changes(name, P):
     g, B = _moved(name, P)
     assert linearized_isotropy_dim(g, B) == 3
-    sol = soliton_solve(g, B)
+    sol = soliton_solve(levi_civita(g, B))
     assert sol.feasible
     assert is_derivation(g, sol.derivation)
     assert all(x == 0 for row in sol.residual for x in row)

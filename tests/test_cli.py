@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import tempfile
 import time
 import warnings
@@ -16,7 +18,7 @@ from metriclie import catalog, cli, forms
 from metriclie.algebra import LieAlgebra, change_of_basis
 from metriclie.cli import main
 from metriclie.groups import GeodesicSpec, GroupElement
-from metriclie.integrate import compare_to_closed_form
+from metriclie.integrate import compare_to_closed_form, integrate_spec
 from metriclie.linalg import determinant
 
 
@@ -347,6 +349,28 @@ def test_geodesic_with_base(capsys):
     assert "max deviation from closed form:" in err + out
 
 
+@pytest.mark.parametrize("spaced, joined", [
+    (["G1", "-1.2,0.5,-0.3,0.2"], ["--", "G1", "-1.2,0.5,-0.3,0.2"]),
+    (["G1", "-.5,1,0,0"], ["--", "G1", "-.5,1,0,0"]),
+    (["G1", "1,1,0,0", "--base", "-0.5,0,0,0"],
+     ["G1", "1,1,0,0", "--base=-0.5,0,0,0"]),
+])
+def test_geodesic_takes_negative_values_after_a_space(capsys, spaced, joined):
+    opts = ["--s-end", "0.05", "--step", "0.01"]
+    got = run(capsys, "geodesic", *spaced, *opts)
+    want = run(capsys, "geodesic", *opts, *joined)
+    assert got[0] == 0 and got == want
+
+
+def test_argparse_still_reads_the_negative_number_matcher():
+    # build_parser sets this private attribute on the geodesic subparser;
+    # if argparse stops reading it, this fails instead of a usage error
+    p = argparse.ArgumentParser()
+    p.add_argument("a")
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
+    assert p.parse_args(["-1.2,0.5"]).a == "-1.2,0.5"
+
+
 def test_geodesic_deviation_matches_separate_integration(capsys):
     code, _, err = run(capsys, "geodesic", "G1", "0.8,0.3,-0.2,0.5",
                        "--base=0.1,0.2,0.3,0.4", "--s-end", "1.5",
@@ -355,7 +379,8 @@ def test_geodesic_deviation_matches_separate_integration(capsys):
     spec = GeodesicSpec("G1", GroupElement("G1", (0.1, 0.2, 0.3, 0.4)),
                         (0.8, 0.3, -0.2, 0.5))
     grid = np.linspace(0.0, 1.5, 21)
-    want = compare_to_closed_form(spec, grid, 0.01)
+    want = compare_to_closed_form(spec, integrate_spec(spec, 1.5, 0.01),
+                                  grid)
     assert f"max deviation from closed form: {want:.3e}" in err
 
 
@@ -626,6 +651,13 @@ def test_isometry_h3(capsys):
     assert "isotropy algebra dim 1 (O(1,1) type)" in out
     code, out, _ = run(capsys, "isometry", "H3:h0")
     assert "isotropy algebra dim 3 (O(2,1) type)" in out
+
+
+@pytest.mark.parametrize("model", ["G0", "H3:h1"])
+def test_isometry_rejects_negative_samples(capsys, model):
+    code, out, err = run(capsys, "isometry", model, "--samples", "-5")
+    assert code == 1 and out == ""
+    assert err == "error: --samples must be non-negative\n"
 
 
 def test_isometry_deterministic_seed(capsys):

@@ -163,7 +163,8 @@ def test_ricci_h1_h2(h3, h3_metrics):
 
 
 def test_soliton_h1_h2(h3, h3_metrics):
-    results = [soliton_solve(h3, h3_metrics[m]) for m in ("h1", "h2")]
+    results = [soliton_solve(levi_civita(h3, h3_metrics[m]))
+               for m in ("h1", "h2")]
     for res in results:
         assert res.feasible
         assert res.c == F(3, 2)
@@ -175,7 +176,8 @@ def test_soliton_h1_h2(h3, h3_metrics):
 
 
 def test_soliton_convention_independent(h3, h3_metrics):
-    res = soliton_solve(h3, h3_metrics["h1"], convention="oneill")
+    res = soliton_solve(levi_civita(h3, h3_metrics["h1"]),
+                        convention="oneill")
     assert res.feasible
     assert res.c == -F(3, 2)
     assert is_derivation(h3, res.derivation)
@@ -183,7 +185,7 @@ def test_soliton_convention_independent(h3, h3_metrics):
 
 def test_soliton_abelian():
     r4 = get("r4").algebra
-    res = soliton_solve(r4, SymBilinearForm(4, identity_matrix(4)))
+    res = soliton_solve(levi_civita(r4, SymBilinearForm(4, identity_matrix(4))))
     assert res.feasible and res.c == 0
     assert all(all(x == 0 for x in row) for row in res.derivation)
 
@@ -193,7 +195,7 @@ def test_soliton_infeasible_has_certificate():
     # soliton (its derivation algebra is too small to absorb Ric - c Id)
     so3 = get("so3").algebra
     squashed = SymBilinearForm(3, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
-    res = soliton_solve(so3, squashed)
+    res = soliton_solve(levi_civita(so3, squashed))
     assert not res.feasible
     assert res.inconsistent_row is not None
     assert any(x != 0 for x in res.inconsistent_row)

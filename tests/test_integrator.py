@@ -1,6 +1,7 @@
 import io
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -95,26 +96,30 @@ def test_straight_line_in_flat_chart():
 
 def test_rk4_matches_closed_form_g0():
     spec = GeodesicSpec("G0", group_identity("G0"), (1, 1, 0, 0))
-    err = compare_to_closed_form(spec, np.linspace(0, 2, 21), 1e-3)
+    err = compare_to_closed_form(spec, integrate_spec(spec, 2, 1e-3),
+                                 np.linspace(0, 2, 21))
     assert err <= 1e-8
 
 
 def test_rk4_matches_closed_form_g1():
     spec = GeodesicSpec("G1", group_identity("G1"), (2, 1, 1, 0))
-    err = compare_to_closed_form(spec, np.linspace(0, 1, 11), 1e-3)
+    err = compare_to_closed_form(spec, integrate_spec(spec, 1, 1e-3),
+                                 np.linspace(0, 1, 11))
     assert err <= 1e-8
 
 
 def test_rk4_straight_line_a0_zero():
     spec = GeodesicSpec("G0", group_identity("G0"), (0, 1, 2, 3))
-    err = compare_to_closed_form(spec, np.linspace(0, 2, 11), 1e-3)
+    err = compare_to_closed_form(spec, integrate_spec(spec, 2, 1e-3),
+                                 np.linspace(0, 2, 11))
     assert err <= 1e-10
 
 
 def test_rk4_from_translated_base():
     base = GroupElement("G1", (0.2, -0.5, 0.7, 0.1))
     spec = GeodesicSpec("G1", base, (1.0, 0.5, -0.5, 0.3))
-    err = compare_to_closed_form(spec, np.linspace(0, 1, 6), 1e-3)
+    err = compare_to_closed_form(spec, integrate_spec(spec, 1, 1e-3),
+                                 np.linspace(0, 1, 6))
     assert err <= 1e-8
 
 
@@ -164,6 +169,14 @@ def test_stepper_matches_reference_bit_for_bit(name, p0, v0):
     assert np.array_equal(traj.s, [k * 0.01 for k in range(len(ps))])
 
 
+def test_compare_to_closed_form_refuses_an_aborted_trajectory():
+    spec = GeodesicSpec("G0", group_identity("G0"), (1, 1, 0, 0))
+    traj = integrate_spec(spec, 0.5, 0.01)
+    assert compare_to_closed_form(spec, traj, [0.5]) <= 1e-8
+    with pytest.raises(NumericalError, match="aborted"):
+        compare_to_closed_form(spec, replace(traj, aborted=True), [0.5])
+
+
 def test_energy_conservation_g0():
     spec = GeodesicSpec("G0", group_identity("G0"), (1, 1, 1, 1))
     traj = integrate_spec(spec, 2.0, 1e-3)
@@ -173,8 +186,8 @@ def test_energy_conservation_g0():
 
 def test_rk4_order_four():
     spec = GeodesicSpec("G0", group_identity("G0"), (1, 1, 1, 1))
-    e1 = compare_to_closed_form(spec, [2.0], 0.02)
-    e2 = compare_to_closed_form(spec, [2.0], 0.01)
+    e1 = compare_to_closed_form(spec, integrate_spec(spec, 2.0, 0.02), [2.0])
+    e2 = compare_to_closed_form(spec, integrate_spec(spec, 2.0, 0.01), [2.0])
     assert 12 <= e1 / e2 <= 20
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from metriclie.algebra import change_of_basis
 from metriclie.catalog import get
-from metriclie.connection import soliton_solve
+from metriclie.connection import levi_civita, soliton_solve
 from metriclie.forms import invariant_form_space, transform_form
 from metriclie.linalg import determinant, nullspace, row_space
 
@@ -155,7 +155,7 @@ def test_soliton_certificate_checks_in_sympy(case, h3_metric):
     n = g.dim
     c = sympy_structure(g)
     ric = _sympy_ricci_operator(c, to_sympy(B.matrix))
-    sol = soliton_solve(g, B)
+    sol = soliton_solve(levi_civita(g, B))
     assert sol.feasible  # every source is a soliton, in any basis
     D = to_sympy(sol.derivation)
     cc = sympy.Rational(sol.c.numerator, sol.c.denominator)
