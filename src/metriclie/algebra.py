@@ -145,7 +145,14 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
 
 
 def jacobi_check(g: LieAlgebra) -> CheckResult:
-    """Jacobi identity over all basis triples i < j < k."""
+    """Jacobi identity over all basis triples i < j < k; checked once per
+    algebra, so the check run when an algebra is loaded serves later callers."""
+    return once(g, "_jacobi", lambda: CheckResult.from_witness(
+        _jacobi_witness(g), "Jacobi identity fails"))
+
+
+def _jacobi_witness(g: LieAlgebra):
+    """The first basis triple i < j < k where Jacobi fails, else None."""
     n = g.dim
     for i in range(n):
         ei = basis_vector(n, i)
@@ -157,8 +164,8 @@ def jacobi_check(g: LieAlgebra) -> CheckResult:
                          bracket(g, g.bracket_basis(j, k), ei),
                          bracket(g, g.bracket_basis(k, i), ej))
                 if not is_zero_vector(s):
-                    return CheckResult(False, "Jacobi identity fails", (i, j, k))
-    return CheckResult(True)
+                    return (i, j, k)
+    return None
 
 
 def add3(a, b, c):

@@ -26,7 +26,7 @@ from functools import reduce
 from typing import Sequence
 
 from . import catalog
-from .algebra import LieAlgebra, Subspace, add3, bracket
+from .algebra import LieAlgebra, Subspace, add3, bracket, jacobi_check
 from .base import CheckResult, DegenerateMetricError, InputError, once
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
@@ -174,8 +174,10 @@ def is_flat(conn: Connection) -> bool:
 
 
 def nabla_R(conn: Connection, convention: str = "default") -> tuple:
-    """Covariant derivative of curvature on the frame; vanishes exactly for
-    ad-invariant metrics (symmetric-space identity)."""
+    """Covariant derivative of curvature on the frame, the full tensor
+    (nabla_{e_h} R)(e_i, e_j) e_k; vanishes exactly for ad-invariant metrics
+    (symmetric-space identity).  is_locally_symmetric certifies that case
+    without it and scans it only for other connections."""
     g = conn.algebra
     n = g.dim
     Rc = curvature(conn, convention).components
@@ -190,6 +192,16 @@ def nabla_R(conn: Connection, convention: str = "default") -> tuple:
 
 
 def is_locally_symmetric(conn: Connection) -> bool:
+    """nabla R = 0.  True without building nabla_R when Gamma = 1/2 ad on the
+    frame and the algebra satisfies Jacobi; otherwise nabla_R is scanned.
+
+    Proof of the shortcut: with nabla_X = 1/2 ad_X, Jacobi gives R(Y, Z) =
+    -1/4 ad([Y, Z]) and makes ad_X a derivation, so nabla_X commutes with R."""
+    g = conn.algebra
+    n = g.dim
+    if all(conn.gamma[h][i] == tuple(c / 2 for c in g.bracket_basis(h, i))
+           for h in range(n) for i in range(n)) and jacobi_check(g):
+        return True
     return first_nonzero(nabla_R(conn), 4) is None
 
 

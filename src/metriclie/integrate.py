@@ -258,13 +258,17 @@ def compare_to_closed_form(spec: GeodesicSpec, traj: Trajectory,
     """Sup-norm coordinate error of a trajectory of spec against the closed
     form at the grid values (each snapped to the nearest sample).
 
-    Raises NumericalError when the trajectory was aborted or the comparison
-    leaves the floating-point range."""
+    Raises InputError for a grid value whose nearest sample lies outside the
+    trajectory, and NumericalError when the trajectory was aborted or the
+    comparison leaves the floating-point range."""
     if traj.aborted:
         raise NumericalError("integration aborted before the grid end")
     worst = 0.0
     for s in s_grid:
-        idx = min(int(round(s / traj.step)), len(traj) - 1)
+        idx = int(round(s / traj.step)) if math.isfinite(s) else -1
+        if not 0 <= idx < len(traj):
+            raise InputError(f"s = {s} lies outside the trajectory "
+                             f"(0 to {traj.s[-1]})")
         diff = _finite(lambda: traj.positions[idx] - np.array(
             geodesic_closed_form(spec, traj.s[idx]).coords),
             f"closed-form comparison at s = {traj.s[idx]}")

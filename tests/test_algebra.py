@@ -53,6 +53,16 @@ def test_jacobi_catalog(g0):
         assert jacobi_check(get(name).algebra), name
 
 
+def test_jacobi_checked_once_per_algebra(monkeypatch):
+    g = LieAlgebra.from_brackets(3, [(0, 1, 2, 1)])
+    first = jacobi_check(g)
+    # a second call does not scan the triples again
+    monkeypatch.setattr(algebra, "_jacobi_witness", None)
+    assert jacobi_check(g) is first
+    # the memo is not part of the algebra's value
+    assert g == LieAlgebra.from_brackets(3, [(0, 1, 2, 1)])
+
+
 def test_jacobi_tampered_fails():
     # scaling [e1,e2] alone keeps Jacobi (central direction), so tamper a
     # non-central component instead: [e1,e2] = e1 + e3 breaks the identity

@@ -7,13 +7,13 @@ from fractions import Fraction as F
 import pytest
 
 from metriclie import cli, connection
-from metriclie.algebra import Subspace
+from metriclie.algebra import LieAlgebra, Subspace, jacobi_check
 from metriclie.base import DegenerateMetricError, InputError
 from metriclie.catalog import get
-from metriclie.connection import (ahc_isometry_check, bianchi_check,
-                                  biinvariant_curvature_check, curvature,
-                                  extract_family_parameters, h3_isotropy,
-                                  is_derivation, is_flat,
+from metriclie.connection import (Connection, ahc_isometry_check,
+                                  bianchi_check, biinvariant_curvature_check,
+                                  curvature, extract_family_parameters,
+                                  h3_isotropy, is_derivation, is_flat,
                                   is_isometric_automorphism,
                                   is_locally_symmetric, isometry_family,
                                   levi_civita, linearized_isotropy_dim,
@@ -22,8 +22,8 @@ from metriclie.connection import (ahc_isometry_check, bianchi_check,
                                   skew_adjoint_form_space, soliton_solve,
                                   torsion_check)
 from metriclie.forms import SymBilinearForm, restrict_form, signature
-from metriclie.linalg import (basis_vector, determinant, identity_matrix,
-                              mat_mul, nullspace)
+from metriclie.linalg import (basis_vector, determinant, first_nonzero,
+                              identity_matrix, mat_mul, nullspace, tensor)
 
 E = lambda i: basis_vector(4, i)
 HALF = F(1, 2)
@@ -152,6 +152,42 @@ def test_nabla_R_vanishes_biinvariant(g1, gmatrix0_g1):
 
 def test_h1_not_locally_symmetric(h3, h3_metrics):
     assert not is_locally_symmetric(levi_civita(h3, h3_metrics["h1"]))
+
+
+def _half_ad(g):
+    return tensor(g.dim, 2, lambda h, i: tuple(HALF * c
+                                               for c in g.bracket_basis(h, i)))
+
+
+def test_half_ad_without_jacobi_takes_the_full_tensor():
+    # antisymmetric, but Jacobi fails at (0, 1, 2); with Gamma = 1/2 ad the
+    # shortcut alone would answer True here
+    bad = LieAlgebra.from_brackets(3, [(0, 1, 2, 1), (1, 2, 0, 1),
+                                       (0, 2, 0, 1)])
+    assert jacobi_check(bad).witness == (0, 1, 2)
+    conn = Connection(bad, SymBilinearForm(3, identity_matrix(3)),
+                      _half_ad(bad))
+    assert first_nonzero(nabla_R(conn), 4) == (0, 0, 1, 1)
+    assert not is_locally_symmetric(conn)
+
+
+@pytest.mark.parametrize("name, metric", [
+    ("g0", "gmatrix0"), ("g1", "gmatrix0"), ("r+sl2", "killing+1"),
+    ("r+so3", "killing+1")])
+def test_geometry_certifies_nabla_R_without_the_tensor(monkeypatch, name,
+                                                       metric):
+    # on an ad-invariant metric Gamma = 1/2 ad and Jacobi decide nabla R = 0
+    def refused(*args, **kwargs):
+        raise AssertionError("nabla_R built on an ad-invariant metric")
+
+    monkeypatch.setattr(connection, "nabla_R", refused)
+    entry = get(name)
+    assert levi_civita(entry.algebra, entry.invariant_forms[metric]).gamma == \
+        _half_ad(entry.algebra)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["geometry", name, metric]) == 0
+    assert "nabla R = 0: PASS" in out.getvalue()
 
 
 # --- Ricci and solitons --------------------------------------------------

@@ -177,6 +177,18 @@ def test_compare_to_closed_form_refuses_an_aborted_trajectory():
         compare_to_closed_form(spec, replace(traj, aborted=True), [0.5])
 
 
+@pytest.mark.parametrize("s", [2.0, -0.5, 1.006, -0.006, math.nan, math.inf])
+def test_compare_to_closed_form_refuses_s_outside_the_trajectory(s):
+    """A grid value is not snapped to another sample: 2.0 used to be clamped
+    to the last sample and -0.5 to read a sample from the end."""
+    spec = GeodesicSpec("G0", group_identity("G0"), (1, 1, 0, 0))
+    traj = integrate_spec(spec, 1.0, 0.01)
+    with pytest.raises(InputError, match=f"s = {s} "):
+        compare_to_closed_form(spec, traj, [0.5, s])
+    # within half a step of either end the nearest sample is in range
+    assert compare_to_closed_form(spec, traj, [-0.004, 1.004]) <= 1e-8
+
+
 def test_energy_conservation_g0():
     spec = GeodesicSpec("G0", group_identity("G0"), (1, 1, 1, 1))
     traj = integrate_spec(spec, 2.0, 1e-3)

@@ -474,6 +474,22 @@ def test_reductive_pair_check_matches_the_replaced_loop(P, perturbation):
             _outcome(_reference_naturally_reductive(g, h, m, form))
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(SOURCES)), st.data())
+def test_locally_symmetric_shortcut_matches_the_full_tensor(name, data):
+    """Rational basis changes of the ad-invariant sources keep Gamma = 1/2 ad
+    exactly, so is_locally_symmetric decides without nabla_R; it agrees with
+    the scan of the full tensor."""
+    entry = get(name)
+    P = data.draw(_matrices(entry.algebra.dim))
+    g = change_of_basis(entry.algebra, P)
+    B = transform_form(entry.invariant_forms[SOURCES[name]], P)
+    conn = levi_civita(g, B)
+    assert conn.gamma == tensor(g.dim, 2, lambda h, i: tuple(
+        c / 2 for c in g.bracket_basis(h, i)))
+    assert is_locally_symmetric(conn) == _reference_is_locally_symmetric(conn)
+
+
 # --- the tensor checks on failing input -----------------------------------
 
 def _bent(T, idx, q):
