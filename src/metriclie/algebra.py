@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 
 from .base import CheckResult, InputError, once
 from .linalg import (basis_vector, invert, is_zero_vector, mat, mat_vec,
-                     nullspace, reduce_against, row_space, solve, tensor,
-                     transpose, vec)
+                     nullspace, row_space, solve, tensor, transpose, vec)
 from .scalars import frac
 
 
@@ -52,7 +51,8 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Sequence) -> bool:
-        return is_zero_vector(reduce_against(vec(v), self.basis))
+        # the basis is canonical RREF, so v adds nothing iff it is reproduced
+        return row_space(self.basis + (vec(v),)) == self.basis
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)

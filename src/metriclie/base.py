@@ -1,4 +1,5 @@
-"""Shared error types, the pass/fail check result and the per-object memo."""
+"""Shared error types, each with its CLI ``exit_code``, the pass/fail check
+result and the per-object memo."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from typing import Any, Callable
 
 class MetricLieError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
 
 
 class InputError(MetricLieError, ValueError):
@@ -15,15 +17,17 @@ class InputError(MetricLieError, ValueError):
 
 
 class ParseError(MetricLieError, ValueError):
-    """Malformed algebra file."""
+    """Malformed algebra file; the message ends in (line N) when known."""
+    exit_code = 2
 
     def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
+        super().__init__(f"{message} (line {line})" if line else message)
         self.line = line
 
 
 class JacobiError(MetricLieError, ValueError):
     """Structure constants violate the Jacobi identity."""
+    exit_code = 3
 
     def __init__(self, message: str, triple: tuple | None = None):
         super().__init__(message)
@@ -32,6 +36,7 @@ class JacobiError(MetricLieError, ValueError):
 
 class DegenerateMetricError(InputError):
     """A nondegenerate form was required but the given one has a radical."""
+    exit_code = 4
 
     def __init__(self, message: str, radical: Any = None):
         super().__init__(message)
@@ -40,6 +45,7 @@ class DegenerateMetricError(InputError):
 
 class NumericalError(MetricLieError, RuntimeError):
     """Floating-point computation failed (singular metric, non-finite state)."""
+    exit_code = 5
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,18 @@ the catalog or from JSON files with the schema
       "metrics": { "name": [[i, j, "p/q"], ...] } }
 
 (0-based indices, rationals as "p/q" strings or integers; the antisymmetric
-bracket partners are implied).  Exit codes are a stable contract:
-0 ok, 1 invalid argument, 2 parse failure, 3 Jacobi failure, 4 degenerate
-metric, 5 numeric failure.
+bracket partners are implied; at most MAX_DIM dimensions).  Exit codes are a
+stable contract: 0 ok, 1 invalid argument or output that cannot be written,
+2 parse failure, 3 Jacobi failure, 4 degenerate metric, 5 numeric failure;
+``main`` prints one ``error:`` line and returns the ``exit_code`` of the
+error class (``metriclie.base``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -41,32 +45,45 @@ from .groups import GeodesicSpec, GroupElement, group_identity
 from .integrate import (chart, compare_to_closed_form, initial_velocity,
                         integrate_geodesic, write_trajectory_csv)
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_JACOBI = 3
-EXIT_DEGENERATE = 4
-EXIT_NUMERIC = 5
 # digits a numerator or denominator in an algebra file may have: Python's
 # default limit on int/str conversion, which JSON integers already meet
 MAX_DIGITS = 4300
 _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
+# dimensions an algebra file may declare (the library has no bound): the
+# structure table has dim^3 entries; `report` on the abelian {"dim": 16} takes
+# 1.4 s and 32 MiB (2 cores, Python 3.11), on {"dim": 60} 284 s and 508 MiB
+MAX_DIM = 16
 
 
 def _parse_rational(value):
-    """An integer, or a string of an optional sign, digits and an optional
-    "/digits"; booleans, floats, exponents and longer numbers are refused."""
-    try:
-        if type(value) is int or (type(value) is str
-                                   and _RATIONAL.fullmatch(value)):
+    """The Fraction of an integer, or of a string of an optional sign, digits
+    and an optional "/digits"; None for booleans, floats, exponents, longer
+    numbers and anything else."""
+    if type(value) is int or (type(value) is str and _RATIONAL.fullmatch(value)):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
             return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ParseError(f"not a rational value: {value!r}")
+    return None
 
 
-def _check_indices(path, where, indices):
-    if not all(type(i) is int for i in indices):
-        raise ParseError(f"{path}: {where} indices must be integers")
+def _read_rows(path, where, rows, nindices):
+    """The ``[index, ..., value]`` rows of an algebra-file list, with
+    ``nindices`` integer indices each, as tuples; every error names the file
+    and the row."""
+    if not isinstance(rows, list):
+        raise ParseError(f"{path}: {where} must be a list")
+    entries = []
+    for idx, item in enumerate(rows):
+        row = f"{path}: {where}[{idx}]"
+        if not (isinstance(item, list) and len(item) == nindices + 1):
+            raise ParseError(f"{row} must be [{', '.join('ijk'[:nindices])}, value]")
+        *indices, raw = item
+        if not all(type(i) is int for i in indices):
+            raise ParseError(f"{row} indices must be integers")
+        value = _parse_rational(raw)
+        if value is None:
+            raise ParseError(f"not a rational value: {raw!r} ({row})")
+        entries.append((*indices, value))
+    return entries
 
 
 def load_algebra_file(path: str):
@@ -86,16 +103,9 @@ def load_algebra_file(path: str):
     dim = data["dim"]
     if type(dim) is not int or dim <= 0:
         raise ParseError(f"{path}: 'dim' must be a positive integer")
-    brackets = data.get("brackets", [])
-    if not isinstance(brackets, list):
-        raise ParseError(f"{path}: 'brackets' must be a list")
-    entries = []
-    for idx, item in enumerate(brackets):
-        if not (isinstance(item, list) and len(item) == 4):
-            raise ParseError(f"{path}: brackets[{idx}] must be [i, j, k, value]")
-        i, j, k, value = item
-        _check_indices(path, f"brackets[{idx}]", (i, j, k))
-        entries.append((i, j, k, _parse_rational(value)))
+    if dim > MAX_DIM:
+        raise ParseError(f"{path}: 'dim' must be at most {MAX_DIM}")
+    entries = _read_rows(path, "brackets", data.get("brackets", []), 3)
     try:
         g = LieAlgebra.from_brackets(dim, entries,
                                      name=os.path.basename(path))
@@ -110,16 +120,7 @@ def load_algebra_file(path: str):
         raise ParseError(f"{path}: 'metrics' must be an object")
     metrics = {}
     for mname, rows in metric_rows.items():
-        if not isinstance(rows, list):
-            raise ParseError(f"{path}: metrics[{mname}] must be a list")
-        sparse = []
-        for idx, item in enumerate(rows):
-            if not (isinstance(item, list) and len(item) == 3):
-                raise ParseError(
-                    f"{path}: metrics[{mname}][{idx}] must be [i, j, value]")
-            i, j, value = item
-            _check_indices(path, f"metrics[{mname}][{idx}]", (i, j))
-            sparse.append((i, j, _parse_rational(value)))
+        sparse = _read_rows(path, f"metrics[{mname}]", rows, 2)
         try:
             metrics[mname] = SymBilinearForm.from_entries(dim, sparse)
         except InputError as exc:
@@ -140,46 +141,43 @@ def resolve_algebra(target: str) -> catalog.CatalogEntry:
     return catalog.CatalogEntry(g, left_metrics=metrics)
 
 
-def cmd_report(args, out) -> int:
+def cmd_report(args) -> None:
     g = resolve_algebra(args.target).algebra
-    name = g.name or args.target
-    out.write(f"algebra: {name}\n")
-    out.write(f"dim: {g.dim}\n")
-    out.write(f"jacobi: {'PASS' if jacobi_check(g) else 'FAIL'}\n")
-    out.write(f"abelian: {'yes' if is_abelian(g) else 'no'}\n")
-    out.write(f"center dim: {center(g).dim}\n")
-    out.write(f"C1 dim: {commutator(g).dim}\n")
+    print(f"algebra: {g.name or args.target}")
+    print(f"dim: {g.dim}")
+    print(f"jacobi: {'PASS' if jacobi_check(g) else 'FAIL'}")
+    print(f"abelian: {'yes' if is_abelian(g) else 'no'}")
+    print(f"center dim: {center(g).dim}")
+    print(f"C1 dim: {commutator(g).dim}")
     lower_dims = [lower_central(g, r).dim for r in range(g.dim + 1)]
     upper_dims = [upper_central(g, r).dim for r in range(g.dim + 1)]
-    out.write(f"lower central dims: {lower_dims}\n")
-    out.write(f"upper central dims: {upper_dims}\n")
+    print(f"lower central dims: {lower_dims}")
+    print(f"upper central dims: {upper_dims}")
     search = has_nondegenerate_invariant_form(g)
-    out.write(f"invariant form space: {search.space_dim}\n")
+    print(f"invariant form space: {search.space_dim}")
     if search.found:
         sig = signature(search.witness)
-        out.write(f"nondegenerate ad-invariant form: yes, signature {sig}\n")
+        print(f"nondegenerate ad-invariant form: yes, signature {sig}")
         duality = series_duality_check(g, search.witness)
-        out.write(f"series duality: {'PASS' if duality else f'FAIL ({duality})'}\n")
+        print(f"series duality: {'PASS' if duality else f'FAIL ({duality})'}")
     else:
-        out.write("no nondegenerate ad-invariant form\n")
+        print("no nondegenerate ad-invariant form")
     if g.dim == 4:
-        out.write(f"class: {catalog.classify_dim4_metric(g)}\n")
-    return EXIT_OK
+        print(f"class: {catalog.classify_dim4_metric(g)}")
 
 
-def cmd_classify(args, out) -> int:
+def cmd_classify(args) -> None:
     g = resolve_algebra(args.target).algebra
     if g.dim != 4:
         raise InputError("classification is defined for dimension 4")
-    out.write(f"class: {catalog.classify_dim4_metric(g)}\n")
-    return EXIT_OK
+    print(f"class: {catalog.classify_dim4_metric(g)}")
 
 
 def _fmt_matrix(m) -> str:
     return "\n".join("  [" + ", ".join(str(x) for x in row) + "]" for row in m)
 
 
-def cmd_geometry(args, out) -> int:
+def cmd_geometry(args) -> None:
     entry = resolve_algebra(args.target)
     g = entry.algebra
     metric_name = args.metric_flag or args.metric
@@ -190,29 +188,27 @@ def cmd_geometry(args, out) -> int:
         rad = B.radical()
         raise DegenerateMetricError(
             f"metric {metric_name} is degenerate; radical: {rad}", radical=rad)
-    out.write(f"algebra: {g.name or args.target}, metric: {metric_name}\n")
-    out.write(f"signature: {signature(B)}\n")
+    print(f"algebra: {g.name or args.target}, metric: {metric_name}")
+    print(f"signature: {signature(B)}")
     conn = levi_civita(g, B)
     adinv = is_ad_invariant(g, B)
-    out.write(f"ad-invariant: {'yes' if adinv else 'no'}\n")
+    print(f"ad-invariant: {'yes' if adinv else 'no'}")
     R = curvature(conn)
     if adinv:
         bi = biinvariant_curvature_check(conn, R)
-        out.write(f"R = -1/4 ad([X,Y]): {'PASS' if bi else f'FAIL {bi.witness}'}\n")
+        print(f"R = -1/4 ad([X,Y]): {'PASS' if bi else f'FAIL {bi.witness}'}")
         sym = is_locally_symmetric(conn)
-        out.write(f"nabla R = 0: {'PASS' if sym else 'FAIL'}\n")
-        out.write(f"isotropy dim: {linearized_isotropy_dim(g, B)}\n")
-    bianchi = bianchi_check(R)
-    out.write(f"first Bianchi: {'PASS' if bianchi else 'FAIL'}\n")
-    out.write(f"flat: {'YES' if R.is_zero() else 'NO'}\n")
-    out.write("Ricci operator:\n" + _fmt_matrix(ricci_operator(conn)) + "\n")
+        print(f"nabla R = 0: {'PASS' if sym else 'FAIL'}")
+        print(f"isotropy dim: {linearized_isotropy_dim(g, B)}")
+    print(f"first Bianchi: {'PASS' if bianchi_check(R) else 'FAIL'}")
+    print(f"flat: {'YES' if R.is_zero() else 'NO'}")
+    print("Ricci operator:\n" + _fmt_matrix(ricci_operator(conn)))
     sol = soliton_solve(conn)
     if sol.feasible:
-        out.write(f"soliton: FEASIBLE  c = {sol.c}\n")
-        out.write("derivation D:\n" + _fmt_matrix(sol.derivation) + "\n")
+        print(f"soliton: FEASIBLE  c = {sol.c}")
+        print("derivation D:\n" + _fmt_matrix(sol.derivation))
     else:
-        out.write(f"soliton: INFEASIBLE  (inconsistent row: {sol.inconsistent_row})\n")
-    return EXIT_OK
+        print(f"soliton: INFEASIBLE  (inconsistent row: {sol.inconsistent_row})")
 
 
 def _parse_floats(text: str, want: int, what: str):
@@ -227,7 +223,7 @@ def _parse_floats(text: str, want: int, what: str):
     return values
 
 
-def cmd_geodesic(args, out, err) -> int:
+def cmd_geodesic(args) -> None:
     model_arg = args.model
     if model_arg in ("G0", "G1"):
         model, chart_name = model_arg, model_arg.lower()
@@ -251,17 +247,17 @@ def cmd_geodesic(args, out, err) -> int:
         spec = GeodesicSpec(model, base, a)
         grid = np.linspace(0.0, args.s_end, 21)
         dev = compare_to_closed_form(spec, traj, grid)
+    # integrate, then open: a run that fails above writes no file
     if args.out:
         with open(args.out, "w") as fh:
             write_trajectory_csv(traj, fh)
-        sink = out
+        sink = sys.stdout
     else:
-        write_trajectory_csv(traj, out)
-        sink = err
+        write_trajectory_csv(traj, sys.stdout)
+        sink = sys.stderr
     if dev is not None:
-        sink.write(f"max deviation from closed form: {dev:.3e}\n")
-    sink.write(f"samples: {len(traj)}  step: {args.step}\n")
-    return EXIT_OK
+        print(f"max deviation from closed form: {dev:.3e}", file=sink)
+    print(f"samples: {len(traj)}  step: {args.step}", file=sink)
 
 
 def _rational_circle(rng: random.Random):
@@ -289,7 +285,7 @@ def _sample_family(which: str, rng: random.Random):
     return isometry_family(which, sign, w, At)
 
 
-def cmd_isometry(args, out) -> int:
+def cmd_isometry(args) -> None:
     if args.samples < 0:
         raise InputError("--samples must be non-negative")
     target = args.model
@@ -304,21 +300,21 @@ def cmd_isometry(args, out) -> int:
             if ahc_isometry_check(g, B, A):
                 passed += 1
         dim = linearized_isotropy_dim(g, B)
-        out.write(f"family (isom): {passed}/{args.samples} samples PASS;"
-                  f" isotropy dim {dim}\n")
+        print(f"family (isom): {passed}/{args.samples} samples PASS;"
+              f" isotropy dim {dim}")
         group = "O(2)" if which == "g0" else "O(1,1)"
         comps = 4 if which == "g0" else 8
-        out.write(f"isotropy group: ({{1,-1}} x {group}) acting on R^2 by"
-                  f" the block family; {comps} components\n")
-        return EXIT_OK
-    if target in ("H3:h0", "H3:h1", "H3:h2"):
+        print(f"isotropy group: ({{1,-1}} x {group}) acting on R^2 by"
+              f" the block family; {comps} components")
+    elif target in ("H3:h0", "H3:h1", "H3:h2"):
         rep = h3_isotropy(catalog.get_metric(catalog.get("h3"), target[3:]))
-        out.write(f"isotropy algebra dim {rep.dim} ({rep.kind})\n")
-        return EXIT_OK
-    raise InputError("model must be G0, G1, H3:h0, H3:h1 or H3:h2")
+        print(f"isotropy algebra dim {rep.dim} ({rep.kind})")
+    else:
+        raise InputError("model must be G0, G1, H3:h0, H3:h1 or H3:h2")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each verb's subparser binds its handler as run."""
     p = argparse.ArgumentParser(
         prog="metriclie",
         description="metric Lie algebras and the geometry of H3, G0, G1")
@@ -326,16 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("report", help="algebraic invariants of an algebra")
     rp.add_argument("target", help="catalog name or JSON file")
+    rp.set_defaults(run=cmd_report)
 
     cp = sub.add_parser("classify", help="place a 4-dim algebra in the"
                         " ad-invariant-metric list")
     cp.add_argument("target")
+    cp.set_defaults(run=cmd_classify)
 
     gp = sub.add_parser("geometry", help="curvature, solitons, isotropy")
     gp.add_argument("target")
     gp.add_argument("metric", nargs="?", default=None)
     gp.add_argument("--metric", dest="metric_flag", default=None,
                     help="metric name (alternative to the positional)")
+    gp.set_defaults(run=cmd_geometry)
 
     dp = sub.add_parser("geodesic", help="integrate a geodesic, emit CSV")
     # values such as -1.2,0.5,0,0 and --base -0.5,0,0,0 are values, not
@@ -347,53 +346,53 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--s-end", type=float, default=2.0)
     dp.add_argument("--step", type=float, default=1e-3)
     dp.add_argument("--out", default=None, help="CSV path (default stdout)")
+    dp.set_defaults(run=cmd_geodesic)
 
     ip = sub.add_parser("isometry", help="isometry family checks and"
                         " isotropy dimensions")
     ip.add_argument("model", help="G0, G1, H3:h0, H3:h1 or H3:h2")
     ip.add_argument("--samples", type=int, default=200)
     ip.add_argument("--seed", type=int, default=0)
+    ip.set_defaults(run=cmd_isometry)
 
     return p
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out, err = sys.stdout, sys.stderr
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing reuses it."""
+    return build_parser()
+
+
+def _dispatch(args) -> None:
+    """Run the verb the parser bound and flush its output; output that cannot
+    be written is a MetricLieError."""
     try:
-        if args.command == "report":
-            return cmd_report(args, out)
-        if args.command == "classify":
-            return cmd_classify(args, out)
-        if args.command == "geometry":
-            return cmd_geometry(args, out)
-        if args.command == "geodesic":
-            return cmd_geodesic(args, out, err)
-        if args.command == "isometry":
-            return cmd_isometry(args, out)
-        raise InputError(f"unknown command {args.command}")
-    except ParseError as exc:
-        line = f" (line {exc.line})" if exc.line else ""
-        err.write(f"error: {exc}{line}\n")
-        return EXIT_PARSE
-    except JacobiError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_JACOBI
-    except DegenerateMetricError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_DEGENERATE
-    except NumericalError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
+        args.run(args)
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: what is still buffered goes to devnull, or
+            # the interpreter's flush at exit reports the pipe a second time
+            with contextlib.suppress(OSError):  # a stdout without a descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise MetricLieError(f"cannot write output: {exc}")
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        _dispatch(args)
     except MetricLieError as exc:
-        err.write(f"error: {exc}\n")
-        return 1
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     except ValueError as exc:
         # str() of a rational past sys.get_int_max_str_digits()
         if "integer string conversion" not in str(exc):
             raise
-        err.write("error: a result has too many digits to print\n")
-        return EXIT_NUMERIC
+        print("error: a result has too many digits to print", file=sys.stderr)
+        return NumericalError.exit_code
+    return 0
 
 
 if __name__ == "__main__":

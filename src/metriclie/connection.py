@@ -418,8 +418,13 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
     n = g.dim
     dbl = tensor(n, 3, lambda i, j, k: bracket(g, g.bracket_basis(i, j),
                                                basis_vector(n, k)))
-    rows = _skew_rows(B) | _derivation_rows(dbl, 3)
-    return len(nullspace(sorted(rows), ncols=n * n))
+    return len(_skew_derivations(B, dbl))
+
+
+def _skew_derivations(B: SymBilinearForm, T) -> list:
+    """Nullspace basis of the row-major S skew for B and derivations of T."""
+    rows = sorted(_skew_rows(B) | _derivation_rows(T, 3))
+    return nullspace(rows, ncols=B.dim * B.dim)
 
 
 def _skew_rows(B: SymBilinearForm) -> set:
@@ -528,8 +533,7 @@ def h3_isotropy(metric: SymBilinearForm) -> IsotropyReport:
     """
     n = 3
     R = curvature(levi_civita(catalog.get("h3").algebra, metric))
-    rows = _skew_rows(metric) | _derivation_rows(R.components, 3)
-    basis = nullspace(sorted(rows), ncols=n * n)
+    basis = _skew_derivations(metric, R.components)
     gens = tuple(tuple(tuple(v[a * n + bb] for bb in range(n)) for a in range(n))
                  for v in basis)
     if len(basis) >= 3:

@@ -285,13 +285,3 @@ def determinant(A):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det * sign
 
-
-def reduce_against(v, rows) -> Vector:
-    """Residual of v after elimination by RREF rows (zero iff v in row space)."""
-    v = list(v)
-    for row in rows:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is not None and v[p]:
-            f = v[p] / row[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return tuple(v)

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -16,6 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from metriclie import catalog, cli, forms
 from metriclie.algebra import LieAlgebra, change_of_basis
+from metriclie.base import (DegenerateMetricError, InputError, JacobiError,
+                            MetricLieError, NumericalError, ParseError)
 from metriclie.cli import main
 from metriclie.groups import GeodesicSpec, GroupElement
 from metriclie.integrate import compare_to_closed_form, integrate_spec
@@ -85,6 +89,43 @@ def test_classify(capsys):
 def test_geometry_metric_flag(capsys):
     code, out, _ = run(capsys, "geometry", "g0", "--metric", "gmatrix0")
     assert code == 0 and "R = -1/4 ad([X,Y]): PASS" in out
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (["classify", "g1"], ["report", "g0"], ["isometry", "H3:h1"],
+                 ["geometry", "h3", "h1"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("error, code", [
+    (MetricLieError, 1), (InputError, 1), (ParseError, 2), (JacobiError, 3),
+    (DegenerateMetricError, 4), (NumericalError, 5),
+])
+def test_each_error_class_carries_its_exit_code(capsys, monkeypatch, error,
+                                                code):
+    def fail(target):
+        raise error(f"{target} failed")
+
+    monkeypatch.setattr(cli, "resolve_algebra", fail)
+    assert error.exit_code == code
+    assert run(capsys, "report", "g0") == (code, "", "error: g0 failed\n")
+    assert run(capsys, "classify", "g1") == (code, "", "error: g1 failed\n")
+
+
+def test_parse_error_ends_in_its_line():
+    assert str(ParseError("bad", line=3)) == "bad (line 3)"
+    assert str(ParseError("bad")) == "bad"
 
 
 def test_double_dash_forces_file_lookup(capsys):
@@ -187,6 +228,45 @@ def test_unreadable_file_exit_2(capsys, tmp_path, raw):
     code, out, err = run(capsys, "report", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"dim": 2, "brackets": [[0, 1, 1, 1], [0, 1, True]]},
+     "{path}: brackets[1] must be [i, j, k, value]"),
+    ({"dim": 2, "brackets": [[0, "1", 1, 1]]},
+     "{path}: brackets[0] indices must be integers"),
+    ({"dim": 2, "brackets": [[0, 1, 1, True]]},
+     "not a rational value: True ({path}: brackets[0])"),
+    ({"dim": 2, "metrics": {"B": [[0, 0]]}},
+     "{path}: metrics[B][0] must be [i, j, value]"),
+    ({"dim": 2, "metrics": {"B": [[0, 0, 1], [0, 0.5, 1]]}},
+     "{path}: metrics[B][1] indices must be integers"),
+    ({"dim": 2, "metrics": {"B": [[0, 0, 1], [1, 1, "1e3"]]}},
+     "not a rational value: '1e3' ({path}: metrics[B][1])"),
+    ({"dim": 2, "metrics": {"B": {"0": 1}}}, "{path}: metrics[B] must be a list"),
+], ids=["bracket-shape", "bracket-index", "bracket-value", "metric-shape",
+        "metric-index", "metric-value", "metric-list"])
+def test_entry_errors_name_the_file_and_the_row(capsys, tmp_path, payload,
+                                                message):
+    path = write_json(tmp_path, "rows.json", payload)
+    code, out, err = run(capsys, "report", path)
+    assert code == 2 and out == ""
+    assert err == f"error: {message.format(path=path)}\n"
+
+
+def test_algebra_file_dimension_is_bounded(capsys, tmp_path):
+    # the abelian algebra of the largest admitted dimension loads, so
+    # classify gets as far as its own dimension check
+    code, out, err = run(capsys, "classify",
+                         write_json(tmp_path, "r16.json", {"dim": 16}))
+    assert code == 1 and out == ""
+    assert err == "error: classification is defined for dimension 4\n"
+    path = write_json(tmp_path, "r17.json", {"dim": 17})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", path)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: 'dim' must be at most 16\n"
 
 
 LONGEST = "9" * cli.MAX_DIGITS
@@ -399,6 +479,37 @@ def test_geodesic_rejects_before_integrating(capsys, tmp_path, argv, reason):
     assert "s,t,x,y,z" not in out
     code, _, _ = run(capsys, "geodesic", *argv, "--out", str(out_path))
     assert code != 0 and not out_path.exists()
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_geodesic_output_that_cannot_be_written_exits_1(capsys, tmp_path,
+                                                        where):
+    target = tmp_path / "nope" / "x.csv" if where == "missing directory" \
+        else tmp_path
+    code, out, err = run(capsys, "geodesic", "G0", "1,1,0,0", "--s-end",
+                         "0.01", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write output: ")
+    assert str(target) in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_geodesic_exits_1_when_the_reader_closes_the_pipe():
+    # about 2 MB of CSV: far more than a pipe buffers after the reader left
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "metriclie.cli", "geodesic", "G0",
+             "1,1,0,0", "--s-end", "20"], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert first == b"s,t,x,y,z,vt,vx,vy,vz\n"
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.count("\n") <= 1 and err.count("error:") <= 1
 
 
 def test_geodesic_bad_model(capsys):

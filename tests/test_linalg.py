@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclie import linalg
+from metriclie.algebra import Subspace
 from metriclie.base import InputError
 from metriclie.linalg import (_rref_generic, determinant, identity_matrix,
                               invert, mat, mat_mul, mat_vec, nullspace, rank,
-                              reduce_against, row_space, rref, solve,
-                              solve_with_certificate)
+                              row_space, rref, solve, solve_with_certificate)
 from metriclie.scalars import QuadExt
 
 
@@ -65,11 +65,24 @@ def test_det_random_multiplicative():
         assert determinant(mat_mul(A, B)) == determinant(A) * determinant(B)
 
 
-def test_rank_and_reduce_against():
+def test_rank_and_subspace_contains():
     rows = row_space(mat([[1, 0, 1], [0, 1, 1]]))
     assert rank(rows) == 2
-    assert reduce_against((1, 1, 2), rows) == (0, 0, 0)
-    assert reduce_against((0, 0, 1), rows) != (0, 0, 0)
+    plane = Subspace(3, rows)
+    assert plane.contains((1, 1, 2))
+    assert not plane.contains((0, 0, 1))
+    # against the rank criterion: v lies in the span iff it adds no rank
+    rng = random.Random(0)
+    for _ in range(50):
+        k = rng.randint(0, 3)
+        span = Subspace.span([[F(rng.randint(-2, 2)) for _ in range(4)]
+                              for _ in range(k)], 4)
+        v = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)]
+        if rng.random() < 0.5 and span.basis:
+            v = [sum(rng.randint(-2, 2) * b[i] for b in span.basis)
+                 for i in range(4)]
+        want = rank(list(span.basis) + [mat([v])[0]]) == span.dim
+        assert span.contains(v) == want
 
 
 def test_mat_vec():
