@@ -208,7 +208,10 @@ def cmd_geometry(args) -> None:
         print(f"soliton: FEASIBLE  c = {sol.c}")
         print("derivation D:\n" + _fmt_matrix(sol.derivation))
     else:
-        print(f"soliton: INFEASIBLE  (inconsistent row: {sol.inconsistent_row})")
+        (i0, j0, k0), (i, j, k) = sol.witness
+        print(f"soliton: INFEASIBLE  (entry {k0} of [e{i0}, e{j0}] forces "
+              f"c = {sol.c}; Ric - c Id fails the derivation identity at "
+              f"entry {k} of [e{i}, e{j}])")
 
 
 def _parse_floats(text: str, want: int, what: str):
@@ -227,8 +230,8 @@ def cmd_geodesic(args) -> None:
     model_arg = args.model
     if model_arg in ("G0", "G1"):
         model, chart_name = model_arg, model_arg.lower()
-    elif model_arg in ("H3:h1", "H3:h2", "H3(h1)", "H3(h2)"):
-        model, chart_name = "H3", model_arg[3:].strip(":()")
+    elif model_arg in ("H3:h1", "H3:h2"):
+        model, chart_name = "H3", model_arg[3:]
     else:
         raise InputError("model must be G0, G1, H3:h1 or H3:h2")
     ncoord = 3 if model == "H3" else 4

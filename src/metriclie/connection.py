@@ -31,8 +31,8 @@ from .base import CheckResult, DegenerateMetricError, InputError, once
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
 from .linalg import (basis_vector, contract, first_nonzero, identity_matrix,
-                     invert, mat, mat_mul, mat_vec, nullspace, rank,
-                     solve_with_certificate, tensor, transpose, vec)
+                     invert, is_zero_vector, mat, mat_mul, mat_vec, nullspace,
+                     rank, tensor, transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
 
@@ -209,64 +209,70 @@ def is_locally_symmetric(conn: Connection) -> bool:
 class SolitonResult:
     """Certificate for Ric = c Id + D with D a derivation, or its failure.
 
-    ``residual`` is Ric - c Id - D and must be the zero matrix on success;
-    on failure ``inconsistent_row`` is a reduced row of the joint linear
-    system exhibiting 0 = nonzero.
+    ``residual`` is Ric - c Id - D and must be the zero matrix on success.
+    On failure ``witness`` is ((i0, j0, k0), (i, j, k)): entry k0 of the
+    derivation identity on (e_i0, e_j0) forces the value ``c``, and
+    Ric - c Id fails the identity at entry k of (e_i, e_j).
     """
 
     feasible: bool
     c: Fraction | None = None
     derivation: tuple | None = None
     residual: tuple | None = None
-    inconsistent_row: tuple | None = None
+    witness: tuple | None = None
     convention: str = "default"
 
 
 def soliton_solve(conn: Connection, convention: str = "default") -> SolitonResult:
     """Decide feasibility of the algebraic soliton equation Ric = c Id + D.
 
-    c and the matrix D are solved jointly as one exact linear system: the
-    identification rows pin D = Ric - c Id entrywise and the derivation
-    identity D[x,y] = [Dx,y] + [x,Dy] adds the structural rows.  The system
-    is genuinely linear, so infeasibility comes with the inconsistent row.
+    D = Ric - c Id, and the derivation defect is linear in D with
+    E_Id(i, j) = -[e_i, e_j], so Ric - c Id is a derivation iff
+    E_Ric(i, j) + c [e_i, e_j] = 0 for every i < j.  The first nonzero
+    structure constant fixes c (Id is a derivation only of an abelian
+    algebra, where Ric = 0 and c = 0); every other entry is then checked.
     The Ricci operator comes from the curvature memoised on conn.
     """
-    g = conn.algebra
+    n = conn.algebra.dim
+    C = conn.algebra.structure
     ric = ricci_operator(conn, convention)
-    n = g.dim
-    zero, one = Fraction(0), Fraction(1)
-    # unknowns: c, then D row-major at 1 + a*n + b
-    rows = [(one if a == b else zero,) + basis_vector(n * n, a * n + b)
-            for a in range(n) for b in range(n)]
-    rhs = [ric[a][b] for a in range(n) for b in range(n)]
-    for row in sorted(_derivation_rows(g.structure, 2)):
-        rows.append((zero,) + row)
-        rhs.append(zero)
-    sol, bad = solve_with_certificate(rows, rhs)
-    if sol is None:
-        return SolitonResult(False, inconsistent_row=bad, convention=convention)
-    c = sol[0]
-    D = tuple(tuple(sol[1 + a * n + b] for b in range(n)) for a in range(n))
-    residual = tuple(tuple(ric[a][b] - D[a][b] - (c if a == b else zero)
-                           for b in range(n)) for a in range(n))
+    # entry (i, j, k): E_Ric(i, j)_k and its slope [e_i, e_j]_k in c
+    entries = [((i, j, k), e[k], C[i][j][k]) for (i, j), e in
+               _derivation_defects(conn.algebra, ric) for k in range(n)]
+    forcing, c = next(((key, -e / s) for key, e, s in entries if s),
+                      (None, Fraction(0)))
+    bad = next((key for key, e, s in entries if e + c * s), None)
+    if bad is not None:
+        return SolitonResult(False, c=c, witness=(forcing, bad),
+                             convention=convention)
+    Id = identity_matrix(n)
+    D = tuple(tuple(r - c * e for r, e in zip(*rows)) for rows in zip(ric, Id))
+    residual = tuple(tuple(r - d - c * e for r, d, e in zip(*rows))
+                     for rows in zip(ric, D, Id))
     return SolitonResult(True, c=c, derivation=D, residual=residual,
                          convention=convention)
+
+
+def _derivation_defects(g: LieAlgebra, D):
+    """Yield ((i, j), E_D(i, j)) for basis pairs i < j in lexicographic
+    order, where E_D(i, j) = D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]."""
+    C = g.structure
+    E = [basis_vector(g.dim, k) for k in range(g.dim)]
+    cols = transpose(D)
+    for i, j in itertools.combinations(range(g.dim), 2):
+        yield (i, j), tuple(a - b - c for a, b, c in zip(
+            mat_vec(D, C[i][j]), contract(C, (cols[i], E[j])),
+            contract(C, (E[i], cols[j]))))
 
 
 def is_derivation(g: LieAlgebra, D: Sequence[Sequence]) -> CheckResult:
     """D[x, y] = [Dx, y] + [x, Dy] on basis pairs."""
     D = mat(D)
-    n = g.dim
-    cols = transpose(D)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = mat_vec(D, g.bracket_basis(i, j))
-            rhs = tuple(a + b for a, b in zip(
-                bracket(g, cols[i], basis_vector(n, j)),
-                bracket(g, basis_vector(n, i), cols[j])))
-            if lhs != rhs:
-                return CheckResult(False, "derivation identity fails", (i, j))
-    return CheckResult(True)
+    if len(D) != g.dim or any(len(r) != g.dim for r in D):
+        raise InputError("matrix size does not match algebra dimension")
+    return CheckResult.from_witness(
+        next((ij for ij, e in _derivation_defects(g, D)
+              if not is_zero_vector(e)), None), "derivation identity fails")
 
 
 def naturally_reductive_check(g: LieAlgebra, h: Subspace, m: Subspace,

@@ -224,29 +224,18 @@ def nullspace(A, ncols: int | None = None) -> list[Vector]:
 
 
 def solve(A, b) -> Vector | None:
-    """One solution of A x = b with free variables set to zero, or None."""
-    sol, _ = solve_with_certificate(A, b)
-    return sol
-
-
-def solve_with_certificate(A, b):
-    """Solve A x = b exactly.
-
-    Returns ``(solution, None)`` or, when inconsistent, ``(None, row)``
-    where ``row`` is the reduced row exhibiting 0 = nonzero.
-    """
+    """One solution of A x = b with free variables set to zero, or None when
+    the system is inconsistent."""
     if not A:
-        return ((), None) if is_zero_vector(tuple(b)) or not b else (None, tuple(b))
+        return () if is_zero_vector(b) else None
     n = len(A[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    R, pivots = rref(aug)
+    R, pivots = rref([list(row) + [rhs] for row, rhs in zip(A, b)])
     if n in pivots:
-        bad = next(row for row in R if not any(row[:n]) and row[n])
-        return None, tuple(bad)
+        return None
     x = [Fraction(0)] * n
     for r, p in enumerate(pivots):
         x[p] = R[r][n]
-    return tuple(x), None
+    return tuple(x)
 
 
 def invert(A) -> Matrix:

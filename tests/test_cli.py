@@ -338,6 +338,19 @@ def test_geometry_h3_h1_soliton(capsys):
     assert "c = 3/2" in out
 
 
+def test_geometry_infeasible_soliton_prints_its_witness(capsys, tmp_path):
+    # the squashed sphere, so(3) with diag(2, 1, 1): not a soliton
+    path = write_json(tmp_path, "so3.json", {
+        "dim": 3, "brackets": [[0, 1, 2, 1], [1, 2, 0, 1], [2, 0, 1, 1]],
+        "metrics": {"sq": [[0, 0, 2], [1, 1, 1], [2, 2, 1]]}})
+    code, out, err = run(capsys, "geometry", path, "sq")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == (
+        "soliton: INFEASIBLE  (entry 2 of [e0, e1] forces c = 1; "
+        "Ric - c Id fails the derivation identity at entry 0 of [e1, e2])")
+    assert "Fraction(" not in out
+
+
 def test_geometry_degenerate_exit_4(capsys):
     code, _, err = run(capsys, "geometry", "h3", "killing")
     assert code == 4
@@ -515,6 +528,12 @@ def test_geodesic_exits_1_when_the_reader_closes_the_pipe():
 def test_geodesic_bad_model(capsys):
     code, _, err = run(capsys, "geodesic", "Gx", "1,1,0,0")
     assert code == 1
+
+
+def test_geodesic_takes_only_the_documented_h3_spellings(capsys):
+    code, out, err = run(capsys, "geodesic", "H3(h1)", "0,0,1")
+    assert code == 1 and out == ""
+    assert err == "error: model must be G0, G1, H3:h1 or H3:h2\n"
 
 
 @pytest.mark.parametrize("s_end", ["0", "0.2"])

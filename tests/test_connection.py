@@ -5,12 +5,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from metriclie import cli, connection
-from metriclie.algebra import LieAlgebra, Subspace, jacobi_check
+from metriclie.algebra import (LieAlgebra, Subspace, bracket,
+                               change_of_basis, jacobi_check)
 from metriclie.base import DegenerateMetricError, InputError
 from metriclie.catalog import get
-from metriclie.connection import (Connection, ahc_isometry_check,
+from metriclie.connection import (CONVENTIONS, Connection, _derivation_rows,
+                                  ahc_isometry_check,
                                   bianchi_check, biinvariant_curvature_check,
                                   curvature, extract_family_parameters,
                                   h3_isotropy, is_derivation, is_flat,
@@ -21,9 +24,11 @@ from metriclie.connection import (Connection, ahc_isometry_check,
                                   naturally_reductive_check, ricci_operator,
                                   skew_adjoint_form_space, soliton_solve,
                                   torsion_check)
-from metriclie.forms import SymBilinearForm, restrict_form, signature
+from metriclie.forms import (SymBilinearForm, restrict_form, signature,
+                             transform_form)
 from metriclie.linalg import (basis_vector, determinant, first_nonzero,
-                              identity_matrix, mat_mul, nullspace, tensor)
+                              identity_matrix, mat_mul, mat_vec, nullspace,
+                              solve, tensor)
 
 E = lambda i: basis_vector(4, i)
 HALF = F(1, 2)
@@ -211,6 +216,11 @@ def test_soliton_h1_h2(h3, h3_metrics):
     assert results[0].derivation == results[1].derivation
 
 
+def test_is_derivation_refuses_a_matrix_of_the_wrong_size(h3):
+    with pytest.raises(InputError):
+        is_derivation(h3, ((1, 0), (0, 1)))
+
+
 def test_soliton_convention_independent(h3, h3_metrics):
     res = soliton_solve(levi_civita(h3, h3_metrics["h1"]),
                         convention="oneill")
@@ -226,15 +236,130 @@ def test_soliton_abelian():
     assert all(all(x == 0 for x in row) for row in res.derivation)
 
 
+def _diag(*d):
+    return SymBilinearForm(len(d), tuple(
+        tuple(x if i == j else 0 for j in range(len(d))) for i, x in enumerate(d)))
+
+
+# the squashed sphere: so(3) with diag(2,1,1) is not an algebraic soliton
+# (its derivation algebra is too small to absorb Ric - c Id)
+SQUASHED = (get("so3").algebra, _diag(2, 1, 1))
+# neither algebra satisfies Jacobi, yet each keeps Ric symmetric for its
+# metric; the first is a soliton with c = 4, the second is not
+NON_JACOBI = [
+    (LieAlgebra.from_brackets(4, [(0, 1, 3, 2), (1, 2, 1, -2), (1, 3, 0, -2)]),
+     _diag(1, 1, -1, -1)),
+    (LieAlgebra.from_brackets(4, [(0, 2, 0, -1), (1, 3, 0, -2)]),
+     _diag(-1, 1, 1, 1))]
+
+
+def _defect(g, D, i, j):
+    """D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j], from bracket and mat_vec."""
+    e = [basis_vector(g.dim, k) for k in range(g.dim)]
+    return tuple(a - b - c for a, b, c in zip(
+        mat_vec(D, bracket(g, e[i], e[j])), bracket(g, mat_vec(D, e[i]), e[j]),
+        bracket(g, e[i], mat_vec(D, e[j]))))
+
+
+def assert_soliton_witness(g, ric, res):
+    """The witness ((i0, j0, k0), (i, j, k)) proves that no c makes Ric - c Id
+    a derivation: the defect of Id at (i0, j0, k0) is -[e_i0, e_j0]_k0 != 0,
+    so only res.c zeroes that entry of the defect of Ric - c Id, and with
+    res.c the entry (i, j, k) is nonzero."""
+    (i0, j0, k0), (i, j, k) = res.witness
+    n = g.dim
+    Id = identity_matrix(n)
+    D = tuple(tuple(ric[a][b] - res.c * Id[a][b] for b in range(n))
+              for a in range(n))
+    slope = bracket(g, basis_vector(n, i0), basis_vector(n, j0))[k0]
+    assert slope != 0
+    assert _defect(g, Id, i0, j0)[k0] == -slope
+    assert _defect(g, D, i0, j0)[k0] == 0
+    assert _defect(g, D, i, j)[k] != 0
+
+
 def test_soliton_infeasible_has_certificate():
-    # the squashed sphere: so(3) with diag(2,1,1) is not an algebraic
-    # soliton (its derivation algebra is too small to absorb Ric - c Id)
-    so3 = get("so3").algebra
-    squashed = SymBilinearForm(3, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
-    res = soliton_solve(levi_civita(so3, squashed))
-    assert not res.feasible
-    assert res.inconsistent_row is not None
-    assert any(x != 0 for x in res.inconsistent_row)
+    so3, squashed = SQUASHED
+    conn = levi_civita(so3, squashed)
+    res = soliton_solve(conn)
+    assert not res.feasible and res.derivation is None
+    assert res.witness == ((0, 1, 2), (1, 2, 0)) and res.c == 1
+    assert_soliton_witness(so3, ricci_operator(conn), res)
+
+
+def _joint_soliton(g, ric):
+    """The reference solver: one linear system in c and the n^2 entries of D,
+    the rows c Id + D = Ric plus the derivation rows of D.  (c, D) with the
+    free variables at zero, or None when the system is inconsistent."""
+    n = g.dim
+    rows = [(F(a == b),) + basis_vector(n * n, a * n + b)
+            for a in range(n) for b in range(n)]
+    rhs = [ric[a][b] for a in range(n) for b in range(n)]
+    for row in sorted(_derivation_rows(g.structure, 2)):
+        rows.append((F(0),) + row)
+        rhs.append(F(0))
+    sol = solve(rows, rhs)
+    if sol is None:
+        return None
+    return sol[0], tuple(tuple(sol[1 + a * n + b] for b in range(n))
+                         for a in range(n))
+
+
+small = st.builds(F, st.integers(-2, 2), st.sampled_from((1, 1, 2)))
+SOLITON_SOURCES = [SQUASHED] + NON_JACOBI + [
+    (get(name).algebra, B) for name in ("h3", "g0", "g1", "sl2")
+    for B in {**get(name).left_metrics, **get(name).invariant_forms}.values()]
+
+
+def _square(n):
+    return st.lists(st.lists(small, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+
+
+@st.composite
+def soliton_inputs(draw):
+    """(algebra, metric): one of SOLITON_SOURCES in a random basis, or random
+    structure constants (sometimes not Jacobi, sometimes no soliton) with a
+    random metric."""
+    if draw(st.booleans()):
+        g, B = draw(st.sampled_from(SOLITON_SOURCES))
+        P = draw(_square(g.dim).filter(determinant))
+        return change_of_basis(g, P), transform_form(B, P)
+    n = draw(st.integers(3, 4))
+    entries = draw(st.dictionaries(st.tuples(
+        st.sampled_from(list(itertools.combinations(range(n), 2))),
+        st.integers(0, n - 1)), small.filter(bool), min_size=1, max_size=6))
+    B = draw(_square(n).map(lambda M: SymBilinearForm(n, tuple(
+        tuple(M[min(i, j)][max(i, j)] for j in range(n)) for i in range(n))))
+        .filter(lambda B: B.is_nondegenerate()))
+    return LieAlgebra.from_brackets(
+        n, [(i, j, k, v) for ((i, j), k), v in entries.items()]), B
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=soliton_inputs(), convention=st.sampled_from(CONVENTIONS))
+@example(case=SQUASHED, convention="default")
+@example(case=(get("r4").algebra, _diag(1, 1, 1, 1)), convention="default")
+@example(case=(get("h3").algebra, get("h3").left_metrics["h1"]),
+         convention="oneill")
+@example(case=NON_JACOBI[0], convention="oneill")
+@example(case=NON_JACOBI[1], convention="default")
+def test_soliton_matches_the_joint_system(case, convention):
+    g, B = case
+    conn = levi_civita(g, B)
+    try:
+        ric = ricci_operator(conn, convention)
+    except InputError:
+        # without Jacobi, Ric need not be symmetric, and ricci_form refuses it
+        reject()
+    res = soliton_solve(conn, convention)
+    ref = _joint_soliton(g, ric)
+    assert res.feasible == (ref is not None)
+    if ref is None:
+        assert_soliton_witness(g, ric, res)
+    else:
+        assert repr((res.c, res.derivation)) == repr(ref)
+        assert all(x == 0 for row in res.residual for x in row)
 
 
 # --- naturally reductive -------------------------------------------------
@@ -255,7 +380,6 @@ def test_nr_derived_pair(g0, gmatrix0_g0):
     assert naturally_reductive_check(g0, h, m, B_m)
     # the projection of [e1, e2] = e3 along h is -(e0 - e3)/2, so the
     # projected bracket on m is again of Heisenberg type
-    from metriclie.linalg import solve
     cols = list(zip(*(list(h.basis) + list(m.basis))))
     coords = solve(cols, (0, 0, 0, 1))
     assert coords is not None
