@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .base import CheckResult, InputError, once
-from .linalg import (basis_vector, invert, is_zero_vector, mat, mat_vec,
-                     nullspace, row_space, solve, tensor, transpose, vec)
+from .linalg import (_fractions, _scaled, _unscaled, basis_vector, invert,
+                     is_zero_vector, mat, mat_vec, nullspace, row_space, solve,
+                     tensor, transpose, vec)
 from .scalars import frac
 
 
@@ -130,10 +131,14 @@ class LieAlgebra:
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
-    """[x, y] in coordinates; exact and bilinear."""
+    """[x, y] in coordinates; exact and bilinear.  Fraction vectors on a
+    Fraction structure table are bracketed over Z (``_bracket_int``)."""
     x, y = vec(x), vec(y)
     if len(x) != g.dim or len(y) != g.dim:
         raise InputError("vector length does not match algebra dimension")
+    table = _integer_table(g)
+    if table is not None and _fractions(x) and _fractions(y):
+        return _bracket_int(table, x, y)
     acc = [Fraction(0)] * g.dim
     for i, j, cij in g._nonzero:
         w = x[i] * y[j] - x[j] * y[i]
@@ -142,6 +147,34 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
                 if ck:
                     acc[k] += w * ck
     return tuple(acc)
+
+
+def _integer_table(g: LieAlgebra):
+    """(D, pairs): D the lcm of the structure-constant denominators and, for
+    each i < j of ``_nonzero``, (i, j, ((k, D c[i][j][k]) for c[i][j][k] != 0));
+    None when some constant is not a Fraction.  Built once per algebra."""
+    def build():
+        consts = [c for _, _, cij in g._nonzero for c in cij]
+        if not _fractions(consts):
+            return None
+        ints, D = _scaled(consts)
+        rows = [ints[p:p + g.dim] for p in range(0, len(ints), g.dim)]
+        return D, tuple((i, j, tuple((k, c) for k, c in enumerate(row) if c))
+                        for (i, j, _), row in zip(g._nonzero, rows))
+    return once(g, "_integer_table", build)
+
+
+def _bracket_int(table, x, y) -> tuple:
+    D, pairs = table
+    xs, dx = _scaled(x)
+    ys, dy = _scaled(y)
+    acc = [0] * len(xs)
+    for i, j, row in pairs:
+        w = xs[i] * ys[j] - xs[j] * ys[i]
+        if w:
+            for k, c in row:
+                acc[k] += w * c
+    return _unscaled(acc, D * dx * dy)
 
 
 def jacobi_check(g: LieAlgebra) -> CheckResult:

@@ -27,7 +27,8 @@ from typing import Sequence
 
 from . import catalog
 from .algebra import LieAlgebra, Subspace, add3, bracket, jacobi_check
-from .base import CheckResult, DegenerateMetricError, InputError, once
+from .base import (CheckResult, DegenerateMetricError, InputError,
+                   JacobiError, once)
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
 from .linalg import (basis_vector, contract, first_nonzero, identity_matrix,
@@ -156,11 +157,22 @@ def biinvariant_curvature_check(conn: Connection,
 
 
 def ricci_form(conn: Connection, convention: str = "default") -> SymBilinearForm:
-    """Ric(x, y) = trace(z -> R(z, x) y) as a bilinear form on the algebra."""
+    """Ric(x, y) = trace(z -> R(z, x) y) as a bilinear form on the algebra.
+
+    Without Jacobi the form need not be symmetric; that case raises
+    JacobiError with the failing basis triple."""
     R = curvature(conn, convention).components
     n = conn.algebra.dim
-    return SymBilinearForm(n, tensor(n, 2, lambda a, b: sum(
-        (R[k][a][b][k] for k in range(n)), start=Fraction(0))))
+    ric = tensor(n, 2, lambda a, b: sum((R[k][a][b][k] for k in range(n)),
+                                        start=Fraction(0)))
+    try:
+        return SymBilinearForm(n, ric)
+    except InputError as exc:
+        jac = jacobi_check(conn.algebra)
+        if jac:
+            raise
+        raise JacobiError(f"Ricci {exc} because the Jacobi identity fails at "
+                          f"basis triple {jac.witness}", triple=jac.witness) from None
 
 
 def ricci_operator(conn: Connection, convention: str = "default") -> tuple:

@@ -9,6 +9,17 @@ denominators cleared row by row, fraction-free Gauss-Jordan with
 gcd-content removal, one division per entry at the end); any other scalar
 takes the Gauss-Jordan loop over the field (``_rref_generic``).  The RREF
 is unique, so both give the same rows and pivots.
+
+The kernels under the tensor layer work the same way.  ``_scaled`` turns a
+sequence of ints and Fractions into integers over their lcm denominator,
+once; ``_unscaled`` builds one Fraction per nonzero output entry.  When
+every entry is exactly a Fraction (what ``vec`` and ``mat`` produce),
+``mat_vec`` takes one denominator for the matrix and one for the vector
+(``_mat_vec_int``; ``mat_mul`` is its columns) and ``contract`` one for the
+weights and one for the leaves it visits (``_contract_int``);
+``algebra.bracket`` reads an integer structure table kept per algebra.  Any
+other entry (int, bool, QuadExt) takes the field loop, so result types and
+values are those of the field loop either way: Fractions are canonical.
 """
 
 from __future__ import annotations
@@ -50,14 +61,52 @@ def basis_vector(n, i) -> Vector:
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
 
+def _scaled(xs) -> tuple[list, int]:
+    """(ints, d) with xs[i] == ints[i] / d and d the lcm of the denominators,
+    for a sequence of ints and Fractions."""
+    dens = [x.denominator for x in xs]
+    d = lcm(*dens)
+    if d == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (d // e) for x, e in zip(xs, dens)], d
+
+
+_ZERO = Fraction(0)
+
+
+def _unscaled(ints, d) -> Vector:
+    """The Fractions ints[i] / d, one construction per nonzero entry."""
+    return tuple(Fraction(a, d) if a else _ZERO for a in ints)
+
+
+def _fractions(xs) -> bool:
+    """Every entry is exactly a Fraction (not an int, bool or QuadExt)."""
+    for x in xs:
+        if type(x) is not Fraction:
+            return False
+    return True
+
+
 def mat_vec(A, x) -> Vector:
+    if A and _fractions(x) and all(len(row) == len(A[0]) and _fractions(row)
+                                   for row in A):
+        return _mat_vec_int(A, x)
     return tuple(sum((a * b for a, b in zip(row, x)), start=row[0] * 0) for row in A)
 
 
+def _mat_vec_int(A, x) -> Vector:
+    """mat_vec of a rectangular Fraction matrix and a Fraction vector over Z:
+    one denominator for A, one for x."""
+    xs, dx = _scaled(x)
+    flat, da = _scaled([a for row in A for a in row])
+    m = len(A[0])
+    return _unscaled([sum(a * b for a, b in zip(flat[r:r + m], xs) if b)
+                      for r in range(0, len(flat), m)], da * dx)
+
+
 def mat_mul(A, B) -> Matrix:
-    bt = tuple(zip(*B))
-    return tuple(tuple(sum((a * b for a, b in zip(row, col)), start=row[0] * 0)
-                       for col in bt) for row in A)
+    cols = [mat_vec(A, col) for col in zip(*B)]
+    return tuple(zip(*cols)) if cols else ((),) * len(A)
 
 
 def transpose(A) -> Matrix:
@@ -98,6 +147,10 @@ def contract(T, vectors) -> Vector:
     leaf = T
     for _ in vectors:
         leaf = leaf[0]
+    if all(_fractions(x) for x in vectors):
+        out = _contract_int(T, vectors, len(leaf))
+        if out is not None:
+            return out
     acc = [Fraction(0)] * len(leaf)
     terms = [(T, 1)]
     for x in vectors:
@@ -108,6 +161,31 @@ def contract(T, vectors) -> Vector:
             if c:
                 acc[k] += w * c
     return tuple(acc)
+
+
+def _contract_int(T, vectors, width):
+    """contract over Z for Fraction vectors: the weights share one
+    denominator, the leaves visited another.  None when a visited leaf is
+    not a Fraction vector of the given width."""
+    terms = [(T, 1)]
+    den = 1
+    for x in vectors:
+        xs, d = _scaled(x)
+        den *= d
+        terms = [(sub, w * xi) for part, w in terms
+                 for xi, sub in zip(xs, part) if xi]
+    if any(len(leaf) != width for leaf, _ in terms):
+        return None
+    flat = [c for leaf, _ in terms for c in leaf]
+    if not _fractions(flat):
+        return None
+    flat, d = _scaled(flat)
+    acc = [0] * width
+    for t, (_, w) in enumerate(terms):
+        for k, c in enumerate(flat[t * width:t * width + width]):
+            if c:
+                acc[k] += w * c
+    return _unscaled(acc, den * d)
 
 
 def rref(A: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
@@ -134,8 +212,7 @@ def _rref_int(A) -> tuple[Matrix, tuple[int, ...]]:
     """
     rows = []
     for row in A:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints, _ = _scaled(row)
         h = gcd(*ints)
         rows.append([x // h for x in ints] if h > 1 else ints)
     m, ncols = len(rows), len(rows[0])

@@ -10,7 +10,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from metriclie import cli, connection
 from metriclie.algebra import (LieAlgebra, Subspace, bracket,
                                change_of_basis, jacobi_check)
-from metriclie.base import DegenerateMetricError, InputError
+from metriclie.base import DegenerateMetricError, InputError, JacobiError
 from metriclie.catalog import get
 from metriclie.connection import (CONVENTIONS, Connection, _derivation_rows,
                                   ahc_isometry_check,
@@ -21,7 +21,8 @@ from metriclie.connection import (CONVENTIONS, Connection, _derivation_rows,
                                   is_locally_symmetric, isometry_family,
                                   levi_civita, linearized_isotropy_dim,
                                   metric_compatibility_check, nabla_R,
-                                  naturally_reductive_check, ricci_operator,
+                                  naturally_reductive_check, ricci_form,
+                                  ricci_operator,
                                   skew_adjoint_form_space, soliton_solve,
                                   torsion_check)
 from metriclie.forms import (SymBilinearForm, restrict_form, signature,
@@ -349,7 +350,7 @@ def test_soliton_matches_the_joint_system(case, convention):
     conn = levi_civita(g, B)
     try:
         ric = ricci_operator(conn, convention)
-    except InputError:
+    except JacobiError:
         # without Jacobi, Ric need not be symmetric, and ricci_form refuses it
         reject()
     res = soliton_solve(conn, convention)
@@ -360,6 +361,32 @@ def test_soliton_matches_the_joint_system(case, convention):
     else:
         assert repr((res.c, res.derivation)) == repr(ref)
         assert all(x == 0 for row in res.residual for x in row)
+
+
+def test_asymmetric_ricci_names_the_jacobi_triple():
+    # NON_JACOBI[0] keeps Ric symmetric; one more constant in [e0, e1]
+    # breaks that, and ricci_form names the triple where Jacobi fails
+    g0, B = NON_JACOBI[0]
+    g = LieAlgebra.from_brackets(4, [(0, 1, 2, 1), (0, 1, 3, 2), (1, 2, 1, -2),
+                                     (1, 3, 0, -2)])
+    assert jacobi_check(g0).witness == jacobi_check(g).witness == (0, 1, 2)
+    with pytest.raises(JacobiError) as err:
+        ricci_form(levi_civita(g, B))
+    assert err.value.triple == (0, 1, 2)
+    assert str(err.value) == ("Ricci form matrix not symmetric at (1,0) because "
+                              "the Jacobi identity fails at basis triple (0, 1, 2)")
+
+
+def test_asymmetric_ricci_with_jacobi_stays_an_input_error():
+    # a connection that is not Levi-Civita can give an asymmetric Ricci form
+    # on a Jacobi algebra; that is a bad argument, not a Jacobi failure
+    g = get("h3").algebra
+    gamma = tensor(3, 2, lambda i, j: basis_vector(3, 0) if (i, j) == (2, 0)
+                   else (F(0),) * 3)
+    with pytest.raises(InputError) as err:
+        ricci_form(Connection(g, _diag(1, 1, 1), gamma))
+    assert not isinstance(err.value, JacobiError)
+    assert str(err.value) == "form matrix not symmetric at (1,0)"
 
 
 # --- naturally reductive -------------------------------------------------
