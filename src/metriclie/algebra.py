@@ -149,18 +149,33 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
     return tuple(acc)
 
 
+class _IntegerTable(tuple):
+    """(D, pairs) as ``_bracket_int`` reads them, with ``dense`` beside them:
+    the same ints as nested tuples, dense[i][j][k] = D c[i][j][k].  dense
+    follows from (D, pairs) and the dimension, so equality is the pair's."""
+
+    def __new__(cls, D, pairs, dense):
+        table = super().__new__(cls, (D, pairs))
+        table.dense = dense
+        return table
+
+
 def _integer_table(g: LieAlgebra):
-    """(D, pairs): D the lcm of the structure-constant denominators and, for
-    each i < j of ``_nonzero``, (i, j, ((k, D c[i][j][k]) for c[i][j][k] != 0));
-    None when some constant is not a Fraction.  Built once per algebra."""
+    """(D, pairs) with ``dense``: D the lcm of the structure-constant
+    denominators and, for each i < j of ``_nonzero``, (i, j, ((k, D
+    c[i][j][k]) for c[i][j][k] != 0)); None when some constant is not a
+    Fraction.  One scaling, built once per algebra."""
     def build():
-        consts = [c for _, _, cij in g._nonzero for c in cij]
-        if not _fractions(consts):
+        n = g.dim
+        flat = [c for plane in g.structure for cij in plane for c in cij]
+        if not _fractions(flat):
             return None
-        ints, D = _scaled(consts)
-        rows = [ints[p:p + g.dim] for p in range(0, len(ints), g.dim)]
-        return D, tuple((i, j, tuple((k, c) for k, c in enumerate(row) if c))
-                        for (i, j, _), row in zip(g._nonzero, rows))
+        ints, D = _scaled(flat)
+        dense = tensor(n, 2, lambda i, j: tuple(ints[(i * n + j) * n:
+                                                     (i * n + j + 1) * n]))
+        return _IntegerTable(D, tuple(
+            (i, j, tuple((k, c) for k, c in enumerate(dense[i][j]) if c))
+            for i, j, _ in g._nonzero), dense)
     return once(g, "_integer_table", build)
 
 
@@ -232,16 +247,23 @@ def lower_central(g: LieAlgebra, r: int) -> Subspace:
 
 
 def upper_central(g: LieAlgebra, r: int) -> Subspace:
-    """C_r: C_0 = 0, C_r = {x : [x, g] in C_(r-1)}; built once per algebra."""
+    """C_r: C_0 = 0, C_r = {x : [x, g] in C_(r-1)}; built once per algebra,
+    over Z from the integer structure table when there is one."""
     if r < 0:
         raise InputError("r must be nonnegative")
     n = g.dim
+    table = _integer_table(g)
 
     def step(c):
         ann = nullspace(c.basis, ncols=n)
+        C, zero = g.structure, Fraction(0)
+        if table is not None:
+            # rows over Z: each annihilator vector scaled to ints
+            C, zero = table.dense, 0
+            ann = [_scaled(a)[0] for a in ann]
         # x -> [x, e_j] has matrix M with M[k][i] = c[i][j][k]
-        rows = [tuple(sum((a[k] * g.structure[i][j][k] for k in range(n)),
-                          start=Fraction(0)) for i in range(n))
+        rows = [tuple(sum((a[k] * C[i][j][k] for k in range(n)), start=zero)
+                      for i in range(n))
                 for j in range(n) for a in ann]
         return Subspace.span(nullspace(rows, ncols=n), n)
 

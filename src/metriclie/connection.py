@@ -26,14 +26,15 @@ from functools import reduce
 from typing import Sequence
 
 from . import catalog
-from .algebra import LieAlgebra, Subspace, add3, bracket, jacobi_check
+from .algebra import (LieAlgebra, Subspace, _integer_table, add3, bracket,
+                      jacobi_check)
 from .base import (CheckResult, DegenerateMetricError, InputError,
                    JacobiError, once)
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
-from .linalg import (basis_vector, contract, first_nonzero, identity_matrix,
-                     invert, is_zero_vector, mat, mat_mul, mat_vec, nullspace,
-                     rank, tensor, transpose, vec)
+from .linalg import (_integer_leaves, basis_vector, contract, first_nonzero,
+                     identity_matrix, invert, is_zero_vector, mat, mat_mul,
+                     mat_vec, nullspace, rank, tensor, transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
 
@@ -433,29 +434,44 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
     if not B.is_nondegenerate():
         raise DegenerateMetricError("metric must be nondegenerate",
                                     radical=B.radical())
+    return len(_skew_derivations(B, _double_bracket(g)))
+
+
+def _double_bracket(g: LieAlgebra):
+    """The rank-3 tensor [[e_i, e_j], e_k] up to one positive factor: over Z
+    from the integer structure table, sum_l Dc[i][j][l] Dc[l][k], that is D^2
+    times the tensor; by ``bracket`` without a table.  Its derivation rows
+    span the same space either way."""
     n = g.dim
-    dbl = tensor(n, 3, lambda i, j, k: bracket(g, g.bracket_basis(i, j),
-                                               basis_vector(n, k)))
-    return len(_skew_derivations(B, dbl))
+    table = _integer_table(g)
+    if table is None:
+        return tensor(n, 3, lambda i, j, k: bracket(g, g.bracket_basis(i, j),
+                                                    basis_vector(n, k)))
+    C = table.dense
+    return tensor(n, 3, lambda i, j, k: tuple(
+        sum(C[i][j][l] * C[l][k][m] for l in range(n) if C[i][j][l])
+        for m in range(n)))
 
 
 def _skew_derivations(B: SymBilinearForm, T) -> list:
     """Nullspace basis of the row-major S skew for B and derivations of T."""
-    rows = sorted(_skew_rows(B) | _derivation_rows(T, 3))
-    return nullspace(rows, ncols=B.dim * B.dim)
+    rows = _skew_rows(B) | _derivation_rows(T, 3)
+    return nullspace(list(rows), ncols=B.dim * B.dim)
 
 
 def _skew_rows(B: SymBilinearForm) -> set:
     """Nonzero rows of <Sx, y> + <x, Sy> = 0 on basis pairs x <= y, for an
-    unknown matrix S stored row-major at a*n + b."""
+    unknown matrix S stored row-major at a*n + b.  A rational B is scaled
+    by one common denominator and gives int rows (``_integer_leaves``)."""
     n = B.dim
+    M, zero = _integer_leaves(B.matrix, 1)
     rows = set()
     for i in range(n):
         for j in range(i, n):
-            row = [Fraction(0)] * (n * n)
+            row = [zero] * (n * n)
             for l in range(n):
-                row[l * n + i] += B.matrix[l][j]
-                row[l * n + j] += B.matrix[i][l]
+                row[l * n + i] += M[l][j]
+                row[l * n + j] += M[i][l]
             if any(row):
                 rows.add(tuple(row))
     return rows
@@ -469,8 +485,11 @@ def _derivation_rows(T, p: int) -> set:
     T must be antisymmetric in its first two slots.  Only i_1 < i_2 is
     visited: the rows with i_1 = i_2 vanish and each (i_2, i_1, ..) row is
     the negative of an (i_1, i_2, ..) row, so the row space is unchanged.
+    A rational T is scaled by one common denominator and gives int rows;
+    int leaves are taken as they are (``_integer_leaves``).
     """
     n = len(T)
+    T, zero = _integer_leaves(T, p)
 
     def at(key):
         return reduce(operator.getitem, key, T)
@@ -483,7 +502,7 @@ def _derivation_rows(T, p: int) -> set:
             terms = [(l * n + i_s, at(idx[:s] + (l,) + idx[s + 1:]))
                      for s, i_s in enumerate(idx) for l in range(n)]
             for comp in range(n):
-                row = [Fraction(0)] * (n * n)
+                row = [zero] * (n * n)
                 for l, v in enumerate(image):
                     if v:
                         row[comp * n + l] += v
@@ -507,7 +526,7 @@ def skew_adjoint_form_space(which: str, alpha, beta, gamma=0) -> list[SymBilinea
         raise InputError("skew-adjoint systems are defined for 'g0' or 'g1'")
     v = (1, Fraction(alpha), Fraction(beta), Fraction(gamma))
     images = [col[1:] for col in transpose(catalog.get(which).algebra.ad(v))[1:]]
-    basis = nullspace(sorted(_skew_form_rows(3, [images])), ncols=6)
+    basis = nullspace(list(_skew_form_rows(3, [images])), ncols=6)
     return [_form_from_coeffs(3, coeffs) for coeffs in basis]
 
 

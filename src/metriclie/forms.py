@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .algebra import (LieAlgebra, Subspace, is_ideal, lower_central,
-                      restricted_algebra, upper_central)
+from .algebra import (LieAlgebra, Subspace, _integer_table, is_ideal,
+                      lower_central, restricted_algebra, upper_central)
 from .base import CheckResult, DegenerateMetricError, InputError, once
-from .linalg import (basis_vector, contract, determinant, mat, mat_mul,
-                     mat_vec, nullspace, solve, transpose, vec)
+from .linalg import (_integer_leaves, basis_vector, contract, determinant,
+                     mat, mat_mul, mat_vec, nullspace, solve, transpose, vec)
 from .scalars import sign_of
 
 # determinants one "no" certificate may take: C(n+k-1, k-1) lattice points
@@ -177,13 +177,15 @@ def _skew_form_rows(n: int, maps) -> set:
     """Nonzero rows of Q(Ax, y) + Q(x, Ay) = 0 for every map A in ``maps``,
     in the unknowns of ``_pair_index(n)``; each A is given by its images
     A[x] of the basis vectors.  Only pairs x <= y are visited: the (y, x)
-    row is the same row."""
+    row is the same row.  Rational maps are scaled by one common
+    denominator and give int rows (``_integer_leaves``)."""
     index = {p: c for c, p in enumerate(_pair_index(n))}
+    maps, zero = _integer_leaves(maps, 2)
     rows = set()
     for A in maps:
         for x in range(n):
             for y in range(x, n):
-                row = [Fraction(0)] * len(index)
+                row = [zero] * len(index)
                 for l in range(n):
                     if A[x][l]:
                         row[index[min(l, y), max(l, y)]] += A[x][l]
@@ -215,11 +217,14 @@ def invariant_form_space(g: LieAlgebra) -> list[SymBilinearForm]:
     The invariance identity <[e_i, x], y> + <x, [e_i, y]> = 0 is one
     homogeneous linear system in the n(n+1)/2 unknowns b_ij; this returns
     its exact nullspace.  Every returned form passes ``is_ad_invariant`` and
-    every ad-invariant form is a combination of the returned ones.
+    every ad-invariant form is a combination of the returned ones.  The
+    rows are built over Z from the integer structure table when there is
+    one.
     """
     n = g.dim
-    basis = nullspace(sorted(_skew_form_rows(n, g.structure)),
-                      ncols=n * (n + 1) // 2)
+    table = _integer_table(g)
+    rows = _skew_form_rows(n, g.structure if table is None else table.dense)
+    basis = nullspace(list(rows), ncols=n * (n + 1) // 2)
     return [_form_from_coeffs(n, b) for b in basis]
 
 
@@ -313,14 +318,22 @@ def _simplex_lattice(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def killing_form(g: LieAlgebra) -> SymBilinearForm:
-    """K(x, y) = trace(ad x . ad y); always ad-invariant."""
+    """K(x, y) = trace(ad x . ad y); always ad-invariant.  ad(e_i) has
+    entries c[i][s][r], so with the integer structure table each trace is
+    summed over Z, then scaled by 1/D^2."""
     n = g.dim
-    ads = [g.ad(basis_vector(n, i)) for i in range(n)]
+    table = _integer_table(g)
+    if table is None:
+        ads = [g.ad(basis_vector(n, i)) for i in range(n)]
+        zero, scale = Fraction(0), 1
+    else:
+        ads = [transpose(plane) for plane in table.dense]
+        zero, scale = 0, Fraction(1, table[0] ** 2)
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            tr = sum((ads[i][r][s] * ads[j][s][r]
-                      for r in range(n) for s in range(n)), start=Fraction(0))
+            tr = scale * sum((ads[i][r][s] * ads[j][s][r]
+                              for r in range(n) for s in range(n)), start=zero)
             m[i][j] = tr
             m[j][i] = tr
     return SymBilinearForm(n, m)

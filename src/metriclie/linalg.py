@@ -20,6 +20,14 @@ weights and one for the leaves it visits (``_contract_int``);
 ``algebra.bracket`` reads an integer structure table kept per algebra.  Any
 other entry (int, bool, QuadExt) takes the field loop, so result types and
 values are those of the field loop either way: Fractions are canonical.
+
+The homogeneous systems solved by ``nullspace`` are built over Z as well:
+scaling a row leaves its canonical RREF as it is.  The same per-algebra
+table keeps the dense ints D c[i][j][k]; the upper central series, the
+invariant-form system, the Killing form and the double bracket of the
+isotropy system read it, and the row builders that take a form or tensor
+scale it once with ``_integer_leaves``.  A QuadExt entry anywhere keeps the
+field loop.
 """
 
 from __future__ import annotations
@@ -77,6 +85,35 @@ _ZERO = Fraction(0)
 def _unscaled(ints, d) -> Vector:
     """The Fractions ints[i] / d, one construction per nonzero entry."""
     return tuple(Fraction(a, d) if a else _ZERO for a in ints)
+
+
+def _integer_leaves(T, p):
+    """(T', zero) for a row builder of a homogeneous system on the rank-p
+    tensor T (nested sequences whose leaves are coefficient vectors).
+
+    When every leaf entry is an int or a Fraction, T' is T with all entries
+    times one common denominator, as ints, and zero is 0; an int-only T is
+    taken as it is.  A scaled row spans the same row space, so the
+    nullspace does not change.  Otherwise T' is T and zero is Fraction(0),
+    which keeps the field loop.
+    """
+    leaves = [T]
+    for _ in range(p):
+        leaves = [sub for part in leaves for sub in part]
+    flat = [x for leaf in leaves for x in leaf]
+    types = set(map(type, flat))
+    if types <= {int}:
+        return T, 0
+    if not types <= {int, Fraction}:
+        return T, _ZERO
+    ints = iter(_scaled(flat)[0])
+
+    def rebuild(part, depth):
+        if depth == p:
+            return tuple(next(ints) for _ in part)
+        return tuple(rebuild(sub, depth + 1) for sub in part)
+
+    return rebuild(T, 0), 0
 
 
 def _fractions(xs) -> bool:
@@ -246,8 +283,9 @@ def _rref_int(A) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def _rref_generic(A) -> tuple[Matrix, tuple[int, ...]]:
-    """Gauss-Jordan with leading-one pivots over any exact field scalar."""
-    rows = [list(r) for r in A]
+    """Gauss-Jordan with leading-one pivots over any exact field scalar.
+    Ints and bools are read as Fractions, so that division stays exact."""
+    rows = [[_coerce(x) for x in r] for r in A]
     if not rows:
         return (), ()
     ncols = len(rows[0])

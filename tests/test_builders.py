@@ -107,10 +107,9 @@ def test_exact_claims_survive_basis_changes(name, P):
 @given(st.sampled_from(sorted(SOURCES)), matrices)
 def test_builders_match_full_reference_systems(name, P):
     g, B = _moved(name, P)
-    # the invariant-form rows are the very same set
-    assert _skew_form_rows(4, g.structure) == \
-        _reference_skew_form_rows(4, g.structure)
-    # the derivation rows span the same space as the full system
+    # each builder's rows span the same space as the full system
+    assert row_space(sorted(_skew_form_rows(4, g.structure))) == \
+        row_space(sorted(_reference_skew_form_rows(4, g.structure)))
     for T, p in ((g.structure, 2), (_double_bracket(g), 3)):
         assert row_space(sorted(_derivation_rows(T, p))) == \
             row_space(_reference_derivation_rows(T, p))

@@ -3,20 +3,32 @@
 ``bracket``, ``contract`` and ``mat_vec`` (and ``mat_mul``, its columns)
 clear denominators once, work over the integers and build one Fraction per
 output entry when every entry is exactly a Fraction; any other scalar takes
-the field loop.  The field loops are kept here as the oracle, and results
-are compared by ``repr`` so that types must match as well as values.
+the field loop.  The homogeneous systems (the upper central series, the
+invariant-form and isotropy rows, the Killing form and the double bracket)
+are built over Z from the per-algebra integer structure table.  The field
+loops are kept here as the oracle, and results are compared by ``repr`` so
+that types must match as well as values; row builders by their row space.
 """
 
+import itertools
+import operator
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from metriclie import algebra, linalg
-from metriclie.algebra import LieAlgebra, bracket, change_of_basis
+from metriclie.algebra import (LieAlgebra, Subspace, _chain, _integer_table,
+                               bracket, change_of_basis, upper_central)
 from metriclie.catalog import get, names
+from metriclie.connection import (_derivation_rows, _double_bracket,
+                                  _skew_derivations, _skew_rows,
+                                  linearized_isotropy_dim)
+from metriclie.forms import (_form_from_coeffs, _skew_form_rows,
+                             invariant_form_space, killing_form, transform_form)
 from metriclie.linalg import (basis_vector, contract, determinant, mat_mul,
-                              mat_vec, tensor, vec)
+                              mat_vec, nullspace, row_space, tensor, vec)
 from metriclie.scalars import QuadExt
 
 
@@ -242,3 +254,186 @@ def test_bracket_table_is_built_once_and_not_part_of_the_value():
     assert g.__dict__["_integer_table"] is table
     twin = LieAlgebra.from_brackets(3, [(0, 1, 2, F(1, 2)), (0, 2, 1, F(-2, 3))])
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+
+
+# --- the homogeneous systems over Z -----------------------------------------
+# The Fraction row builders as they were before the integer structure table
+# fed them: the oracle for the int rows.
+
+def upper_central_loop(g):
+    n = g.dim
+
+    def step(c):
+        ann = nullspace(c.basis, ncols=n)
+        rows = [tuple(sum((a[k] * g.structure[i][j][k] for k in range(n)),
+                          start=F(0)) for i in range(n))
+                for j in range(n) for a in ann]
+        return Subspace.span(nullspace(rows, ncols=n), n)
+
+    return _chain(Subspace.zero(n), step, n)
+
+
+def skew_form_rows_loop(n, maps):
+    index = {p: c for c, p in enumerate(
+        (i, j) for i in range(n) for j in range(i, n))}
+    rows = set()
+    for A in maps:
+        for x in range(n):
+            for y in range(x, n):
+                row = [F(0)] * len(index)
+                for l in range(n):
+                    if A[x][l]:
+                        row[index[min(l, y), max(l, y)]] += A[x][l]
+                    if A[y][l]:
+                        row[index[min(x, l), max(x, l)]] += A[y][l]
+                if any(row):
+                    rows.add(tuple(row))
+    return rows
+
+
+def skew_rows_loop(B):
+    n = B.dim
+    rows = set()
+    for i in range(n):
+        for j in range(i, n):
+            row = [F(0)] * (n * n)
+            for l in range(n):
+                row[l * n + i] += B.matrix[l][j]
+                row[l * n + j] += B.matrix[i][l]
+            if any(row):
+                rows.add(tuple(row))
+    return rows
+
+
+def derivation_rows_loop(T, p):
+    n = len(T)
+
+    def at(key):
+        return reduce(operator.getitem, key, T)
+
+    rows = set()
+    for head in itertools.combinations(range(n), 2):
+        for rest in itertools.product(range(n), repeat=p - 2):
+            idx = head + rest
+            image = at(idx)
+            terms = [(l * n + i_s, at(idx[:s] + (l,) + idx[s + 1:]))
+                     for s, i_s in enumerate(idx) for l in range(n)]
+            for comp in range(n):
+                row = [F(0)] * (n * n)
+                for l, v in enumerate(image):
+                    if v:
+                        row[comp * n + l] += v
+                for col, v in terms:
+                    if v[comp]:
+                        row[col] -= v[comp]
+                if any(row):
+                    rows.add(tuple(row))
+    return rows
+
+
+def killing_loop(g):
+    n = g.dim
+    ads = [g.ad(basis_vector(n, i)) for i in range(n)]
+    m = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = sum((ads[i][r][s] * ads[j][s][r]
+                                     for r in range(n) for s in range(n)),
+                                    start=F(0))
+    return m
+
+
+def double_bracket_loop(g):
+    n = g.dim
+    return tensor(n, 3, lambda i, j, k: bracket(g, g.bracket_basis(i, j),
+                                                basis_vector(n, k)))
+
+
+def invariant_forms_loop(g):
+    n = g.dim
+    rows = list(skew_form_rows_loop(n, g.structure))
+    return [_form_from_coeffs(n, b)
+            for b in nullspace(rows, ncols=n * (n + 1) // 2)]
+
+
+def isotropy_loop(g, B):
+    rows = list(skew_rows_loop(B) | derivation_rows_loop(double_bracket_loop(g), 3))
+    return nullspace(rows, ncols=B.dim * B.dim)
+
+
+def same_rows(rows, want):
+    return row_space(list(rows)) == row_space(list(want))
+
+
+# metric sources: each algebra with an ad-invariant nondegenerate form
+METRICS = {"g0": "gmatrix0", "g1": "gmatrix0", "r+sl2": "killing+1",
+           "r+so3": "killing+1"}
+
+
+@st.composite
+def big_basis_changes(draw, names=tuple(names())):
+    """A catalog algebra in a basis with 100-digit rational entries."""
+    name = draw(st.sampled_from(names))
+    n = get(name).algebra.dim
+    P = draw(matrices(n, n, st.one_of(big, small)).filter(determinant))
+    return name, P
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=big_basis_changes())
+def test_structure_systems_match_the_field_loops(case):
+    name, P = case
+    g = change_of_basis(get(name).algebra, P)
+    n = g.dim
+    assert repr(tuple(upper_central(g, r) for r in range(n + 1))) == \
+        repr(upper_central_loop(g))
+    assert same_rows(_skew_form_rows(n, g.structure),
+                     skew_form_rows_loop(n, g.structure))
+    assert same_rows(_skew_form_rows(n, _integer_table(g).dense),
+                     skew_form_rows_loop(n, g.structure))
+    assert repr(invariant_form_space(g)) == repr(invariant_forms_loop(g))
+    assert repr(killing_form(g).matrix) == \
+        repr(tuple(map(tuple, killing_loop(g))))
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=big_basis_changes(tuple(sorted(METRICS))))
+def test_isotropy_systems_match_the_field_loops(case):
+    name, P = case
+    entry = get(name)
+    g = change_of_basis(entry.algebra, P)
+    B = transform_form(entry.invariant_forms[METRICS[name]], P)
+    D = _integer_table(g)[0]
+    dbl, want = _double_bracket(g), double_bracket_loop(g)
+    # the int double bracket is D^2 times the one built by bracket
+    assert repr(tensor(g.dim, 3, lambda i, j, k: tuple(
+        F(x, D * D) if x else F(0) for x in dbl[i][j][k]))) == repr(want)
+    assert same_rows(_derivation_rows(g.structure, 2),
+                     derivation_rows_loop(g.structure, 2))
+    assert same_rows(_derivation_rows(dbl, 3), derivation_rows_loop(want, 3))
+    assert same_rows(_derivation_rows(want, 3), derivation_rows_loop(want, 3))
+    assert same_rows(_skew_rows(B), skew_rows_loop(B))
+    assert repr(_skew_derivations(B, dbl)) == repr(isotropy_loop(g, B))
+    assert linearized_isotropy_dim(g, B) == 3
+
+
+def test_quadext_structure_tables_keep_the_field_loops():
+    r2 = QuadExt(0, 1, 2)
+    for name, form in METRICS.items():
+        entry = get(name)
+        g = entry.algebra
+        # [x, y]' = sqrt(2) [x, y] is a Lie algebra with the same invariant
+        # forms; its constants are QuadExt, so there is no integer table
+        gq = LieAlgebra(g.dim, tuple(tuple(tuple(r2 * c if c else c for c in cij)
+                                           for cij in plane)
+                                     for plane in g.structure))
+        assert _integer_table(gq) is None
+        n = g.dim
+        assert repr(tuple(upper_central(gq, r) for r in range(n + 1))) == \
+            repr(upper_central_loop(gq))
+        assert repr(invariant_form_space(gq)) == repr(invariant_forms_loop(gq))
+        assert repr(killing_form(gq).matrix) == \
+            repr(tuple(map(tuple, killing_loop(gq))))
+        B = entry.invariant_forms[form]
+        assert repr(_double_bracket(gq)) == repr(double_bracket_loop(gq))
+        assert linearized_isotropy_dim(gq, B) == len(isotropy_loop(gq, B)) == 3
