@@ -9,6 +9,7 @@ can still be built and diagnosed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -82,8 +83,9 @@ class LieAlgebra:
                               for i in range(n)):
             raise InputError("structure array must be dim x dim x dim")
         c = tuple(tuple(vec(s[i][j]) for j in range(n)) for i in range(n))
+        # (i, j, k) fails iff (j, i, k) does, so j >= i finds the first failure
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 for k in range(n):
                     if c[i][j][k] != -c[j][i][k]:
                         raise InputError(
@@ -201,19 +203,33 @@ def jacobi_check(g: LieAlgebra) -> CheckResult:
 
 def _jacobi_witness(g: LieAlgebra):
     """The first basis triple i < j < k where Jacobi fails, else None."""
-    n = g.dim
-    for i in range(n):
-        ei = basis_vector(n, i)
-        for j in range(i + 1, n):
-            ej = basis_vector(n, j)
-            for k in range(j + 1, n):
-                ek = basis_vector(n, k)
-                s = add3(bracket(g, g.bracket_basis(i, j), ek),
-                         bracket(g, g.bracket_basis(j, k), ei),
-                         bracket(g, g.bracket_basis(k, i), ej))
-                if not is_zero_vector(s):
-                    return (i, j, k)
-    return None
+    T = _double_bracket(g)
+    return next(((i, j, k) for i, j, k in itertools.combinations(range(g.dim), 3)
+                 if not is_zero_vector(add3(T[i][j][k], T[j][k][i], T[k][i][j]))),
+                None)
+
+
+def _double_bracket(g: LieAlgebra) -> tuple:
+    """T[i][j][k] = [[e_i, e_j], e_k] in exact Fractions, built once per
+    algebra: over Z from the integer structure table, sum_l Dc[i][j][l]
+    Dc[l][k] over D^2 for each nonzero pair i < j, its (j, i) leaves negated
+    and one zero plane shared by the rest; by ``bracket`` without a table."""
+    def build():
+        n = g.dim
+        table = _integer_table(g)
+        if table is None:
+            return tensor(n, 3, lambda i, j, k: bracket(
+                g, g.bracket_basis(i, j), basis_vector(n, k)))
+        D, pairs = table
+        C, DD = table.dense, D * D
+        zero = ((Fraction(0),) * n,) * n
+        T = [[zero] * n for _ in range(n)]
+        for i, j, row in pairs:
+            T[i][j] = tuple(_unscaled([sum(c * C[l][k][m] for l, c in row)
+                                       for m in range(n)], DD) for k in range(n))
+            T[j][i] = tuple(tuple(-x if x else x for x in leaf) for leaf in T[i][j])
+        return tuple(map(tuple, T))
+    return once(g, "_double_bracket", build)
 
 
 def add3(a, b, c):
@@ -294,8 +310,10 @@ def is_abelian(g: LieAlgebra) -> bool:
 
 def is_solvable(g: LieAlgebra) -> bool:
     """Derived series g, [g,g], [[g,g],[g,g]], ... reaches zero."""
+    # [a, a] = 0 and [b, a] = -[a, b] add nothing to the span
     derived = _chain(Subspace.full(g.dim), lambda c: Subspace.span(
-        [bracket(g, a, b) for a in c.basis for b in c.basis], g.dim), g.dim)
+        [bracket(g, a, b) for a, b in itertools.combinations(c.basis, 2)],
+        g.dim), g.dim)
     return derived[-1].dim == 0
 
 

@@ -26,7 +26,7 @@ from functools import reduce
 from typing import Sequence
 
 from . import catalog
-from .algebra import (LieAlgebra, Subspace, _integer_table, add3, bracket,
+from .algebra import (LieAlgebra, Subspace, _double_bracket, add3, bracket,
                       jacobi_check)
 from .base import (CheckResult, DegenerateMetricError, InputError,
                    JacobiError, once)
@@ -145,14 +145,11 @@ def biinvariant_curvature_check(conn: Connection,
                                 R: CurvatureTensor) -> CheckResult:
     """R(e_i, e_j) = -1/4 ad([e_i, e_j]) as operators (ad-invariant metrics,
     convention 'default')."""
-    g = conn.algebra
-    n = g.dim
-    E = [basis_vector(n, k) for k in range(n)]
+    T = _double_bracket(conn.algebra)
     quarter = Fraction(1, 4)
-    # R + 1/4 [c_ij, e_k] is nonzero exactly where R differs from the claim
-    residual = tensor(n, 3, lambda i, j, k: tuple(
-        r + quarter * t for r, t in zip(
-            R.components[i][j][k], bracket(g, g.bracket_basis(i, j), E[k]))))
+    # R + 1/4 [[e_i, e_j], e_k] is nonzero exactly where R differs from the claim
+    residual = tensor(conn.algebra.dim, 3, lambda i, j, k: tuple(
+        r + quarter * t for r, t in zip(R.components[i][j][k], T[i][j][k])))
     return CheckResult.from_witness(first_nonzero(residual, 3),
                                     "R != -1/4 ad([X,Y])")
 
@@ -342,13 +339,12 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
     if not kept:
         return kept
     cols = transpose(A)
+    T = _double_bracket(g)
     for i in range(n):
         for j in range(i + 1, n):
-            cij = g.bracket_basis(i, j)
             w = bracket(g, cols[i], cols[j])
             for k in range(n):
-                if mat_vec(A, bracket(g, cij, basis_vector(n, k))) != \
-                        bracket(g, w, cols[k]):
+                if mat_vec(A, T[i][j][k]) != bracket(g, w, cols[k]):
                     return CheckResult(False, "double-bracket equivariance fails",
                                        (i, j, k))
     return CheckResult(True)
@@ -435,22 +431,6 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
         raise DegenerateMetricError("metric must be nondegenerate",
                                     radical=B.radical())
     return len(_skew_derivations(B, _double_bracket(g)))
-
-
-def _double_bracket(g: LieAlgebra):
-    """The rank-3 tensor [[e_i, e_j], e_k] up to one positive factor: over Z
-    from the integer structure table, sum_l Dc[i][j][l] Dc[l][k], that is D^2
-    times the tensor; by ``bracket`` without a table.  Its derivation rows
-    span the same space either way."""
-    n = g.dim
-    table = _integer_table(g)
-    if table is None:
-        return tensor(n, 3, lambda i, j, k: bracket(g, g.bracket_basis(i, j),
-                                                    basis_vector(n, k)))
-    C = table.dense
-    return tensor(n, 3, lambda i, j, k: tuple(
-        sum(C[i][j][l] * C[l][k][m] for l in range(n) if C[i][j][l])
-        for m in range(n)))
 
 
 def _skew_derivations(B: SymBilinearForm, T) -> list:

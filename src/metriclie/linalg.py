@@ -24,10 +24,11 @@ values are those of the field loop either way: Fractions are canonical.
 The homogeneous systems solved by ``nullspace`` are built over Z as well:
 scaling a row leaves its canonical RREF as it is.  The same per-algebra
 table keeps the dense ints D c[i][j][k]; the upper central series, the
-invariant-form system, the Killing form and the double bracket of the
-isotropy system read it, and the row builders that take a form or tensor
-scale it once with ``_integer_leaves``.  A QuadExt entry anywhere keeps the
-field loop.
+invariant-form system and the Killing form read it, and so does the one
+double bracket [[e_i, e_j], e_k] per algebra (exact Fractions, read by
+Jacobi, the 1/4-ad curvature check, the isometry check and the isotropy
+rows).  The row builders that take a form or tensor scale it once with
+``_integer_leaves``.  A QuadExt entry anywhere keeps the field loop.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from metriclie.algebra import (LieAlgebra, Subspace, bracket, center,
                                is_solvable, jacobi_check, lower_central,
                                upper_central)
 from metriclie.base import InputError
-from metriclie.catalog import get
+from metriclie.catalog import get, names
 from metriclie.linalg import basis_vector, identity_matrix, nullspace
 from metriclie.scalars import QuadExt
 
@@ -61,6 +61,15 @@ def test_jacobi_checked_once_per_algebra(monkeypatch):
     assert jacobi_check(g) is first
     # the memo is not part of the algebra's value
     assert g == LieAlgebra.from_brackets(3, [(0, 1, 2, 1)])
+
+
+def test_antisymmetry_failure_names_the_first_triple():
+    # only c[1][0][2] is wrong; the error names the i <= j side of the pair
+    table = [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
+    table[1][0][2] = 1
+    with pytest.raises(InputError) as exc:
+        LieAlgebra(3, table)
+    assert str(exc.value) == "structure constants not antisymmetric at (0,1,2)"
 
 
 def test_jacobi_tampered_fails():
@@ -183,6 +192,15 @@ def test_series_match_the_loops_they_replaced(g):
         assert lower_central(g, r) == _lower_central_loop(g, r)
         assert upper_central(g, r) == _upper_central_loop(g, r)
     assert is_solvable(g) == _is_solvable_loop(g)
+
+
+@pytest.mark.parametrize("name", names())
+def test_is_solvable_matches_all_ordered_pairs(name):
+    g = get(name).algebra
+    rng = random.Random(name)
+    for h in [g] + [change_of_basis(g, random_invertible(rng, g.dim))
+                    for _ in range(3)]:
+        assert is_solvable(h) == _is_solvable_loop(h)
 
 
 def test_series_built_once_per_algebra(monkeypatch):

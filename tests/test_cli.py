@@ -187,7 +187,7 @@ def test_jacobi_error_exit_3(capsys, tmp_path):
     })
     code, _, err = run(capsys, "report", path)
     assert code == 3
-    assert "triple" in err
+    assert err == f"error: {path}: Jacobi identity fails at basis triple (0, 1, 2)\n"
 
 
 def test_antisymmetry_conflict_is_parse_error(capsys, tmp_path):

@@ -4,8 +4,10 @@
 clear denominators once, work over the integers and build one Fraction per
 output entry when every entry is exactly a Fraction; any other scalar takes
 the field loop.  The homogeneous systems (the upper central series, the
-invariant-form and isotropy rows, the Killing form and the double bracket)
-are built over Z from the per-algebra integer structure table.  The field
+invariant-form and isotropy rows, the Killing form) and the double bracket
+[[e_i, e_j], e_k] that Jacobi, the 1/4-ad check, the isometry check and the
+isotropy rows read are built over Z from the per-algebra integer structure
+table.  The field
 loops are kept here as the oracle, and results are compared by ``repr`` so
 that types must match as well as values; row builders by their row space.
 """
@@ -18,13 +20,15 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metriclie import algebra, linalg
-from metriclie.algebra import (LieAlgebra, Subspace, _chain, _integer_table,
-                               bracket, change_of_basis, upper_central)
+from metriclie import algebra, connection, linalg
+from metriclie.algebra import (LieAlgebra, Subspace, _chain, _double_bracket,
+                               _integer_table, _jacobi_witness, add3, bracket,
+                               change_of_basis, jacobi_check, upper_central)
 from metriclie.catalog import get, names
-from metriclie.connection import (_derivation_rows, _double_bracket,
-                                  _skew_derivations, _skew_rows,
-                                  linearized_isotropy_dim)
+from metriclie.connection import (_derivation_rows, _skew_derivations,
+                                  _skew_rows, ahc_isometry_check,
+                                  biinvariant_curvature_check, curvature,
+                                  levi_civita, linearized_isotropy_dim)
 from metriclie.forms import (_form_from_coeffs, _skew_form_rows,
                              invariant_form_space, killing_form, transform_form)
 from metriclie.linalg import (basis_vector, contract, determinant, mat_mul,
@@ -403,11 +407,8 @@ def test_isotropy_systems_match_the_field_loops(case):
     entry = get(name)
     g = change_of_basis(entry.algebra, P)
     B = transform_form(entry.invariant_forms[METRICS[name]], P)
-    D = _integer_table(g)[0]
     dbl, want = _double_bracket(g), double_bracket_loop(g)
-    # the int double bracket is D^2 times the one built by bracket
-    assert repr(tensor(g.dim, 3, lambda i, j, k: tuple(
-        F(x, D * D) if x else F(0) for x in dbl[i][j][k]))) == repr(want)
+    assert repr(dbl) == repr(want)
     assert same_rows(_derivation_rows(g.structure, 2),
                      derivation_rows_loop(g.structure, 2))
     assert same_rows(_derivation_rows(dbl, 3), derivation_rows_loop(want, 3))
@@ -437,3 +438,107 @@ def test_quadext_structure_tables_keep_the_field_loops():
         B = entry.invariant_forms[form]
         assert repr(_double_bracket(gq)) == repr(double_bracket_loop(gq))
         assert linearized_isotropy_dim(gq, B) == len(isotropy_loop(gq, B)) == 3
+
+
+# --- the double bracket, kept once per algebra -------------------------------
+
+def jacobi_witness_loop(g):
+    """The Jacobi scan as it was: three brackets per triple i < j < k."""
+    n = g.dim
+    for i, j, k in itertools.combinations(range(n), 3):
+        s = add3(bracket_loop(g, g.bracket_basis(i, j), basis_vector(n, k)),
+                 bracket_loop(g, g.bracket_basis(j, k), basis_vector(n, i)),
+                 bracket_loop(g, g.bracket_basis(k, i), basis_vector(n, j)))
+        if any(s):
+            return (i, j, k)
+    return None
+
+
+@st.composite
+def antisymmetric_tables(draw):
+    """Random sparse antisymmetric structure constants, Jacobi mostly failing."""
+    n = draw(st.integers(1, 5))
+    cells = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+             for k in range(n)]
+    chosen = draw(st.lists(st.sampled_from(cells), max_size=3 * n,
+                           unique=True)) if cells else []
+    return LieAlgebra.from_brackets(n, [(i, j, k, draw(entries))
+                                        for i, j, k in chosen])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=antisymmetric_tables())
+def test_jacobi_witness_matches_the_bracket_loop(g):
+    assert _jacobi_witness(g) == jacobi_witness_loop(g)
+    assert repr(_double_bracket(g)) == repr(double_bracket_loop(g))
+
+
+def perturbed(g, i, j, k, delta):
+    """g with delta added to c[i][j][k] and subtracted from c[j][i][k]."""
+    c = [[list(cij) for cij in plane] for plane in g.structure]
+    c[i][j][k] += delta
+    c[j][i][k] -= delta
+    return LieAlgebra(g.dim, c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=big_basis_changes(), data=st.data())
+def test_jacobi_witness_after_a_big_basis_change(case, data):
+    name, P = case
+    g = change_of_basis(get(name).algebra, P)
+    assert _jacobi_witness(g) is None and jacobi_witness_loop(g) is None
+    if g.dim < 2:
+        return
+    i, j = sorted(data.draw(st.lists(st.integers(0, g.dim - 1), min_size=2,
+                                     max_size=2, unique=True)))
+    k = data.draw(st.integers(0, g.dim - 1))
+    bad = perturbed(g, i, j, k, data.draw(st.one_of(small, big)))
+    assert _jacobi_witness(bad) == jacobi_witness_loop(bad)
+
+
+def test_jacobi_witness_of_quadext_tables():
+    r2 = QuadExt(0, 1, 2)
+    failing = 0
+    for name in METRICS:
+        g = get(name).algebra
+        gq = LieAlgebra(g.dim, tuple(tuple(tuple(r2 * c if c else c for c in cij)
+                                           for cij in plane)
+                                     for plane in g.structure))
+        assert _jacobi_witness(gq) is None and jacobi_witness_loop(gq) is None
+        assert repr(_double_bracket(gq)) == repr(double_bracket_loop(gq))
+        for i, j, k in itertools.product(range(g.dim), repeat=3):
+            if i < j:
+                bad = perturbed(gq, i, j, k, r2)
+                want = jacobi_witness_loop(bad)
+                assert _jacobi_witness(bad) == want
+                failing += want is not None
+    assert failing
+
+
+def test_double_bracket_is_built_once_and_shared(monkeypatch):
+    entry = get("g0")
+    g = LieAlgebra(entry.algebra.dim, entry.algebra.structure, "g0")
+    twin = LieAlgebra(entry.algebra.dim, entry.algebra.structure, "g0")
+    B = entry.invariant_forms["gmatrix0"]
+    conn = levi_civita(g, B)
+    R = curvature(conn)
+    before = (hash(g), repr(g))
+
+    def refuse(*args):
+        raise AssertionError("bracket called")
+
+    # Jacobi and the 1/4-ad check read the tensor, not bracket
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "bracket", refuse)
+        m.setattr(connection, "bracket", refuse)
+        assert jacobi_check(g)
+        T = g.__dict__["_double_bracket"]
+        assert biinvariant_curvature_check(conn, R)
+    assert g.__dict__["_double_bracket"] is T
+    assert ahc_isometry_check(g, B, linalg.identity_matrix(4))
+    assert g.__dict__["_double_bracket"] is T
+    assert linearized_isotropy_dim(g, B) == 3
+    assert g.__dict__["_double_bracket"] is T and _double_bracket(g) is T
+    # the memo is no part of the algebra's value
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert (hash(g), repr(g)) == before
