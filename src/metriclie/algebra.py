@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .base import CheckResult, InputError, once
-from .linalg import (_fractions, _scaled, _unscaled, basis_vector, invert,
-                     is_zero_vector, mat, mat_vec, nullspace, row_space, solve,
-                     tensor, transpose, vec)
+from .linalg import (_scaled, _unscaled, basis_vector, invert, is_zero_vector,
+                     mat, mat_vec, nullspace, row_space, solve, tensor,
+                     transpose, vec)
 from .scalars import frac
 
 
@@ -91,11 +91,6 @@ class LieAlgebra:
                         raise InputError(
                             f"structure constants not antisymmetric at ({i},{j},{k})")
         object.__setattr__(self, "structure", c)
-        # nonzero (i, j, c[i][j]) with i < j, read by bracket; not a field, so
-        # equality and hashing stay those of (dim, structure, name)
-        object.__setattr__(self, "_nonzero", tuple(
-            (i, j, c[i][j]) for i in range(n) for j in range(i + 1, n)
-            if not is_zero_vector(c[i][j])))
 
     @staticmethod
     def from_brackets(dim: int, brackets: Iterable[tuple], name: str = "") -> "LieAlgebra":
@@ -133,27 +128,26 @@ class LieAlgebra:
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
-    """[x, y] in coordinates; exact and bilinear.  Fraction vectors on a
-    Fraction structure table are bracketed over Z (``_bracket_int``)."""
+    """[x, y] in coordinates; exact and bilinear.  Summed over Z from the
+    integer structure table, with x and y each scaled once (``_scaled``)."""
     x, y = vec(x), vec(y)
     if len(x) != g.dim or len(y) != g.dim:
         raise InputError("vector length does not match algebra dimension")
-    table = _integer_table(g)
-    if table is not None and _fractions(x) and _fractions(y):
-        return _bracket_int(table, x, y)
-    acc = [Fraction(0)] * g.dim
-    for i, j, cij in g._nonzero:
-        w = x[i] * y[j] - x[j] * y[i]
+    D, pairs = _integer_table(g)
+    xs, dx = _scaled(x)
+    ys, dy = _scaled(y)
+    acc = [0] * g.dim
+    for i, j, row in pairs:
+        w = xs[i] * ys[j] - xs[j] * ys[i]
         if w:
-            for k, ck in enumerate(cij):
-                if ck:
-                    acc[k] += w * ck
-    return tuple(acc)
+            for k, c in row:
+                acc[k] += w * c
+    return _unscaled(acc, D * dx * dy)
 
 
 class _IntegerTable(tuple):
-    """(D, pairs) as ``_bracket_int`` reads them, with ``dense`` beside them:
-    the same ints as nested tuples, dense[i][j][k] = D c[i][j][k].  dense
+    """(D, pairs) as ``bracket`` reads them, with ``dense`` beside them: the
+    same constants as nested tuples, dense[i][j][k] = D c[i][j][k].  dense
     follows from (D, pairs) and the dimension, so equality is the pair's."""
 
     def __new__(cls, D, pairs, dense):
@@ -162,36 +156,24 @@ class _IntegerTable(tuple):
         return table
 
 
-def _integer_table(g: LieAlgebra):
+def _integer_table(g: LieAlgebra) -> _IntegerTable:
     """(D, pairs) with ``dense``: D the lcm of the structure-constant
-    denominators and, for each i < j of ``_nonzero``, (i, j, ((k, D
-    c[i][j][k]) for c[i][j][k] != 0)); None when some constant is not a
-    Fraction.  One scaling, built once per algebra."""
+    denominators and, for each i < j with c[i][j] != 0, (i, j, ((k, D
+    c[i][j][k]) for c[i][j][k] != 0)).  Zeros are stored as int 0, so a
+    table whose constants are all rational is scaled to ints however its
+    zeros are spelled; a QuadExt constant gives D = 1 and the constants as
+    they are.  One scaling, built once per algebra."""
     def build():
         n = g.dim
-        flat = [c for plane in g.structure for cij in plane for c in cij]
-        if not _fractions(flat):
-            return None
-        ints, D = _scaled(flat)
+        ints, D = _scaled([c if c else 0 for plane in g.structure
+                           for cij in plane for c in cij])
         dense = tensor(n, 2, lambda i, j: tuple(ints[(i * n + j) * n:
                                                      (i * n + j + 1) * n]))
         return _IntegerTable(D, tuple(
             (i, j, tuple((k, c) for k, c in enumerate(dense[i][j]) if c))
-            for i, j, _ in g._nonzero), dense)
+            for i, j in itertools.combinations(range(n), 2) if any(dense[i][j])),
+            dense)
     return once(g, "_integer_table", build)
-
-
-def _bracket_int(table, x, y) -> tuple:
-    D, pairs = table
-    xs, dx = _scaled(x)
-    ys, dy = _scaled(y)
-    acc = [0] * len(xs)
-    for i, j, row in pairs:
-        w = xs[i] * ys[j] - xs[j] * ys[i]
-        if w:
-            for k, c in row:
-                acc[k] += w * c
-    return _unscaled(acc, D * dx * dy)
 
 
 def jacobi_check(g: LieAlgebra) -> CheckResult:
@@ -210,22 +192,21 @@ def _jacobi_witness(g: LieAlgebra):
 
 
 def _double_bracket(g: LieAlgebra) -> tuple:
-    """T[i][j][k] = [[e_i, e_j], e_k] in exact Fractions, built once per
-    algebra: over Z from the integer structure table, sum_l Dc[i][j][l]
-    Dc[l][k] over D^2 for each nonzero pair i < j, its (j, i) leaves negated
-    and one zero plane shared by the rest; by ``bracket`` without a table."""
+    """T[i][j][k] = [[e_i, e_j], e_k], exact, built once per algebra from the
+    integer structure table: sum_l Dc[i][j][l] Dc[l][k] over D^2 for each
+    nonzero pair i < j, over its nonzero terms only (an entry no term
+    reaches is Fraction(0)), its (j, i) leaves negated and one zero plane
+    shared by the rest."""
     def build():
         n = g.dim
         table = _integer_table(g)
-        if table is None:
-            return tensor(n, 3, lambda i, j, k: bracket(
-                g, g.bracket_basis(i, j), basis_vector(n, k)))
         D, pairs = table
         C, DD = table.dense, D * D
         zero = ((Fraction(0),) * n,) * n
         T = [[zero] * n for _ in range(n)]
         for i, j, row in pairs:
-            T[i][j] = tuple(_unscaled([sum(c * C[l][k][m] for l, c in row)
+            T[i][j] = tuple(_unscaled([sum(c * C[l][k][m] for l, c in row
+                                           if C[l][k][m])
                                        for m in range(n)], DD) for k in range(n))
             T[j][i] = tuple(tuple(-x if x else x for x in leaf) for leaf in T[i][j])
         return tuple(map(tuple, T))
@@ -264,22 +245,17 @@ def lower_central(g: LieAlgebra, r: int) -> Subspace:
 
 def upper_central(g: LieAlgebra, r: int) -> Subspace:
     """C_r: C_0 = 0, C_r = {x : [x, g] in C_(r-1)}; built once per algebra,
-    over Z from the integer structure table when there is one."""
+    over Z from the integer structure table."""
     if r < 0:
         raise InputError("r must be nonnegative")
     n = g.dim
-    table = _integer_table(g)
+    C = _integer_table(g).dense
 
     def step(c):
-        ann = nullspace(c.basis, ncols=n)
-        C, zero = g.structure, Fraction(0)
-        if table is not None:
-            # rows over Z: each annihilator vector scaled to ints
-            C, zero = table.dense, 0
-            ann = [_scaled(a)[0] for a in ann]
-        # x -> [x, e_j] has matrix M with M[k][i] = c[i][j][k]
-        rows = [tuple(sum((a[k] * C[i][j][k] for k in range(n)), start=zero)
-                      for i in range(n))
+        # each annihilator vector scaled to ints; x -> [x, e_j] has matrix M
+        # with M[k][i] = c[i][j][k]
+        ann = [_scaled(a)[0] for a in nullspace(c.basis, ncols=n)]
+        rows = [tuple(sum(a[k] * C[i][j][k] for k in range(n)) for i in range(n))
                 for j in range(n) for a in ann]
         return Subspace.span(nullspace(rows, ncols=n), n)
 
@@ -305,7 +281,7 @@ def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_abelian(g: LieAlgebra) -> bool:
-    return not g._nonzero
+    return not _integer_table(g)[1]
 
 
 def is_solvable(g: LieAlgebra) -> bool:

@@ -442,13 +442,14 @@ def _skew_derivations(B: SymBilinearForm, T) -> list:
 def _skew_rows(B: SymBilinearForm) -> set:
     """Nonzero rows of <Sx, y> + <x, Sy> = 0 on basis pairs x <= y, for an
     unknown matrix S stored row-major at a*n + b.  A rational B is scaled
-    by one common denominator and gives int rows (``_integer_leaves``)."""
+    by one common denominator and gives int rows (``_integer_leaves``); each
+    row starts at int 0."""
     n = B.dim
-    M, zero = _integer_leaves(B.matrix, 1)
+    M = _integer_leaves(B.matrix, 1)
     rows = set()
     for i in range(n):
         for j in range(i, n):
-            row = [zero] * (n * n)
+            row = [0] * (n * n)
             for l in range(n):
                 row[l * n + i] += M[l][j]
                 row[l * n + j] += M[i][l]
@@ -465,11 +466,11 @@ def _derivation_rows(T, p: int) -> set:
     T must be antisymmetric in its first two slots.  Only i_1 < i_2 is
     visited: the rows with i_1 = i_2 vanish and each (i_2, i_1, ..) row is
     the negative of an (i_1, i_2, ..) row, so the row space is unchanged.
-    A rational T is scaled by one common denominator and gives int rows;
-    int leaves are taken as they are (``_integer_leaves``).
+    A rational T is scaled by one common denominator and gives int rows
+    (``_integer_leaves``); each row starts at int 0.
     """
     n = len(T)
-    T, zero = _integer_leaves(T, p)
+    T = _integer_leaves(T, p)
 
     def at(key):
         return reduce(operator.getitem, key, T)
@@ -482,7 +483,7 @@ def _derivation_rows(T, p: int) -> set:
             terms = [(l * n + i_s, at(idx[:s] + (l,) + idx[s + 1:]))
                      for s, i_s in enumerate(idx) for l in range(n)]
             for comp in range(n):
-                row = [zero] * (n * n)
+                row = [0] * (n * n)
                 for l, v in enumerate(image):
                     if v:
                         row[comp * n + l] += v

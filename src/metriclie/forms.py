@@ -178,14 +178,15 @@ def _skew_form_rows(n: int, maps) -> set:
     in the unknowns of ``_pair_index(n)``; each A is given by its images
     A[x] of the basis vectors.  Only pairs x <= y are visited: the (y, x)
     row is the same row.  Rational maps are scaled by one common
-    denominator and give int rows (``_integer_leaves``)."""
+    denominator and give int rows (``_integer_leaves``); each row starts at
+    int 0."""
     index = {p: c for c, p in enumerate(_pair_index(n))}
-    maps, zero = _integer_leaves(maps, 2)
+    maps = _integer_leaves(maps, 2)
     rows = set()
     for A in maps:
         for x in range(n):
             for y in range(x, n):
-                row = [zero] * len(index)
+                row = [0] * len(index)
                 for l in range(n):
                     if A[x][l]:
                         row[index[min(l, y), max(l, y)]] += A[x][l]
@@ -218,12 +219,10 @@ def invariant_form_space(g: LieAlgebra) -> list[SymBilinearForm]:
     homogeneous linear system in the n(n+1)/2 unknowns b_ij; this returns
     its exact nullspace.  Every returned form passes ``is_ad_invariant`` and
     every ad-invariant form is a combination of the returned ones.  The
-    rows are built over Z from the integer structure table when there is
-    one.
+    rows are built over Z from the integer structure table.
     """
     n = g.dim
-    table = _integer_table(g)
-    rows = _skew_form_rows(n, g.structure if table is None else table.dense)
+    rows = _skew_form_rows(n, _integer_table(g).dense)
     basis = nullspace(list(rows), ncols=n * (n + 1) // 2)
     return [_form_from_coeffs(n, b) for b in basis]
 
@@ -319,21 +318,17 @@ def _simplex_lattice(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def killing_form(g: LieAlgebra) -> SymBilinearForm:
     """K(x, y) = trace(ad x . ad y); always ad-invariant.  ad(e_i) has
-    entries c[i][s][r], so with the integer structure table each trace is
-    summed over Z, then scaled by 1/D^2."""
+    entries c[i][s][r], so each trace is summed over the integer structure
+    table, then scaled by 1/D^2."""
     n = g.dim
     table = _integer_table(g)
-    if table is None:
-        ads = [g.ad(basis_vector(n, i)) for i in range(n)]
-        zero, scale = Fraction(0), 1
-    else:
-        ads = [transpose(plane) for plane in table.dense]
-        zero, scale = 0, Fraction(1, table[0] ** 2)
+    ads = [transpose(plane) for plane in table.dense]
+    scale = Fraction(1, table[0] ** 2)
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            tr = scale * sum((ads[i][r][s] * ads[j][s][r]
-                              for r in range(n) for s in range(n)), start=zero)
+            tr = scale * sum(ads[i][r][s] * ads[j][s][r]
+                             for r in range(n) for s in range(n))
             m[i][j] = tr
             m[j][i] = tr
     return SymBilinearForm(n, m)

@@ -12,23 +12,26 @@ is unique, so both give the same rows and pivots.
 
 The kernels under the tensor layer work the same way.  ``_scaled`` turns a
 sequence of ints and Fractions into integers over their lcm denominator,
-once; ``_unscaled`` builds one Fraction per nonzero output entry.  When
-every entry is exactly a Fraction (what ``vec`` and ``mat`` produce),
-``mat_vec`` takes one denominator for the matrix and one for the vector
-(``_mat_vec_int``; ``mat_mul`` is its columns) and ``contract`` one for the
-weights and one for the leaves it visits (``_contract_int``);
-``algebra.bracket`` reads an integer structure table kept per algebra.  Any
-other entry (int, bool, QuadExt) takes the field loop, so result types and
-values are those of the field loop either way: Fractions are canonical.
+once; a sequence with a QuadExt entry is used as it is, at scale 1.
+``_unscaled`` builds one Fraction per nonzero output entry, and an entry
+that met a QuadExt keeps its type.  So ``contract`` (one denominator for
+the weights, one for the leaves it visits) and ``algebra.bracket`` (an
+integer structure table kept per algebra) have one loop for Q and
+Q(sqrt d) alike, and Fractions come out canonical.  ``mat_vec`` takes the
+integer kernel only when every entry is exactly a Fraction (one denominator
+for the matrix, one for the vector; ``mat_mul`` is its columns), so int
+input keeps its type there.
 
 The homogeneous systems solved by ``nullspace`` are built over Z as well:
 scaling a row leaves its canonical RREF as it is.  The same per-algebra
-table keeps the dense ints D c[i][j][k]; the upper central series, the
+table keeps the dense constants D c[i][j][k] (D = 1 and the constants as
+they are when one is a QuadExt); the upper central series, the
 invariant-form system and the Killing form read it, and so does the one
 double bracket [[e_i, e_j], e_k] per algebra (exact Fractions, read by
 Jacobi, the 1/4-ad curvature check, the isometry check and the isotropy
 rows).  The row builders that take a form or tensor scale it once with
-``_integer_leaves``.  A QuadExt entry anywhere keeps the field loop.
+``_integer_leaves``; rows start at int 0, which ``_rref_generic`` reads
+as Fraction(0).
 """
 
 from __future__ import annotations
@@ -72,8 +75,12 @@ def basis_vector(n, i) -> Vector:
 
 def _scaled(xs) -> tuple[list, int]:
     """(ints, d) with xs[i] == ints[i] / d and d the lcm of the denominators,
-    for a sequence of ints and Fractions."""
-    dens = [x.denominator for x in xs]
+    for a sequence of ints and Fractions.  An entry with no denominator (a
+    QuadExt) leaves the sequence as it is, at scale 1."""
+    try:
+        dens = [x.denominator for x in xs]
+    except AttributeError:
+        return list(xs), 1
     d = lcm(*dens)
     if d == 1:
         return [x.numerator for x in xs], 1
@@ -83,38 +90,32 @@ def _scaled(xs) -> tuple[list, int]:
 _ZERO = Fraction(0)
 
 
-def _unscaled(ints, d) -> Vector:
-    """The Fractions ints[i] / d, one construction per nonzero entry."""
-    return tuple(Fraction(a, d) if a else _ZERO for a in ints)
+def _unscaled(acc, d) -> Vector:
+    """The Fractions acc[i] / d, one construction per nonzero entry; an
+    entry that met a QuadExt keeps its type, zero or not."""
+    return tuple(a / d if type(a) is QuadExt else Fraction(a, d) if a else _ZERO
+                 for a in acc)
 
 
 def _integer_leaves(T, p):
-    """(T', zero) for a row builder of a homogeneous system on the rank-p
-    tensor T (nested sequences whose leaves are coefficient vectors).
-
-    When every leaf entry is an int or a Fraction, T' is T with all entries
-    times one common denominator, as ints, and zero is 0; an int-only T is
-    taken as it is.  A scaled row spans the same row space, so the
-    nullspace does not change.  Otherwise T' is T and zero is Fraction(0),
-    which keeps the field loop.
+    """T for a row builder of a homogeneous system on the rank-p tensor T
+    (nested sequences whose leaves are coefficient vectors), with all
+    entries times one common denominator, as ints, when every leaf entry is
+    an int or a Fraction.  A scaled row spans the same row space, so the
+    nullspace does not change.  A QuadExt entry anywhere leaves every entry
+    as it is (scale 1).
     """
     leaves = [T]
     for _ in range(p):
         leaves = [sub for part in leaves for sub in part]
-    flat = [x for leaf in leaves for x in leaf]
-    types = set(map(type, flat))
-    if types <= {int}:
-        return T, 0
-    if not types <= {int, Fraction}:
-        return T, _ZERO
-    ints = iter(_scaled(flat)[0])
+    ints = iter(_scaled([x for leaf in leaves for x in leaf])[0])
 
     def rebuild(part, depth):
         if depth == p:
             return tuple(next(ints) for _ in part)
         return tuple(rebuild(sub, depth + 1) for sub in part)
 
-    return rebuild(T, 0), 0
+    return rebuild(T, 0)
 
 
 def _fractions(xs) -> bool:
@@ -180,31 +181,12 @@ def contract(T, vectors) -> Vector:
     where T is stored as nested tuples whose leaves T[i_1]..[i_p] are
     coefficient vectors.  Zero coefficients are skipped at every level, so
     sparse arguments (basis vectors above all) cost little; all-zero input
-    gives the zero vector of the leaf length.
+    gives the zero vector of the leaf length.  Over Z: each vector shares
+    one denominator, the leaves visited another (``_scaled``).
     """
     leaf = T
     for _ in vectors:
         leaf = leaf[0]
-    if all(_fractions(x) for x in vectors):
-        out = _contract_int(T, vectors, len(leaf))
-        if out is not None:
-            return out
-    acc = [Fraction(0)] * len(leaf)
-    terms = [(T, 1)]
-    for x in vectors:
-        terms = [(sub, w * xi) for part, w in terms
-                 for xi, sub in zip(x, part) if xi]
-    for leaf, w in terms:
-        for k, c in enumerate(leaf):
-            if c:
-                acc[k] += w * c
-    return tuple(acc)
-
-
-def _contract_int(T, vectors, width):
-    """contract over Z for Fraction vectors: the weights share one
-    denominator, the leaves visited another.  None when a visited leaf is
-    not a Fraction vector of the given width."""
     terms = [(T, 1)]
     den = 1
     for x in vectors:
@@ -212,17 +194,14 @@ def _contract_int(T, vectors, width):
         den *= d
         terms = [(sub, w * xi) for part, w in terms
                  for xi, sub in zip(xs, part) if xi]
-    if any(len(leaf) != width for leaf, _ in terms):
-        return None
-    flat = [c for leaf, _ in terms for c in leaf]
-    if not _fractions(flat):
-        return None
-    flat, d = _scaled(flat)
-    acc = [0] * width
-    for t, (_, w) in enumerate(terms):
-        for k, c in enumerate(flat[t * width:t * width + width]):
+    flat, d = _scaled([c for leaf, _ in terms for c in leaf])
+    acc = [0] * len(leaf)
+    start = 0
+    for leaf, w in terms:
+        for k, c in enumerate(flat[start:start + len(leaf)]):
             if c:
                 acc[k] += w * c
+        start += len(leaf)
     return _unscaled(acc, den * d)
 
 

@@ -2,14 +2,16 @@
 
 ``bracket``, ``contract`` and ``mat_vec`` (and ``mat_mul``, its columns)
 clear denominators once, work over the integers and build one Fraction per
-output entry when every entry is exactly a Fraction; any other scalar takes
-the field loop.  The homogeneous systems (the upper central series, the
-invariant-form and isotropy rows, the Killing form) and the double bracket
-[[e_i, e_j], e_k] that Jacobi, the 1/4-ad check, the isometry check and the
-isotropy rows read are built over Z from the per-algebra integer structure
-table.  The field
-loops are kept here as the oracle, and results are compared by ``repr`` so
-that types must match as well as values; row builders by their row space.
+output entry.  ``bracket`` and ``contract`` take Q(sqrt d) input through the
+same loop: a sequence with a QuadExt entry is used as it is (scale 1), and
+an output entry that met a QuadExt stays one.  ``mat_vec`` keeps its field
+loop for anything but all-Fraction input.  The homogeneous systems (the
+upper central series, the invariant-form and isotropy rows, the Killing
+form) and the double bracket [[e_i, e_j], e_k] that Jacobi, the 1/4-ad
+check, the isometry check and the isotropy rows read are built from the
+per-algebra integer structure table.  The field loops are kept here as the
+oracle, and results are compared by ``repr`` so that types must match as
+well as values; row builders by their row space.
 """
 
 import itertools
@@ -23,7 +25,8 @@ from hypothesis import given, settings, strategies as st
 from metriclie import algebra, connection, linalg
 from metriclie.algebra import (LieAlgebra, Subspace, _chain, _double_bracket,
                                _integer_table, _jacobi_witness, add3, bracket,
-                               change_of_basis, jacobi_check, upper_central)
+                               change_of_basis, jacobi_check, lower_central,
+                               upper_central)
 from metriclie.catalog import get, names
 from metriclie.connection import (_derivation_rows, _skew_derivations,
                                   _skew_rows, ahc_isometry_check,
@@ -39,10 +42,10 @@ from metriclie.scalars import QuadExt
 def bracket_loop(g, x, y):
     x, y = vec(x), vec(y)
     acc = [F(0)] * g.dim
-    for i, j, cij in g._nonzero:
+    for i, j in itertools.combinations(range(g.dim), 2):
         w = x[i] * y[j] - x[j] * y[i]
         if w:
-            for k, ck in enumerate(cij):
+            for k, ck in enumerate(g.structure[i][j]):
                 if ck:
                     acc[k] += w * ck
     return tuple(acc)
@@ -167,6 +170,10 @@ def test_contract_with_quadext_leaves_takes_the_field_loop():
     T = ((F(1), r2), (F(1, 2), F(0)))
     for x in ((F(1), F(0)), (F(0), F(1)), (F(1, 3), F(-2))):
         assert repr(contract(T, (x,))) == repr(contract_loop(T, (x,)))
+    # an entry that met a QuadExt stays one, also when it cancels to zero
+    for T, x in ((((F(1),), (F(-1),)), ((r2, r2),)),
+                 (((r2,), (-r2,)), ((F(1), F(1)),))):
+        assert repr(contract(T, x)) == repr(contract_loop(T, x)) == "(0,)"
 
 
 def test_contract_of_catalog_structure_tables():
@@ -180,6 +187,72 @@ def test_contract_of_catalog_structure_tables():
                     repr(contract_loop(g.structure, vs))
                 assert repr(contract(g.structure, vs[::-1])) == \
                     repr(contract_loop(g.structure, vs[::-1]))
+
+
+# --- Q(sqrt 2) through the same loops ----------------------------------------
+
+R2 = QuadExt(0, 1, 2)
+QZERO = QuadExt(0, 0, 2)
+# irrational values, rational values spelled in Q(sqrt 2), and its zero
+quad = st.one_of(st.builds(lambda a, b: QuadExt(a, b, 2), small, small),
+                 st.just(QZERO))
+
+
+def spelled(g, f):
+    """g with every structure constant c replaced by f(c)."""
+    return LieAlgebra(g.dim, tuple(tuple(tuple(f(c) for c in cij)
+                                         for cij in plane)
+                                   for plane in g.structure))
+
+
+@st.composite
+def quad_tables(draw):
+    """A catalog algebra as it is, or scaled by sqrt(2) ([x, y]' = sqrt(2)
+    [x, y]) with its zeros spelled as Fraction(0) or as QuadExt(0, 0, 2)."""
+    g = get(draw(st.sampled_from(names()))).algebra
+    zero = draw(st.sampled_from((None, F(0), QZERO)))
+    return g if zero is None else spelled(g, lambda c: R2 * c if c else zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), g=quad_tables())
+def test_bracket_and_contract_of_quadratic_field_input(data, g):
+    n = g.dim
+    x, y = (data.draw(vectors(n, st.one_of(entries, quad))) for _ in range(2))
+    assert repr(bracket(g, x, y)) == repr(bracket_loop(g, x, y))
+    for vs in ((x, y), (y, basis_vector(n, 0)), (basis_vector(n, n - 1), x)):
+        assert repr(contract(g.structure, vs)) == \
+            repr(contract_loop(g.structure, vs))
+    assert repr(contract(g.structure[0], (x,))) == \
+        repr(contract_loop(g.structure[0], (x,)))
+
+
+def test_contract_of_ragged_leaves():
+    # each visited leaf is walked by its own length
+    T = ((F(1), F(2)), (F(3),))
+    x = ((F(1), F(1)),)
+    assert contract(T, x) == (F(4, 1), F(2, 1))
+    assert repr(contract(T, x)) == repr(contract_loop(T, x))
+
+
+def test_zeros_spelled_in_the_quadratic_field_answer_as_fractions():
+    # a rational table with its zeros written QuadExt(0, 0, 2) is scaled as
+    # the same table in Fractions, and every answer is the Fraction one
+    for name in ("g0", "aff", "h3"):
+        g = get(name).algebra
+        gz = spelled(g, lambda c: c if c else QZERO)
+        n = g.dim
+        vs = [basis_vector(n, i) for i in range(n)]
+        vs.append(tuple(F(i - 1, 2) for i in range(n)))
+        for x, y in itertools.product(vs, repeat=2):
+            assert repr(bracket(gz, x, y)) == repr(bracket(g, x, y))
+        for series in (lower_central, upper_central):
+            assert repr([series(gz, r) for r in range(n + 1)]) == \
+                repr([series(g, r) for r in range(n + 1)])
+        assert repr(invariant_form_space(gz)) == repr(invariant_form_space(g))
+        assert repr(killing_form(gz)) == repr(killing_form(g))
+        assert repr(_double_bracket(gz)) == repr(_double_bracket(g))
+        assert repr(jacobi_check(gz)) == repr(jacobi_check(g))
 
 
 @st.composite
@@ -214,12 +287,10 @@ def test_integer_kernel_dispatch(monkeypatch):
     def refuse(*args):
         raise AssertionError("wrong kernel")
 
-    for module, name in ((linalg, "_mat_vec_int"), (linalg, "_contract_int"),
-                         (algebra, "_bracket_int")):
-        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(linalg, "_mat_vec_int", refuse)
     r2 = QuadExt(0, 1, 2)
     g = get("g0").algebra
-    # QuadExt input takes the field loop
+    # QuadExt input gives the field loop's answers
     x = (F(1), r2, F(0), F(1, 2))
     assert repr(bracket(g, x, basis_vector(4, 1))) == \
         repr(bracket_loop(g, x, basis_vector(4, 1)))
@@ -237,12 +308,7 @@ def test_integer_kernel_dispatch(monkeypatch):
     assert repr(mat_vec(((True, 0),), (F(1), F(1)))) == "(Fraction(1, 1),)"
     assert repr(contract(((1, 2), (3, 4)), ((1, 0),))) == \
         "(Fraction(1, 1), Fraction(2, 1))"
-    # the reverse: all-Fraction input reaches the integer kernels
-    E = basis_vector(4, 0)
-    with pytest.raises(AssertionError, match="wrong kernel"):
-        bracket(g, E, basis_vector(4, 1))
-    with pytest.raises(AssertionError, match="wrong kernel"):
-        contract(g.structure, (E, E))
+    # the reverse: all-Fraction input reaches the integer kernel
     with pytest.raises(AssertionError, match="wrong kernel"):
         mat_vec(((F(1),),), (F(1),))
     with pytest.raises(AssertionError, match="wrong kernel"):
@@ -335,9 +401,15 @@ def derivation_rows_loop(T, p):
     return rows
 
 
+def ad_loop(g, i):
+    n = g.dim
+    return tuple(zip(*(bracket_loop(g, basis_vector(n, i), basis_vector(n, j))
+                       for j in range(n))))
+
+
 def killing_loop(g):
     n = g.dim
-    ads = [g.ad(basis_vector(n, i)) for i in range(n)]
+    ads = [ad_loop(g, i) for i in range(n)]
     m = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -349,8 +421,8 @@ def killing_loop(g):
 
 def double_bracket_loop(g):
     n = g.dim
-    return tensor(n, 3, lambda i, j, k: bracket(g, g.bracket_basis(i, j),
-                                                basis_vector(n, k)))
+    return tensor(n, 3, lambda i, j, k: bracket_loop(g, g.bracket_basis(i, j),
+                                                     basis_vector(n, k)))
 
 
 def invariant_forms_loop(g):
@@ -424,11 +496,11 @@ def test_quadext_structure_tables_keep_the_field_loops():
         entry = get(name)
         g = entry.algebra
         # [x, y]' = sqrt(2) [x, y] is a Lie algebra with the same invariant
-        # forms; its constants are QuadExt, so there is no integer table
+        # forms; its constants are QuadExt, so its table is unscaled
         gq = LieAlgebra(g.dim, tuple(tuple(tuple(r2 * c if c else c for c in cij)
                                            for cij in plane)
                                      for plane in g.structure))
-        assert _integer_table(gq) is None
+        assert _integer_table(gq)[0] == 1
         n = g.dim
         assert repr(tuple(upper_central(gq, r) for r in range(n + 1))) == \
             repr(upper_central_loop(gq))
