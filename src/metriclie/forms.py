@@ -3,8 +3,9 @@
 Degenerate forms are first-class values here: most of the structure theory
 in low dimensions runs on degeneracy arguments, so nothing silently assumes
 an invertible matrix.  Nondegeneracy claims are certified exactly: "yes" by
-an explicit witness, "no" by the determinant of the generic invariant form
-vanishing on the simplex lattice.
+an explicit witness (a cheap candidate or the first simplex-lattice point
+with a nonzero determinant), "no" by the determinant of the generic
+invariant form vanishing on the whole simplex lattice.
 
 The lattice certificate.  For a basis B_1..B_k of the invariant forms of an
 n-dimensional algebra, p(t) = det(sum t_i B_i) is homogeneous of degree n.
@@ -236,9 +237,9 @@ class FormSearch:
     lattice {t in Z^k : t >= 0, sum t = n}, which proves it vanishes
     identically (see the module docstring): unisolvence of the principal
     lattice (Chung and Yao 1977) makes it zero on sum t = n, and homogeneity
-    of degree n on every other sum t = c != 0.  ``grid_points_checked`` counts the determinants
-    taken after the cheap candidates: on "no" the C(n+k-1, k-1) lattice
-    points, on "yes" the points of the (n+1)^k grid walked up to the witness
+    of degree n on every other sum t = c != 0.  ``grid_points_checked``
+    counts the lattice points walked after the cheap candidates: on "no"
+    all C(n+k-1, k-1) of them, on "yes" the 1-based index of the witness
     (0 when a cheap candidate was nondegenerate).
     """
 
@@ -248,20 +249,13 @@ class FormSearch:
     grid_points_checked: int = 0
 
 
-def _combination(space, coeffs) -> SymBilinearForm:
-    n = space[0].dim
-    return SymBilinearForm(n, [
-        contract(tuple(B.matrix[i] for B in space), (coeffs,))
-        for i in range(n)])
-
-
 def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
     """Search the invariant-form space for a nondegenerate element.
 
     Cheap candidates (identity-in-span, basis elements, a weighted sum) are
-    tried first.  Then the simplex lattice decides: if every determinant
-    there vanishes the answer is a certified "no"; otherwise the witness is
-    the first nondegenerate point of the (n+1)^k grid in lexicographic order.
+    tried first.  Then the simplex lattice decides in one walk: the first
+    point t with det(sum t_i B_i) != 0 is the witness, and if every
+    determinant there vanishes the answer is a certified "no".
     A lattice of more than MAX_LATTICE_POINTS points raises InputError
     before its first determinant.  The search runs once per algebra.
     """
@@ -285,26 +279,23 @@ def _search_span(space: list[SymBilinearForm]) -> FormSearch:
         candidates.append(combo)
     candidates += [basis_vector(k, t) for t in range(k)]
     candidates.append(tuple(Fraction(t + 1) for t in range(k)))
-    for coeffs in candidates:
-        B = _combination(space, coeffs)
-        if B.is_nondegenerate():
-            return FormSearch(True, B, k)
     points = math.comb(n + k - 1, k - 1)
-    if points > MAX_LATTICE_POINTS:
-        raise InputError(
-            f"deciding the {k}-dim invariant-form space takes {points} lattice "
-            f"determinants, more than {MAX_LATTICE_POINTS}")
-    # det(sum t_i B_i) from the rows of the B_i, without building each form
+
+    def walk():
+        yield from ((0, coeffs) for coeffs in candidates)
+        if points > MAX_LATTICE_POINTS:
+            raise InputError(
+                f"deciding the {k}-dim invariant-form space takes {points} "
+                f"lattice determinants, more than {MAX_LATTICE_POINTS}")
+        yield from enumerate(_simplex_lattice(n, k), start=1)
+
+    # det(sum t_i B_i) from the rows of the B_i; only a witness becomes a form
     rows = [tuple(B.matrix[i] for B in space) for i in range(n)]
-    if not any(determinant([contract(r, (t,)) for r in rows])
-               for t in _simplex_lattice(n, k)):
-        return FormSearch(False, None, k, points)
-    for checked, coeffs in enumerate(
-            itertools.product(range(n + 1), repeat=k), start=1):
-        B = _combination(space, [Fraction(c) for c in coeffs])
-        if B.is_nondegenerate():
-            return FormSearch(True, B, k, checked)
-    raise AssertionError("a nonzero determinant polynomial vanished on the grid")
+    for checked, t in walk():
+        M = [contract(r, (t,)) for r in rows]
+        if determinant(M):
+            return FormSearch(True, SymBilinearForm(n, M), k, checked)
+    return FormSearch(False, None, k, points)
 
 
 def _simplex_lattice(n: int, k: int) -> Iterator[tuple[int, ...]]:

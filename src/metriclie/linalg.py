@@ -51,7 +51,9 @@ Matrix = tuple
 
 
 def _coerce(x):
-    return x if isinstance(x, QuadExt) else frac(x)
+    if isinstance(x, QuadExt):
+        return x if x.b else x.a  # a rational value is stored as a Fraction
+    return frac(x)
 
 
 def vec(entries) -> Vector:

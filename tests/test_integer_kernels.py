@@ -34,8 +34,9 @@ from metriclie.connection import (_derivation_rows, _skew_derivations,
                                   levi_civita, linearized_isotropy_dim)
 from metriclie.forms import (_form_from_coeffs, _skew_form_rows,
                              invariant_form_space, killing_form, transform_form)
-from metriclie.linalg import (basis_vector, contract, determinant, mat_mul,
-                              mat_vec, nullspace, row_space, tensor, vec)
+from metriclie.linalg import (basis_vector, contract, determinant, mat,
+                              mat_mul, mat_vec, nullspace, row_space, tensor,
+                              vec)
 from metriclie.scalars import QuadExt
 
 
@@ -505,11 +506,25 @@ def test_quadext_structure_tables_keep_the_field_loops():
         assert repr(tuple(upper_central(gq, r) for r in range(n + 1))) == \
             repr(upper_central_loop(gq))
         assert repr(invariant_form_space(gq)) == repr(invariant_forms_loop(gq))
-        assert repr(killing_form(gq).matrix) == \
-            repr(tuple(map(tuple, killing_loop(gq))))
+        # the traces are rational (b == 0), so the form holds Fractions
+        assert repr(killing_form(gq).matrix) == repr(mat(killing_loop(gq)))
         B = entry.invariant_forms[form]
         assert repr(_double_bracket(gq)) == repr(double_bracket_loop(gq))
         assert linearized_isotropy_dim(gq, B) == len(isotropy_loop(gq, B)) == 3
+
+
+def test_rational_constants_from_the_quadratic_field_are_fractions():
+    # e0 -> sqrt(2) e0 - e3 on r+sl2: mat_vec builds every new constant in
+    # Q(sqrt 2), yet each one is rational, so the table is scaled over Z
+    r2 = QuadExt(0, 1, 2)
+    P = ((r2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 1))
+    g = change_of_basis(get("r+sl2").algebra, P)
+    assert all(type(c) is F for plane in g.structure for cij in plane
+               for c in cij)
+    assert {c for plane in g.structure for cij in plane for c in cij} == \
+        {-2, -1, 0, 1, 2}
+    assert all(type(c) is int for plane in _integer_table(g).dense
+               for row in plane for c in row)
 
 
 # --- the double bracket, kept once per algebra -------------------------------

@@ -1,5 +1,5 @@
-"""The simplex-lattice certificate of ``has_nondegenerate_invariant_form``
-against the full (n+1)^k grid search it replaced, kept here as the oracle.
+"""The simplex-lattice walk of ``has_nondegenerate_invariant_form`` against
+the full (n+1)^k grid search it replaced, kept here as the oracle.
 
 The grid search proves "no" by Alon's Combinatorial Nullstellensatz: the
 determinant has degree at most n in each coefficient and the grid has n+1
@@ -21,11 +21,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from metriclie import cli, forms
 from metriclie.algebra import LieAlgebra, change_of_basis
-from metriclie.forms import (FormSearch, SymBilinearForm, _combination,
-                             _search_span,
+from metriclie.forms import (FormSearch, SymBilinearForm, _search_span,
+                             _simplex_lattice,
                              has_nondegenerate_invariant_form,
                              invariant_form_space, is_ad_invariant)
-from metriclie.linalg import basis_vector, determinant, mat, solve
+from metriclie.linalg import basis_vector, contract, determinant, mat, solve
 
 from conftest import random_invertible
 
@@ -38,6 +38,13 @@ GRID_SOURCES = {
     "h3+R": [(0, 1, 2, 1)],
     "aff+R2": [(0, 1, 1, 1)],
 }
+
+
+def _combination(space, coeffs) -> SymBilinearForm:
+    n = space[0].dim
+    return SymBilinearForm(n, [
+        contract(tuple(B.matrix[i] for B in space), (coeffs,))
+        for i in range(n)])
 
 
 def _grid_search_span(space):
@@ -68,17 +75,34 @@ def _grid_search_span(space):
 
 def _assert_same_search(g):
     got = has_nondegenerate_invariant_form(g)
-    want = _grid_search_span(invariant_form_space(g))
+    space = invariant_form_space(g)
+    want = _grid_search_span(space)
     assert got.found == want.found
     assert got.space_dim == want.space_dim
-    if got.found:
-        # a "yes" keeps the old witness and the old grid count
+    if got.found and got.grid_points_checked == 0:
+        # a cheap candidate's "yes" keeps the old witness
         assert got == want
+    if got.found:
         assert got.witness.is_nondegenerate() and is_ad_invariant(g, got.witness)
+        _assert_first_lattice_witness(space, got)
     elif got.space_dim:
         assert got.grid_points_checked == comb(g.dim + got.space_dim - 1,
                                                got.space_dim - 1)
     return got
+
+
+def _assert_first_lattice_witness(space, search):
+    """A "yes" after the cheap candidates is the form at lattice point
+    ``grid_points_checked``, and every earlier lattice point is degenerate."""
+    if search.grid_points_checked == 0:
+        return
+    n, k = space[0].dim, len(space)
+    walked = list(itertools.islice(_simplex_lattice(n, k),
+                                   search.grid_points_checked))
+    assert len(walked) == search.grid_points_checked
+    assert search.witness == _combination(space, walked[-1])
+    assert not any(_combination(space, t).is_nondegenerate()
+                   for t in walked[:-1])
 
 
 @pytest.mark.parametrize("name", sorted(GRID_SOURCES))
@@ -130,18 +154,54 @@ def test_identically_singular_span_without_common_kernel():
     assert _grid_search_span(space) == FormSearch(False, None, 2, 16)
 
 
-def test_cheap_candidates_degenerate_then_lattice_then_grid():
+def test_cheap_candidates_degenerate_then_lattice():
     # det(t1 B1 + t2 B2) = t1 t2 (t2 - 2 t1): zero at both basis elements and
     # at the weighted sum (1, 2); the identity is not in the span
     space = [SymBilinearForm(3, ((1, 0, 0), (0, 0, 0), (0, 0, -2))),
              SymBilinearForm(3, ((0, 0, 0), (0, 1, 0), (0, 0, 1)))]
     search = _search_span(space)
+    assert search.found and _grid_search_span(space).found
+    # the lattice walks (0, 3), (1, 2), (2, 1): the third point is the first
+    # nondegenerate one
+    assert search.grid_points_checked == 3
+    assert search.witness.matrix == mat(((2, 0, 0), (0, 1, 0), (0, 0, -3)))
+    assert determinant(search.witness.matrix) == -6
+    _assert_first_lattice_witness(space, search)
+
+
+def _diagonal_span_with_block(m):
+    """The span of the test above in dimension 3 + m, plus every symmetric
+    form on the block e3..e(2+m): k = 2 + m(m+1)/2."""
+    n = 3 + m
+
+    def form(entries):
+        M = [[0] * n for _ in range(n)]
+        for i, j, c in entries:
+            M[i][j] = M[j][i] = c
+        return SymBilinearForm(n, M)
+
+    return [form([(0, 0, 1), (2, 2, -2)]), form([(1, 1, 1), (2, 2, 1)])] + [
+        form([(i, j, 1)]) for i in range(3, n) for j in range(i, n)]
+
+
+def test_lattice_witness_beyond_the_cheap_candidates_with_a_block():
+    # n = k = 5: the old (n+1)^k grid walked 1,519 points to its witness
+    space = _diagonal_span_with_block(2)
+    n, k = 5, 5
+    search = _search_span(space)
     assert search.found
-    assert search == _grid_search_span(space)
-    # the first nondegenerate grid point in lexicographic order is (1, 1)
-    assert search.grid_points_checked == 6
-    assert search.witness.matrix == mat(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
-    assert determinant(search.witness.matrix) == -1
+    assert search.grid_points_checked == 73
+    assert search.grid_points_checked <= comb(n + k - 1, k - 1) == 126
+    assert search.witness.is_nondegenerate()
+    _assert_first_lattice_witness(space, search)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_algebras())
+def test_search_walks_at_most_the_lattice(g):
+    search = has_nondegenerate_invariant_form(g)
+    k = search.space_dim
+    assert k == 0 or search.grid_points_checked <= comb(g.dim + k - 1, k - 1)
 
 
 # --- the budget of a "no": forms.MAX_LATTICE_POINTS ----------------------
