@@ -230,14 +230,20 @@ def _chain(first, step, n: int) -> tuple:
 
 
 def lower_central(g: LieAlgebra, r: int) -> Subspace:
-    """C^r: C^0 = g, C^r = [g, C^(r-1)]; stable by r = dim g, built once."""
+    """C^r: C^0 = g, C^r = [g, C^(r-1)]; stable by r = dim g, built once
+    per algebra, over Z from the integer structure table."""
     if r < 0:
         raise InputError("r must be nonnegative")
     n = g.dim
+    C = _integer_table(g).dense
 
     def step(c):
-        return Subspace.span([bracket(g, basis_vector(n, i), b)
-                              for i in range(n) for b in c.basis], n)
+        # each basis vector b scaled to ints; [e_i, b] is a multiple of the
+        # row with entries sum_j b[j] D c[i][j][k]
+        basis = [_scaled(b)[0] for b in c.basis]
+        rows = [tuple(sum(b[j] * C[i][j][k] for j in range(n)) for k in range(n))
+                for i in range(n) for b in basis]
+        return Subspace.span(rows, n)
 
     return once(g, "_lower_central",
                 lambda: _chain(Subspace.full(n), step, n))[min(r, n)]

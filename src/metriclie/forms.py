@@ -5,7 +5,18 @@ in low dimensions runs on degeneracy arguments, so nothing silently assumes
 an invertible matrix.  Nondegeneracy claims are certified exactly: "yes" by
 an explicit witness (a cheap candidate or the first simplex-lattice point
 with a nonzero determinant), "no" by the determinant of the generic
-invariant form vanishing on the whole simplex lattice.
+invariant form vanishing on the whole simplex lattice, or, before any
+determinant, by the dimensions of the central series.
+
+The series certificate.  A nondegenerate ad-invariant form B gives
+C_r = (C^r)-perp for every r, so dim C^r + dim C_r = n; the first r where
+the sum differs from n proves that no such form exists.  Proof, by
+induction from C^0 = g and C_0 = 0 (B nondegenerate): C^r is spanned by
+the [y, c] with c in C^(r-1), and B([y, c], x) = B(c, [x, y]) by
+invariance and antisymmetry alone, so x is orthogonal to C^r iff
+[x, y] lies in (C^(r-1))-perp = C_(r-1) for every y, that is iff x lies in
+C_r.  The Jacobi identity is never used, so the certificate also holds for
+the invariance solutions of a table that is not a Lie algebra.
 
 The lattice certificate.  For a basis B_1..B_k of the invariant forms of an
 n-dimensional algebra, p(t) = det(sum t_i B_i) is homogeneous of degree n.
@@ -241,26 +252,44 @@ class FormSearch:
     counts the lattice points walked after the cheap candidates: on "no"
     all C(n+k-1, k-1) of them, on "yes" the 1-based index of the witness
     (0 when a cheap candidate was nondegenerate).
+
+    ``series_r`` is set on a "no" the central series decided: the first r
+    with dim C^r + dim C_r != n, which no nondegenerate invariant form
+    allows.  Such a "no" walks no lattice, so ``grid_points_checked`` is 0.
+    It is None when the lattice decided.
     """
 
     found: bool
     witness: SymBilinearForm | None
     space_dim: int
     grid_points_checked: int = 0
+    series_r: int | None = None
 
 
 def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
     """Search the invariant-form space for a nondegenerate element.
 
-    Cheap candidates (identity-in-span, basis elements, a weighted sum) are
-    tried first.  Then the simplex lattice decides in one walk: the first
+    The central series come first: at the first r with dim C^r + dim C_r
+    != n the answer is a certified "no" with ``series_r`` = r, and no
+    determinant is taken (see the module docstring).  Otherwise cheap
+    candidates (identity-in-span, basis elements, a weighted sum) are
+    tried.  Then the simplex lattice decides in one walk: the first
     point t with det(sum t_i B_i) != 0 is the witness, and if every
     determinant there vanishes the answer is a certified "no".
     A lattice of more than MAX_LATTICE_POINTS points raises InputError
     before its first determinant.  The search runs once per algebra.
     """
-    return once(g, "_form_search",
-                lambda: _search_span(invariant_form_space(g)))
+    def search():
+        space = invariant_form_space(g)
+        n = g.dim
+        r = next((r for r in range(n + 1)
+                  if lower_central(g, r).dim + upper_central(g, r).dim != n),
+                 None)
+        if r is not None:
+            return FormSearch(False, None, len(space), series_r=r)
+        return _search_span(space)
+
+    return once(g, "_form_search", search)
 
 
 def _search_span(space: list[SymBilinearForm]) -> FormSearch:

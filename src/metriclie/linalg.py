@@ -25,7 +25,7 @@ input keeps its type there.
 The homogeneous systems solved by ``nullspace`` are built over Z as well:
 scaling a row leaves its canonical RREF as it is.  The same per-algebra
 table keeps the dense constants D c[i][j][k] (D = 1 and the constants as
-they are when one is a QuadExt); the upper central series, the
+they are when one is a QuadExt); both central series, the
 invariant-form system and the Killing form read it, and so does the one
 double bracket [[e_i, e_j], e_k] per algebra (exact Fractions, read by
 Jacobi, the 1/4-ad curvature check, the isometry check and the isotropy

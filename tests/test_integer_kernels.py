@@ -5,9 +5,9 @@ clear denominators once, work over the integers and build one Fraction per
 output entry.  ``bracket`` and ``contract`` take Q(sqrt d) input through the
 same loop: a sequence with a QuadExt entry is used as it is (scale 1), and
 an output entry that met a QuadExt stays one.  ``mat_vec`` keeps its field
-loop for anything but all-Fraction input.  The homogeneous systems (the
-upper central series, the invariant-form and isotropy rows, the Killing
-form) and the double bracket [[e_i, e_j], e_k] that Jacobi, the 1/4-ad
+loop for anything but all-Fraction input.  The homogeneous systems (both
+central series, the invariant-form and isotropy rows, the Killing form)
+and the double bracket [[e_i, e_j], e_k] that Jacobi, the 1/4-ad
 check, the isometry check and the isotropy rows read are built from the
 per-algebra integer structure table.  The field loops are kept here as the
 oracle, and results are compared by ``repr`` so that types must match as
@@ -344,6 +344,18 @@ def upper_central_loop(g):
     return _chain(Subspace.zero(n), step, n)
 
 
+def lower_central_loop(g):
+    """The lower central series as it was: C^r spanned by the brackets
+    [e_i, b] over the basis vectors b of C^(r-1)."""
+    n = g.dim
+
+    def step(c):
+        return Subspace.span([bracket(g, basis_vector(n, i), b)
+                              for i in range(n) for b in c.basis], n)
+
+    return _chain(Subspace.full(n), step, n)
+
+
 def skew_form_rows_loop(n, maps):
     index = {p: c for c, p in enumerate(
         (i, j) for i in range(n) for j in range(i, n))}
@@ -629,3 +641,42 @@ def test_double_bracket_is_built_once_and_shared(monkeypatch):
     # the memo is no part of the algebra's value
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
     assert (hash(g), repr(g)) == before
+
+
+# --- the lower central series over Z -----------------------------------------
+
+def lower_series(g):
+    return tuple(lower_central(g, r) for r in range(g.dim + 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=big_basis_changes())
+def test_lower_central_matches_the_bracket_step(case):
+    name, P = case
+    g = change_of_basis(get(name).algebra, P)
+    assert repr(lower_series(g)) == repr(lower_central_loop(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=quad_tables())
+def test_lower_central_of_quadratic_field_tables(g):
+    assert repr(lower_series(g)) == repr(lower_central_loop(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=antisymmetric_tables())
+def test_lower_central_of_tables_without_jacobi(g):
+    assert repr(lower_series(g)) == repr(lower_central_loop(g))
+
+
+def test_lower_central_takes_no_bracket(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("bracket called")
+
+    g = change_of_basis(get("g0").algebra,
+                        ((1, F(1, 2), 0, 0), (0, 1, F(-2, 3), 0),
+                         (0, 0, 1, 3), (F(1, 5), 0, 0, 1)))
+    want = lower_central_loop(g)
+    monkeypatch.setattr(algebra, "bracket", refuse)
+    assert repr(lower_series(g)) == repr(want)
+    assert [c.dim for c in want] == [4, 3, 3, 3, 3]

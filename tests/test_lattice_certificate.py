@@ -1,10 +1,13 @@
 """The simplex-lattice walk of ``has_nondegenerate_invariant_form`` against
-the full (n+1)^k grid search it replaced, kept here as the oracle.
+the full (n+1)^k grid search it replaced, kept here as the oracle, and the
+central-series certificate that answers "no" before either.
 
 The grid search proves "no" by Alon's Combinatorial Nullstellensatz: the
 determinant has degree at most n in each coefficient and the grid has n+1
 points per variable.  It is slow (15,625 determinants for k = 6) but
-independent of the lattice argument.
+independent of the lattice argument.  The lattice walk itself is reached
+through ``_search_span``, which sees only the span; the public search
+decides a "no" from the series dimensions first.
 """
 
 import contextlib
@@ -20,7 +23,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from metriclie import cli, forms
-from metriclie.algebra import LieAlgebra, change_of_basis
+from metriclie.algebra import (LieAlgebra, change_of_basis, jacobi_check,
+                               lower_central, upper_central)
 from metriclie.forms import (FormSearch, SymBilinearForm, _search_span,
                              _simplex_lattice,
                              has_nondegenerate_invariant_form,
@@ -74,20 +78,28 @@ def _grid_search_span(space):
 
 
 def _assert_same_search(g):
+    """The public search, the lattice walk on the span and the grid oracle
+    agree; a series "no" walks no lattice.  Returns the public search."""
     got = has_nondegenerate_invariant_form(g)
     space = invariant_form_space(g)
     want = _grid_search_span(space)
-    assert got.found == want.found
-    assert got.space_dim == want.space_dim
-    if got.found and got.grid_points_checked == 0:
+    lattice = _search_span(space)
+    assert got.found == lattice.found == want.found
+    assert got.space_dim == lattice.space_dim == want.space_dim
+    if got.series_r is None:
+        assert got == lattice
+    else:
+        assert got == FormSearch(False, None, len(space), 0, got.series_r)
+    if lattice.found and lattice.grid_points_checked == 0:
         # a cheap candidate's "yes" keeps the old witness
-        assert got == want
-    if got.found:
-        assert got.witness.is_nondegenerate() and is_ad_invariant(g, got.witness)
-        _assert_first_lattice_witness(space, got)
-    elif got.space_dim:
-        assert got.grid_points_checked == comb(g.dim + got.space_dim - 1,
-                                               got.space_dim - 1)
+        assert lattice == want
+    if lattice.found:
+        assert lattice.witness.is_nondegenerate()
+        assert is_ad_invariant(g, lattice.witness)
+        _assert_first_lattice_witness(space, lattice)
+    elif lattice.space_dim:
+        assert lattice.grid_points_checked == comb(
+            g.dim + lattice.space_dim - 1, lattice.space_dim - 1)
     return got
 
 
@@ -109,12 +121,32 @@ def _assert_first_lattice_witness(space, search):
 def test_grid_sources_after_a_basis_change(name):
     g = LieAlgebra.from_brackets(4, GRID_SOURCES[name], name)
     P = random_invertible(random.Random(f"lattice:{name}"), 4)
+    h = change_of_basis(g, P)
     # 15 lattice points for k = 3 and 126 for k = 6, against 125 and 15,625
     want = {"h3+R": 126, "aff+R2": 126}.get(name, 15)
-    assert has_nondegenerate_invariant_form(g).grid_points_checked == want
-    search = _assert_same_search(change_of_basis(g, P))
+    for a in (g, h):
+        assert _search_span(invariant_form_space(a)).grid_points_checked == want
+    # the public search answers from the series at r = 1 and walks nothing
+    search = _assert_same_search(h)
     assert not search.found
-    assert search.grid_points_checked == want
+    assert search.series_r == 1
+    assert search.grid_points_checked == 0
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SOURCES))
+def test_grid_sources_take_no_determinant(name, monkeypatch):
+    # dim C^1 + dim C_1 != 4 for each of them: [g, g] and the centre are
+    # too small for C_1 = (C^1)-perp, so no lattice point is needed
+    def refuse(*args):
+        raise AssertionError("the lattice was reached")
+
+    monkeypatch.setattr(forms, "determinant", refuse)
+    monkeypatch.setattr(forms, "_simplex_lattice", refuse)
+    monkeypatch.setattr(forms, "_search_span", refuse)
+    g = LieAlgebra.from_brackets(4, GRID_SOURCES[name], name)
+    k = 6 if name in ("h3+R", "aff+R2") else 3
+    assert has_nondegenerate_invariant_form(g) == FormSearch(
+        False, None, k, 0, series_r=1)
 
 
 @st.composite
@@ -198,41 +230,90 @@ def test_lattice_witness_beyond_the_cheap_candidates_with_a_block():
 
 @settings(max_examples=60, deadline=None)
 @given(_algebras())
+def test_series_no_is_a_lattice_no(g):
+    # the series certificate needs only antisymmetry and invariance, so it
+    # holds on these tables whether Jacobi does or not
+    n = g.dim
+    sums = [lower_central(g, r).dim + upper_central(g, r).dim
+            for r in range(n + 1)]
+    search = has_nondegenerate_invariant_form(g)
+    lattice = _search_span(invariant_form_space(g))
+    assert search.found == lattice.found
+    if all(total == n for total in sums):
+        assert search == lattice and search.series_r is None
+    else:
+        assert not lattice.found
+        assert search.series_r == next(r for r, total in enumerate(sums)
+                                       if total != n)
+        assert search.grid_points_checked == 0 and search.witness is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(_algebras())
 def test_search_walks_at_most_the_lattice(g):
     search = has_nondegenerate_invariant_form(g)
     k = search.space_dim
     assert k == 0 or search.grid_points_checked <= comb(g.dim + k - 1, k - 1)
 
 
+# --- a matched-dimension "no": s + R^m with s = sl(2) x| R^2 ---------------
+
+def _s_plus_abelian(m):
+    """s + R^m on h, e, f, v1, v2, then the abelian factor: [h, e] = 2e,
+    [h, f] = -2f, [e, f] = h, h v1 = v1, h v2 = -v2, e v2 = v1, f v1 = v2.
+    s is perfect with trivial centre, so dim C^r + dim C_r = 5 + m at every
+    r; yet R^2 carries no symmetric sl(2)-invariant form and no sl(2)-map
+    to sl(2), so every invariant form kills v1 and v2."""
+    return LieAlgebra.from_brackets(5 + m, [
+        (0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1),
+        (0, 3, 3, 1), (0, 4, 4, -1), (1, 4, 3, 1), (2, 3, 4, 1)],
+        f"s+R{m}")
+
+
+@pytest.mark.parametrize("m, k, points", [(0, 1, 1), (1, 2, 7), (2, 4, 120)])
+def test_matched_series_dimensions_leave_the_lattice_to_decide(m, k, points):
+    g = _s_plus_abelian(m)
+    n = g.dim
+    assert jacobi_check(g)
+    assert all(lower_central(g, r).dim + upper_central(g, r).dim == n
+               for r in range(n + 1))
+    search = has_nondegenerate_invariant_form(g)
+    assert search == FormSearch(False, None, k, points)
+    assert points == comb(n + k - 1, k - 1)
+    assert search == _search_span(invariant_form_space(g))
+
+
 # --- the budget of a "no": forms.MAX_LATTICE_POINTS ----------------------
 
-def _report_h3_plus_abelian(tmp_path, dim):
-    """report on h3 + R^(dim-3); its invariant-form space has dimension
-    dim(dim-1)/2 and no nondegenerate element."""
-    path = tmp_path / f"h3r{dim}.json"
-    path.write_text(json.dumps({"dim": dim, "brackets": [[0, 1, 2, 1]]}))
+def _report(tmp_path, g):
+    path = tmp_path / f"{g.name or 'g'}.json"
+    path.write_text(json.dumps({"dim": g.dim, "brackets": [
+        [i, j, k, str(c)] for i in range(g.dim) for j in range(i + 1, g.dim)
+        for k, c in enumerate(g.structure[i][j]) if c]}))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(["report", str(path)])
     return rc, out.getvalue(), err.getvalue()
 
 
-def test_lattice_budget_refuses_dimension_7(tmp_path):
-    # k = 21: C(27, 20) = 888,030 lattice determinants, over the budget
-    assert comb(7 + 21 - 1, 21 - 1) > forms.MAX_LATTICE_POINTS
+def test_lattice_budget_refuses_dimension_10(tmp_path):
+    # s + R^5, k = 16: C(25, 15) = 3,268,760 lattice determinants, over the
+    # budget, and the series dimensions match, so the lattice is needed
+    assert comb(10 + 16 - 1, 16 - 1) > forms.MAX_LATTICE_POINTS
     t0 = time.perf_counter()
-    rc, out, err = _report_h3_plus_abelian(tmp_path, 7)
+    rc, out, err = _report(tmp_path, _s_plus_abelian(5))
     assert time.perf_counter() - t0 < 1.0
     assert rc == 1
     assert err.splitlines() == [
-        "error: deciding the 21-dim invariant-form space takes 888030 "
+        "error: deciding the 16-dim invariant-form space takes 3268760 "
         "lattice determinants, more than 100000"]
 
 
-def test_lattice_budget_admits_dimension_6(tmp_path, monkeypatch):
-    # k = 15: C(20, 14) = 38,760 lattice determinants, under the budget.
-    # Every one of them vanishes; the walk takes about 10 s, so here it is
-    # cut to the first 200 points after the budget check has let it through
+def test_lattice_budget_admits_dimension_9(tmp_path, monkeypatch):
+    # s + R^4, k = 11: C(19, 10) = 92,378 lattice determinants, under the
+    # budget.  Every one of them vanishes; the walk takes seconds, so here
+    # it is cut to the first 200 points after the budget check has let it
+    # through
     walked = []
 
     def first_points(n, k):
@@ -241,7 +322,20 @@ def test_lattice_budget_admits_dimension_6(tmp_path, monkeypatch):
 
     lattice = forms._simplex_lattice
     monkeypatch.setattr(forms, "_simplex_lattice", first_points)
-    rc, out, err = _report_h3_plus_abelian(tmp_path, 6)
+    rc, out, err = _report(tmp_path, _s_plus_abelian(4))
     assert (rc, err) == (0, "")
-    assert walked == [(6, 15)]
-    assert "invariant form space: 15\nno nondegenerate ad-invariant form\n" in out
+    assert walked == [(9, 11)]
+    assert "invariant form space: 11\nno nondegenerate ad-invariant form\n" in out
+
+
+def test_series_answers_h3_plus_abelian_past_the_lattice_budget(tmp_path):
+    # h3 + R^4: k = 21 and C(27, 20) = 888,030 lattice points, yet
+    # dim C^1 + dim C_1 = 1 + 5 != 7 answers "no" before any of them
+    g = LieAlgebra.from_brackets(7, [(0, 1, 2, 1)], "h3r7")
+    assert comb(7 + 21 - 1, 21 - 1) > forms.MAX_LATTICE_POINTS
+    t0 = time.perf_counter()
+    rc, out, err = _report(tmp_path, g)
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, err) == (0, "")
+    assert "invariant form space: 21\nno nondegenerate ad-invariant form\n" in out
+    assert has_nondegenerate_invariant_form(g).series_r == 1
