@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .base import CheckResult, InputError, once
 from .linalg import (_scaled, _unscaled, basis_vector, invert, is_zero_vector,
@@ -133,7 +133,7 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
     x, y = vec(x), vec(y)
     if len(x) != g.dim or len(y) != g.dim:
         raise InputError("vector length does not match algebra dimension")
-    D, pairs = _integer_table(g)
+    D, pairs, _ = _integer_table(g)
     xs, dx = _scaled(x)
     ys, dy = _scaled(y)
     acc = [0] * g.dim
@@ -145,24 +145,22 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
     return _unscaled(acc, D * dx * dy)
 
 
-class _IntegerTable(tuple):
-    """(D, pairs) as ``bracket`` reads them, with ``dense`` beside them: the
-    same constants as nested tuples, dense[i][j][k] = D c[i][j][k].  dense
-    follows from (D, pairs) and the dimension, so equality is the pair's."""
+class _IntegerTable(NamedTuple):
+    """The structure constants over Z: ``pairs`` as ``bracket`` reads them,
+    and ``dense`` with dense[i][j][k] = D c[i][j][k] as nested tuples."""
 
-    def __new__(cls, D, pairs, dense):
-        table = super().__new__(cls, (D, pairs))
-        table.dense = dense
-        return table
+    D: int
+    pairs: tuple
+    dense: tuple
 
 
 def _integer_table(g: LieAlgebra) -> _IntegerTable:
-    """(D, pairs) with ``dense``: D the lcm of the structure-constant
-    denominators and, for each i < j with c[i][j] != 0, (i, j, ((k, D
-    c[i][j][k]) for c[i][j][k] != 0)).  Zeros are stored as int 0, so a
-    table whose constants are all rational is scaled to ints however its
-    zeros are spelled; a QuadExt constant gives D = 1 and the constants as
-    they are.  One scaling, built once per algebra."""
+    """(D, pairs, dense): D the lcm of the structure-constant denominators
+    and, for each i < j with c[i][j] != 0, (i, j, ((k, D c[i][j][k]) for
+    c[i][j][k] != 0)).  Zeros are stored as int 0, so a table whose
+    constants are all rational is scaled to ints however its zeros are
+    spelled; a QuadExt constant gives D = 1 and the constants as they are.
+    One scaling, built once per algebra."""
     def build():
         n = g.dim
         ints, D = _scaled([c if c else 0 for plane in g.structure
@@ -184,7 +182,8 @@ def jacobi_check(g: LieAlgebra) -> CheckResult:
 
 
 def _jacobi_witness(g: LieAlgebra):
-    """The first basis triple i < j < k where Jacobi fails, else None."""
+    """The first basis triple i < j < k where Jacobi fails, else None.  The
+    double bracket is scaled by D^2 > 0, which keeps zeros zero."""
     T = _double_bracket(g)
     return next(((i, j, k) for i, j, k in itertools.combinations(range(g.dim), 3)
                  if not is_zero_vector(add3(T[i][j][k], T[j][k][i], T[k][i][j]))),
@@ -192,23 +191,21 @@ def _jacobi_witness(g: LieAlgebra):
 
 
 def _double_bracket(g: LieAlgebra) -> tuple:
-    """T[i][j][k] = [[e_i, e_j], e_k], exact, built once per algebra from the
-    integer structure table: sum_l Dc[i][j][l] Dc[l][k] over D^2 for each
-    nonzero pair i < j, over its nonzero terms only (an entry no term
-    reaches is Fraction(0)), its (j, i) leaves negated and one zero plane
-    shared by the rest."""
+    """T[i][j][k] = D^2 [[e_i, e_j], e_k] over Z, D the scale of the integer
+    structure table (D = 1 and the constants as they are for a QuadExt
+    table), built once per algebra: sum_l Dc[i][j][l] Dc[l][k] for each
+    nonzero pair i < j, over its nonzero terms only, its (j, i) leaves
+    negated and one zero plane shared by the rest."""
     def build():
         n = g.dim
-        table = _integer_table(g)
-        D, pairs = table
-        C, DD = table.dense, D * D
-        zero = ((Fraction(0),) * n,) * n
+        _, pairs, C = _integer_table(g)
+        zero = ((0,) * n,) * n
         T = [[zero] * n for _ in range(n)]
         for i, j, row in pairs:
-            T[i][j] = tuple(_unscaled([sum(c * C[l][k][m] for l, c in row
-                                           if C[l][k][m])
-                                       for m in range(n)], DD) for k in range(n))
-            T[j][i] = tuple(tuple(-x if x else x for x in leaf) for leaf in T[i][j])
+            T[i][j] = tuple(tuple(sum(c * C[l][k][m] for l, c in row
+                                      if C[l][k][m])
+                                  for m in range(n)) for k in range(n))
+            T[j][i] = tuple(tuple(-x for x in leaf) for leaf in T[i][j])
         return tuple(map(tuple, T))
     return once(g, "_double_bracket", build)
 
@@ -287,7 +284,7 @@ def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_abelian(g: LieAlgebra) -> bool:
-    return not _integer_table(g)[1]
+    return not _integer_table(g).pairs
 
 
 def is_solvable(g: LieAlgebra) -> bool:

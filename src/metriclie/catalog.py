@@ -175,17 +175,27 @@ def classify_dim4_metric(g: LieAlgebra) -> str:
       K(x, x) for any x outside the commutator separates the rotation
       case (negative, oscillator_g0) from the boost case (positive, g1).
 
-    The form search and the central series are built once per algebra, so
-    ``report`` pays for them once although it prints them too.
+    The Killing form is read first: a Lie algebra whose Killing form K
+    has rank 3 has a nondegenerate invariant form, so the form search is
+    skipped.  Proof: were g solvable, K would vanish on [g, g] x g
+    (Cartan's criterion), so dim [g, g] <= 1; then ad x maps g into
+    [g, g] = span{z}, K(x, y) = mu(x) mu(y) with mu(x) the z-coefficient
+    of [x, z], and K has rank <= 1.  So g is not solvable, and its Levi
+    decomposition is g = s (+) R with s simple of dim 3 (a 1-dim module
+    of a simple s is trivial); K_s (+) 1 is a nondegenerate invariant
+    form.  The proof needs Jacobi, so a table that fails it takes the
+    search.  The form search and the central series are built once per
+    algebra, so ``report`` pays for them once although it prints them too.
     """
     if g.dim != 4:
         raise InputError("classifier expects a 4-dimensional algebra")
     if is_abelian(g):
         return "R4"
-    if not has_nondegenerate_invariant_form(g).found:
-        return "not_in_list"
     K = killing_form(g)
     sig = signature(K)
+    if not (sig.null == 1 and jacobi_check(g)) and \
+            not has_nondegenerate_invariant_form(g).found:
+        return "not_in_list"
     if sig.null == 1:
         if sig.as_tuple() == (0, 3, 1):
             return "R+so3"

@@ -51,7 +51,8 @@ MAX_DIGITS = 4300
 _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 # dimensions an algebra file may declare (the library has no bound): the
 # structure table has dim^3 entries; `report` on the abelian {"dim": 16} takes
-# 1.4 s and 32 MiB (2 cores, Python 3.11), on {"dim": 60} 284 s and 508 MiB
+# 0.4-0.7 s and 32 MiB per process (2 cores, Python 3.11.7), on {"dim": 60}
+# 284 s and 508 MiB
 MAX_DIM = 16
 
 

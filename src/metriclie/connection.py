@@ -26,15 +26,15 @@ from functools import reduce
 from typing import Sequence
 
 from . import catalog
-from .algebra import (LieAlgebra, Subspace, _double_bracket, add3, bracket,
-                      jacobi_check)
+from .algebra import (LieAlgebra, Subspace, _double_bracket, _integer_table,
+                      add3, bracket, jacobi_check)
 from .base import (CheckResult, DegenerateMetricError, InputError,
                    JacobiError, once)
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
-from .linalg import (_integer_leaves, basis_vector, contract, first_nonzero,
-                     identity_matrix, invert, is_zero_vector, mat, mat_mul,
-                     mat_vec, nullspace, rank, tensor, transpose, vec)
+from .linalg import (basis_vector, contract, first_nonzero, identity_matrix,
+                     invert, is_zero_vector, mat, mat_mul, mat_vec, nullspace,
+                     rank, tensor, transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
 
@@ -145,10 +145,12 @@ def biinvariant_curvature_check(conn: Connection,
                                 R: CurvatureTensor) -> CheckResult:
     """R(e_i, e_j) = -1/4 ad([e_i, e_j]) as operators (ad-invariant metrics,
     convention 'default')."""
-    T = _double_bracket(conn.algebra)
-    quarter = Fraction(1, 4)
-    # R + 1/4 [[e_i, e_j], e_k] is nonzero exactly where R differs from the claim
-    residual = tensor(conn.algebra.dim, 3, lambda i, j, k: tuple(
+    g = conn.algebra
+    T = _double_bracket(g)
+    # T is D^2 [[e_i, e_j], e_k]; R + 1/4 [[e_i, e_j], e_k] is nonzero
+    # exactly where R differs from the claim
+    quarter = Fraction(1, 4 * _integer_table(g).D ** 2)
+    residual = tensor(g.dim, 3, lambda i, j, k: tuple(
         r + quarter * t for r, t in zip(R.components[i][j][k], T[i][j][k])))
     return CheckResult.from_witness(first_nonzero(residual, 3),
                                     "R != -1/4 ad([X,Y])")
@@ -339,12 +341,15 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
     if not kept:
         return kept
     cols = transpose(A)
+    # T is D^2 [[e_i, e_j], e_k], so the k slot takes D^2 A e_k
     T = _double_bracket(g)
+    DD = _integer_table(g).D ** 2
+    scaled = cols if DD == 1 else [tuple(DD * a for a in col) for col in cols]
     for i in range(n):
         for j in range(i + 1, n):
             w = bracket(g, cols[i], cols[j])
             for k in range(n):
-                if mat_vec(A, T[i][j][k]) != bracket(g, w, cols[k]):
+                if mat_vec(A, T[i][j][k]) != bracket(g, w, scaled[k]):
                     return CheckResult(False, "double-bracket equivariance fails",
                                        (i, j, k))
     return CheckResult(True)
@@ -441,11 +446,9 @@ def _skew_derivations(B: SymBilinearForm, T) -> list:
 
 def _skew_rows(B: SymBilinearForm) -> set:
     """Nonzero rows of <Sx, y> + <x, Sy> = 0 on basis pairs x <= y, for an
-    unknown matrix S stored row-major at a*n + b.  A rational B is scaled
-    by one common denominator and gives int rows (``_integer_leaves``); each
-    row starts at int 0."""
+    unknown matrix S stored row-major at a*n + b; each row starts at int 0."""
     n = B.dim
-    M = _integer_leaves(B.matrix, 1)
+    M = B.matrix
     rows = set()
     for i in range(n):
         for j in range(i, n):
@@ -466,11 +469,9 @@ def _derivation_rows(T, p: int) -> set:
     T must be antisymmetric in its first two slots.  Only i_1 < i_2 is
     visited: the rows with i_1 = i_2 vanish and each (i_2, i_1, ..) row is
     the negative of an (i_1, i_2, ..) row, so the row space is unchanged.
-    A rational T is scaled by one common denominator and gives int rows
-    (``_integer_leaves``); each row starts at int 0.
+    Each row starts at int 0.
     """
     n = len(T)
-    T = _integer_leaves(T, p)
 
     def at(key):
         return reduce(operator.getitem, key, T)

@@ -18,20 +18,20 @@ that met a QuadExt keeps its type.  So ``contract`` (one denominator for
 the weights, one for the leaves it visits) and ``algebra.bracket`` (an
 integer structure table kept per algebra) have one loop for Q and
 Q(sqrt d) alike, and Fractions come out canonical.  ``mat_vec`` takes the
-integer kernel only when every entry is exactly a Fraction (one denominator
-for the matrix, one for the vector; ``mat_mul`` is its columns), so int
-input keeps its type there.
+integer kernel only when every matrix entry is exactly a Fraction and every
+vector entry an int or a Fraction (one denominator for the matrix, one for
+the vector; ``mat_mul`` is its columns), so int-only input keeps its type
+there.
 
 The homogeneous systems solved by ``nullspace`` are built over Z as well:
-scaling a row leaves its canonical RREF as it is.  The same per-algebra
-table keeps the dense constants D c[i][j][k] (D = 1 and the constants as
-they are when one is a QuadExt); both central series, the
-invariant-form system and the Killing form read it, and so does the one
-double bracket [[e_i, e_j], e_k] per algebra (exact Fractions, read by
-Jacobi, the 1/4-ad curvature check, the isometry check and the isotropy
-rows).  The row builders that take a form or tensor scale it once with
-``_integer_leaves``; rows start at int 0, which ``_rref_generic`` reads
-as Fraction(0).
+scaling a row leaves its canonical RREF as it is, and ``_rref_int``
+scales each row on its own.  The same per-algebra table keeps the dense
+constants D c[i][j][k] (D = 1 and the constants as they are when one is a
+QuadExt); both central series, the invariant-form system and the Killing
+form read it, and so does the one double bracket per algebra, kept in the
+same form as D^2 [[e_i, e_j], e_k] (read by Jacobi, the 1/4-ad curvature
+check, the isometry check and the isotropy rows).  Rows start at int 0,
+which ``_rref_generic`` reads as Fraction(0).
 """
 
 from __future__ import annotations
@@ -99,45 +99,27 @@ def _unscaled(acc, d) -> Vector:
                  for a in acc)
 
 
-def _integer_leaves(T, p):
-    """T for a row builder of a homogeneous system on the rank-p tensor T
-    (nested sequences whose leaves are coefficient vectors), with all
-    entries times one common denominator, as ints, when every leaf entry is
-    an int or a Fraction.  A scaled row spans the same row space, so the
-    nullspace does not change.  A QuadExt entry anywhere leaves every entry
-    as it is (scale 1).
-    """
-    leaves = [T]
-    for _ in range(p):
-        leaves = [sub for part in leaves for sub in part]
-    ints = iter(_scaled([x for leaf in leaves for x in leaf])[0])
-
-    def rebuild(part, depth):
-        if depth == p:
-            return tuple(next(ints) for _ in part)
-        return tuple(rebuild(sub, depth + 1) for sub in part)
-
-    return rebuild(T, 0)
-
-
-def _fractions(xs) -> bool:
-    """Every entry is exactly a Fraction (not an int, bool or QuadExt)."""
+def _only(xs, types) -> bool:
+    """The type of every entry is exactly one of ``types`` (a bool is not
+    an int here)."""
     for x in xs:
-        if type(x) is not Fraction:
+        if type(x) not in types:
             return False
     return True
 
 
 def mat_vec(A, x) -> Vector:
-    if A and _fractions(x) and all(len(row) == len(A[0]) and _fractions(row)
-                                   for row in A):
+    # a Fraction matrix gives Fractions on either loop, so an int entry of x
+    # may take the integer kernel as well; int x int keeps its type
+    if A and _only(x, (Fraction, int)) and \
+            all(len(row) == len(A[0]) and _only(row, (Fraction,)) for row in A):
         return _mat_vec_int(A, x)
     return tuple(sum((a * b for a, b in zip(row, x)), start=row[0] * 0) for row in A)
 
 
 def _mat_vec_int(A, x) -> Vector:
-    """mat_vec of a rectangular Fraction matrix and a Fraction vector over Z:
-    one denominator for A, one for x."""
+    """mat_vec of a rectangular Fraction matrix and a vector of ints and
+    Fractions over Z: one denominator for A, one for x."""
     xs, dx = _scaled(x)
     flat, da = _scaled([a for row in A for a in row])
     m = len(A[0])

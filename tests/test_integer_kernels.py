@@ -5,11 +5,12 @@ clear denominators once, work over the integers and build one Fraction per
 output entry.  ``bracket`` and ``contract`` take Q(sqrt d) input through the
 same loop: a sequence with a QuadExt entry is used as it is (scale 1), and
 an output entry that met a QuadExt stays one.  ``mat_vec`` keeps its field
-loop for anything but all-Fraction input.  The homogeneous systems (both
-central series, the invariant-form and isotropy rows, the Killing form)
-and the double bracket [[e_i, e_j], e_k] that Jacobi, the 1/4-ad
-check, the isometry check and the isotropy rows read are built from the
-per-algebra integer structure table.  The field loops are kept here as the
+loop for anything but a Fraction matrix with a vector of ints and
+Fractions.  The homogeneous systems (both central series, the
+invariant-form and isotropy rows, the Killing form) and the double bracket
+D^2 [[e_i, e_j], e_k] that Jacobi, the 1/4-ad check, the isometry check
+and the isotropy rows read are built from the per-algebra integer
+structure table.  The field loops are kept here as the
 oracle, and results are compared by ``repr`` so that types must match as
 well as values; row builders by their row space.
 """
@@ -314,13 +315,18 @@ def test_integer_kernel_dispatch(monkeypatch):
         mat_vec(((F(1),),), (F(1),))
     with pytest.raises(AssertionError, match="wrong kernel"):
         mat_mul(((F(1),),), ((F(1),),))
+    # and so does a Fraction matrix with ints in the vector
+    with pytest.raises(AssertionError, match="wrong kernel"):
+        mat_vec(((F(1), F(1, 2)),), (2, F(1, 3)))
+    with pytest.raises(AssertionError, match="wrong kernel"):
+        mat_vec(((F(1, 2),),), (3,))
 
 
 def test_bracket_table_is_built_once_and_not_part_of_the_value():
     g = LieAlgebra.from_brackets(3, [(0, 1, 2, F(1, 2)), (0, 2, 1, F(-2, 3))])
     assert bracket(g, (1, 0, 0), (0, 1, 0)) == (0, 0, F(1, 2))
     table = g.__dict__["_integer_table"]
-    assert table == (6, ((0, 1, ((2, 3),)), (0, 2, ((1, -4),))))
+    assert table[:2] == (6, ((0, 1, ((2, 3),)), (0, 2, ((1, -4),))))
     assert bracket(g, (0, 0, 1), (1, 0, 0)) == (0, F(2, 3), 0)
     assert g.__dict__["_integer_table"] is table
     twin = LieAlgebra.from_brackets(3, [(0, 1, 2, F(1, 2)), (0, 2, 1, F(-2, 3))])
@@ -438,6 +444,18 @@ def double_bracket_loop(g):
                                                      basis_vector(n, k)))
 
 
+def assert_scaled_double_bracket(g):
+    """_double_bracket(g) is D^2 times the loop's tensor, D the scale of the
+    integer structure table; all ints when the table is rational."""
+    D = _integer_table(g).D
+    T, want = _double_bracket(g), double_bracket_loop(g)
+    for i, j, k in itertools.product(range(g.dim), repeat=3):
+        assert T[i][j][k] == tuple(D * D * x for x in want[i][j][k])
+    if all(type(c) is F for plane in g.structure for cij in plane for c in cij):
+        assert all(type(x) is int for plane in T for row in plane
+                   for leaf in row for x in leaf)
+
+
 def invariant_forms_loop(g):
     n = g.dim
     rows = list(skew_form_rows_loop(n, g.structure))
@@ -492,8 +510,8 @@ def test_isotropy_systems_match_the_field_loops(case):
     entry = get(name)
     g = change_of_basis(entry.algebra, P)
     B = transform_form(entry.invariant_forms[METRICS[name]], P)
+    assert_scaled_double_bracket(g)
     dbl, want = _double_bracket(g), double_bracket_loop(g)
-    assert repr(dbl) == repr(want)
     assert same_rows(_derivation_rows(g.structure, 2),
                      derivation_rows_loop(g.structure, 2))
     assert same_rows(_derivation_rows(dbl, 3), derivation_rows_loop(want, 3))
@@ -521,7 +539,7 @@ def test_quadext_structure_tables_keep_the_field_loops():
         # the traces are rational (b == 0), so the form holds Fractions
         assert repr(killing_form(gq).matrix) == repr(mat(killing_loop(gq)))
         B = entry.invariant_forms[form]
-        assert repr(_double_bracket(gq)) == repr(double_bracket_loop(gq))
+        assert_scaled_double_bracket(gq)
         assert linearized_isotropy_dim(gq, B) == len(isotropy_loop(gq, B)) == 3
 
 
@@ -569,7 +587,7 @@ def antisymmetric_tables(draw):
 @given(g=antisymmetric_tables())
 def test_jacobi_witness_matches_the_bracket_loop(g):
     assert _jacobi_witness(g) == jacobi_witness_loop(g)
-    assert repr(_double_bracket(g)) == repr(double_bracket_loop(g))
+    assert_scaled_double_bracket(g)
 
 
 def perturbed(g, i, j, k, delta):
@@ -604,7 +622,7 @@ def test_jacobi_witness_of_quadext_tables():
                                            for cij in plane)
                                      for plane in g.structure))
         assert _jacobi_witness(gq) is None and jacobi_witness_loop(gq) is None
-        assert repr(_double_bracket(gq)) == repr(double_bracket_loop(gq))
+        assert_scaled_double_bracket(gq)
         for i, j, k in itertools.product(range(g.dim), repeat=3):
             if i < j:
                 bad = perturbed(gq, i, j, k, r2)
@@ -612,6 +630,44 @@ def test_jacobi_witness_of_quadext_tables():
                 assert _jacobi_witness(bad) == want
                 failing += want is not None
     assert failing
+
+
+def isometry_witness_loop(g, A):
+    """The double-bracket condition of ``ahc_isometry_check`` as it was: the
+    first (i, j, k) with A [[e_i, e_j], e_k] != [[Ae_i, Ae_j], Ae_k], on the
+    Fraction loops."""
+    n = g.dim
+    T, cols = double_bracket_loop(g), tuple(zip(*A))
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = bracket_loop(g, cols[i], cols[j])
+            for k in range(n):
+                if mat_vec_loop(A, T[i][j][k]) != bracket_loop(g, w, cols[k]):
+                    return (i, j, k)
+    return None
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=big_basis_changes(tuple(sorted(METRICS))))
+def test_isometry_check_after_a_big_basis_change(case):
+    # D > 1 here: the D^2-scaled double bracket meets A e_k scaled by D^2
+    name, P = case
+    entry = get(name)
+    g = change_of_basis(entry.algebra, P)
+    B = transform_form(entry.invariant_forms[METRICS[name]], P)
+    n = g.dim
+    # the identity, and the B-reflection in the first non-null v among the
+    # e_a and e_a + e_b: both preserve B, so the double brackets decide
+    v = next(v for v in [basis_vector(n, a) for a in range(n)] +
+             [tuple(x + y for x, y in zip(basis_vector(n, a), basis_vector(n, b)))
+              for a, b in itertools.combinations(range(n), 2)]
+             if B.evaluate(v, v))
+    Bv, vv = mat_vec(B.matrix, v), B.evaluate(v, v)
+    reflection = tuple(tuple(F(int(a == b)) - 2 * v[a] * Bv[b] / vv
+                             for b in range(n)) for a in range(n))
+    for A in (linalg.identity_matrix(n), reflection):
+        got = ahc_isometry_check(g, B, A)
+        assert (None if got else got.witness) == isometry_witness_loop(g, A)
 
 
 def test_double_bracket_is_built_once_and_shared(monkeypatch):
