@@ -136,13 +136,20 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
     D, pairs, _ = _integer_table(g)
     xs, dx = _scaled(x)
     ys, dy = _scaled(y)
-    acc = [0] * g.dim
+    return _unscaled(_bracket_over_z(pairs, xs, ys), D * dx * dy)
+
+
+def _bracket_over_z(pairs, xs, ys) -> list:
+    """D [x, y] for x and y over Z and ``pairs`` of an integer table of
+    scale D: sum over i < j of (x_i y_j - x_j y_i) D c[i][j], its entries
+    left as they are (a QuadExt table or vector at scale 1 included)."""
+    acc = [0] * len(xs)
     for i, j, row in pairs:
         w = xs[i] * ys[j] - xs[j] * ys[i]
         if w:
             for k, c in row:
                 acc[k] += w * c
-    return _unscaled(acc, D * dx * dy)
+    return acc
 
 
 class _IntegerTable(NamedTuple):

@@ -26,15 +26,16 @@ from functools import reduce
 from typing import Sequence
 
 from . import catalog
-from .algebra import (LieAlgebra, Subspace, _double_bracket, _integer_table,
-                      add3, bracket, jacobi_check)
+from .algebra import (LieAlgebra, Subspace, _bracket_over_z, _double_bracket,
+                      _integer_table, add3, bracket, jacobi_check)
 from .base import (CheckResult, DegenerateMetricError, InputError,
                    JacobiError, once)
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
-from .linalg import (basis_vector, contract, first_nonzero, identity_matrix,
-                     invert, is_zero_vector, mat, mat_mul, mat_vec, nullspace,
-                     rank, tensor, transpose, vec)
+from .linalg import (_mat_vec_over_z, _scaled_tensor, _unscaled, basis_vector,
+                     contract, first_nonzero, identity_matrix, invert,
+                     is_zero_vector, mat, mat_mul, mat_vec, nullspace, rank,
+                     tensor, transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
 
@@ -70,12 +71,18 @@ def levi_civita(g: LieAlgebra, B: SymBilinearForm) -> Connection:
             "Levi-Civita connection needs a nondegenerate metric",
             radical=B.radical())
     n = g.dim
-    Binv = invert(B.matrix)
-    # Bc[i][j] = B c_ij, so <[e_i, e_j], e_k> = Bc[i][j][k]
-    Bc = tensor(n, 2, lambda i, j: mat_vec(B.matrix, g.bracket_basis(i, j)))
-    gamma = tensor(n, 2, lambda i, j: mat_vec(Binv, tuple(
-        (Bc[i][j][k] - Bc[j][k][i] + Bc[k][i][j]) / 2 for k in range(n))))
-    return Connection(g, B, gamma)
+    # over Z with B = M / b, B^-1 = V / v and c = C / D, each scaled once:
+    # MC[i][j] = b D B c_ij, so <[e_i, e_j], e_k> = MC[i][j][k] / (b D)
+    M, b = _scaled_tensor(B.matrix, 1)
+    V, v = _scaled_tensor(invert(B.matrix), 1)
+    D, _, C = _integer_table(g)
+    MC = tensor(n, 2, lambda i, j: _mat_vec_over_z(M, C[i][j]))
+
+    def leaf(i, j):
+        koszul = [MC[i][j][k] - MC[j][k][i] + MC[k][i][j] for k in range(n)]
+        return _unscaled(_mat_vec_over_z(V, koszul), 2 * b * D * v)
+
+    return Connection(g, B, tensor(n, 2, leaf))
 
 
 def metric_compatibility_check(conn: Connection) -> CheckResult:
@@ -118,23 +125,49 @@ def curvature(conn: Connection, convention: str = "default") -> CurvatureTensor:
 
 
 def _build_curvature(conn: Connection, convention: str) -> CurvatureTensor:
+    """R(e_i, e_j) e_k = nabla_i (Gamma_jk) - nabla_j (Gamma_ik) - nabla_{c_ij} e_k
+    over Z: with Gamma = G / d and c = C / D, each scaled once,
+
+        d^2 D R_ijk = D (sum_l G_jk[l] G_il - G_ik[l] G_jl) - d sum_l C_ij[l] G_lk,
+
+    summed for i < j only, with one Fraction per nonzero entry: the right
+    side is antisymmetric in i, j for any Gamma, so R_jik = -R_ijk."""
     g = conn.algebra
     n = g.dim
-    gam = conn.gamma
-    E = [basis_vector(n, k) for k in range(n)]
-    sign = -1 if convention == "oneill" else 1
-    comps = tensor(n, 3, lambda i, j, k: tuple(
-        sign * (a - b - c) for a, b, c in zip(
-            contract(gam[i], (gam[j][k],)),
-            contract(gam[j], (gam[i][k],)),
-            # nabla_{c_ij} e_k: tensorial in the first slot
-            contract(gam, (g.bracket_basis(i, j), E[k])))))
-    return CurvatureTensor(g, comps, convention)
+    G, d = _scaled_tensor(conn.gamma, 2)
+    D, _, C = _integer_table(g)
+    scale = (-1 if convention == "oneill" else 1) * d * d * D
+
+    def leaf(i, j, k):
+        acc = [0] * n
+        for s, a, b in ((D, i, j), (-D, j, i)):
+            for l, x in enumerate(G[b][k]):
+                if x:
+                    x *= s
+                    for m, y in enumerate(G[a][l]):
+                        if y:
+                            acc[m] += x * y
+        for l, c in enumerate(C[i][j]):
+            if c:
+                c *= d
+                for m, y in enumerate(G[l][k]):
+                    if y:
+                        acc[m] -= c * y
+        return _unscaled(acc, scale)
+
+    planes = {}
+    for i, j in itertools.combinations(range(n), 2):
+        planes[i, j] = tuple(leaf(i, j, k) for k in range(n))
+        planes[j, i] = tuple(tuple(-x for x in v) for v in planes[i, j])
+    zero = (tuple(Fraction(0) for _ in range(n)),) * n
+    return CurvatureTensor(g, tensor(n, 2, lambda i, j: planes.get((i, j), zero)),
+                           convention)
 
 
 def bianchi_check(R: CurvatureTensor) -> CheckResult:
-    """First Bianchi identity R(x,y)z + R(y,z)x + R(z,x)y = 0."""
-    C = R.components
+    """First Bianchi identity R(x,y)z + R(y,z)x + R(z,x)y = 0, compared over
+    Z from one scaling of the components."""
+    C, _ = _scaled_tensor(R.components, 3)
     residual = tensor(R.algebra.dim, 3,
                       lambda i, j, k: add3(C[i][j][k], C[j][k][i], C[k][i][j]))
     return CheckResult.from_witness(first_nonzero(residual, 3),
@@ -147,11 +180,12 @@ def biinvariant_curvature_check(conn: Connection,
     convention 'default')."""
     g = conn.algebra
     T = _double_bracket(g)
-    # T is D^2 [[e_i, e_j], e_k]; R + 1/4 [[e_i, e_j], e_k] is nonzero
-    # exactly where R differs from the claim
-    quarter = Fraction(1, 4 * _integer_table(g).D ** 2)
+    # T is D^2 [[e_i, e_j], e_k] and R = Ri / r, so 4 D^2 Ri + r T is
+    # nonzero exactly where R differs from the claim
+    Ri, r = _scaled_tensor(R.components, 3)
+    q = 4 * _integer_table(g).D ** 2
     residual = tensor(g.dim, 3, lambda i, j, k: tuple(
-        r + quarter * t for r, t in zip(R.components[i][j][k], T[i][j][k])))
+        q * x + r * t for x, t in zip(Ri[i][j][k], T[i][j][k])))
     return CheckResult.from_witness(first_nonzero(residual, 3),
                                     "R != -1/4 ad([X,Y])")
 
@@ -337,32 +371,42 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
     n = g.dim
     if len(A) != n or any(len(r) != n for r in A):
         raise InputError("matrix size does not match algebra dimension")
-    kept = _metric_preserved(B, A)
+    # A = Ai / a, scaled once for both conditions
+    Ai, a = _scaled_tensor(A, 1)
+    kept = _metric_preserved(B, Ai, a)
     if not kept:
         return kept
-    cols = transpose(A)
-    # T is D^2 [[e_i, e_j], e_k], so the k slot takes D^2 A e_k
+    # with T = D^2 [[e_i, e_j], e_k] and the table's pairs D c, (ii) reads
+    # a^2 Ai T = [[Ai e_i, Ai e_j], Ai e_k] over Z
+    cols = transpose(Ai)
     T = _double_bracket(g)
-    DD = _integer_table(g).D ** 2
-    scaled = cols if DD == 1 else [tuple(DD * a for a in col) for col in cols]
+    pairs = _integer_table(g).pairs
+    aa = a * a
     for i in range(n):
         for j in range(i + 1, n):
-            w = bracket(g, cols[i], cols[j])
+            w = _bracket_over_z(pairs, cols[i], cols[j])
             for k in range(n):
-                if mat_vec(A, T[i][j][k]) != bracket(g, w, scaled[k]):
+                lhs = [aa * x for x in _mat_vec_over_z(Ai, T[i][j][k])]
+                if lhs != _bracket_over_z(pairs, w, cols[k]):
                     return CheckResult(False, "double-bracket equivariance fails",
                                        (i, j, k))
     return CheckResult(True)
 
 
-def _metric_preserved(B: SymBilinearForm, A) -> CheckResult:
-    """A^T B A = B; the witness is the first entry (i, j) that differs."""
-    lhs = transform_form(B, A).matrix
-    if len(lhs) != B.dim:
+def _metric_preserved(B: SymBilinearForm, Ai, a: int) -> CheckResult:
+    """A^T B A = B for A = Ai / a, compared over Z as Ai^T M Ai = a^2 M with
+    B = M / b; the witness is the first entry (i, j) that differs."""
+    n = B.dim
+    if len(Ai) != n:
         raise InputError("matrix size does not match the form")
+    M, _ = _scaled_tensor(B.matrix, 1)
+    cols = transpose(Ai)
+    # lhs[j] is column j of Ai^T M Ai
+    lhs = [_mat_vec_over_z(cols, _mat_vec_over_z(M, col)) for col in cols]
+    aa = a * a
     return CheckResult.from_witness(
-        next(((i, j) for i in range(B.dim) for j in range(B.dim)
-              if lhs[i][j] != B.matrix[i][j]), None), "metric not preserved")
+        next(((i, j) for i in range(n) for j in range(n)
+              if lhs[j][i] != aa * M[i][j]), None), "metric not preserved")
 
 
 _PAIRINGS = {"g0": ("orthogonal", SymBilinearForm(2, identity_matrix(2))),
@@ -517,7 +561,9 @@ def is_isometric_automorphism(g: LieAlgebra, B: SymBilinearForm,
     """A[x,y] = [Ax, Ay] on basis pairs and A^T B A = B."""
     A = mat(A)
     n = g.dim
-    kept = _metric_preserved(B, A)
+    if len(A) != n or any(len(r) != n for r in A):
+        raise InputError("matrix size does not match algebra dimension")
+    kept = _metric_preserved(B, *_scaled_tensor(A, 1))
     if not kept:
         return kept
     cols = transpose(A)

@@ -365,10 +365,15 @@ def series_duality_check(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:
     inv = is_ad_invariant(g, B)
     if not inv:
         raise InputError(f"series duality needs an ad-invariant form ({inv})")
+    # both series stay put from their first repeat on, so once the pair
+    # repeats every later r asks the same question again
+    checked = None
     for r in range(g.dim + 1):
-        lower = lower_central(g, r)
-        upper = upper_central(g, r)
-        if orthogonal_complement(B, upper) != lower:
+        pair = (lower_central(g, r), upper_central(g, r))
+        if pair == checked:
+            break
+        checked = pair
+        if orthogonal_complement(B, pair[1]) != pair[0]:
             return CheckResult(False, "C^r != (C_r)-perp", r)
     return CheckResult(True)
 

@@ -23,6 +23,15 @@ vector entry an int or a Fraction (one denominator for the matrix, one for
 the vector; ``mat_mul`` is its columns), so int-only input keeps its type
 there.
 
+The geometry is summed over Z from one scaling per operand as well:
+``_scaled_tensor`` scales a whole tensor (the metric, its inverse, the
+Christoffel symbols, the curvature components) once.  The Levi-Civita
+connection and the curvature then build one Fraction per nonzero output
+entry, and Bianchi, the 1/4-ad check and both isometry conditions compare
+ints.  ``_mat_vec_over_z`` is the one integer matrix-vector loop, and
+``algebra._bracket_over_z`` the one bracket loop, shared by ``bracket``
+and the isometry check.
+
 The homogeneous systems solved by ``nullspace`` are built over Z as well:
 scaling a row leaves its canonical RREF as it is, and ``_rref_int``
 scales each row on its own.  The same per-algebra table keeps the dense
@@ -123,8 +132,14 @@ def _mat_vec_int(A, x) -> Vector:
     xs, dx = _scaled(x)
     flat, da = _scaled([a for row in A for a in row])
     m = len(A[0])
-    return _unscaled([sum(a * b for a, b in zip(flat[r:r + m], xs) if b)
-                      for r in range(0, len(flat), m)], da * dx)
+    rows = [flat[r:r + m] for r in range(0, len(flat), m)]
+    return _unscaled(_mat_vec_over_z(rows, xs), da * dx)
+
+
+def _mat_vec_over_z(M, x) -> list:
+    """M x for a matrix and a vector already scaled to ints, zero entries
+    of x skipped; entries are left as they are (a QuadExt at scale 1)."""
+    return [sum(a * b for a, b in zip(row, x) if b) for row in M]
 
 
 def mat_mul(A, B) -> Matrix:
@@ -148,6 +163,17 @@ def tensor(n, p, entry):
     for _ in range(p):
         T = [tuple(T[a:a + n]) for a in range(0, len(T), n)]
     return T[0]
+
+
+def _scaled_tensor(T, p) -> tuple[tuple, int]:
+    """(I, d) with T = I / d: the rank-p tensor T, its leaves of length
+    len(T), as the same nested tuples over Z from one scaling of all its
+    entries (``_scaled``; scale 1 when one is a QuadExt)."""
+    n = len(T)
+    flat, d = _scaled([x for idx in itertools.product(range(n), repeat=p)
+                       for x in reduce(operator.getitem, idx, T)])
+    leaves = (tuple(flat[a:a + n]) for a in range(0, len(flat), n))
+    return tensor(n, p, lambda *idx: next(leaves)), d
 
 
 def first_nonzero(T, p):

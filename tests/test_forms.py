@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from metriclie.algebra import Subspace
-from metriclie.base import DegenerateMetricError, InputError
-from metriclie.catalog import get
+from metriclie import forms
+from metriclie.algebra import (Subspace, change_of_basis, lower_central,
+                               upper_central)
+from metriclie.base import CheckResult, DegenerateMetricError, InputError
+from metriclie.catalog import get, names
 from metriclie.forms import (SymBilinearForm, has_nondegenerate_invariant_form,
                              invariant_form_space, is_ad_invariant,
                              killing_form, orthogonal_complement,
@@ -239,3 +241,44 @@ def test_duality_across_nondegenerate_combinations(g0, g1):
                 B = SymBilinearForm(4, tuple(map(tuple, combo)))
                 if B.is_nondegenerate():
                     assert series_duality_check(g, B)
+
+
+def _reference_series_duality_check(g, B):
+    """series_duality_check as it was: one complement for every r <= dim g
+    (the preconditions left out)."""
+    for r in range(g.dim + 1):
+        if orthogonal_complement(B, upper_central(g, r)) != lower_central(g, r):
+            return CheckResult(False, "C^r != (C_r)-perp", r)
+    return CheckResult(True)
+
+
+@pytest.mark.parametrize("name", [n for n in names()
+                                  if has_nondegenerate_invariant_form(
+                                      get(n).algebra).found])
+def test_series_duality_takes_one_complement_per_distinct_pair(name,
+                                                               monkeypatch):
+    entry = get(name)
+    B0 = has_nondegenerate_invariant_form(entry.algebra).witness
+    rng = random.Random(name)
+    n = entry.algebra.dim
+    cases = [(entry.algebra, B0)]
+    for _ in range(3):
+        P = random_invertible(rng, n)
+        cases.append((change_of_basis(entry.algebra, P), transform_form(B0, P)))
+    calls = []
+
+    def counted(B, m):
+        calls.append(m)
+        return orthogonal_complement(B, m)
+
+    for g, B in cases:
+        want = _reference_series_duality_check(g, B)
+        distinct = {(lower_central(g, r), upper_central(g, r))
+                    for r in range(n + 1)}
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(forms, "orthogonal_complement", counted)
+            got = series_duality_check(g, B)
+        assert (got.ok, got.reason, got.witness) == \
+            (want.ok, want.reason, want.witness) == (True, "", None)
+        assert len(calls) <= len(distinct)

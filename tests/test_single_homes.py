@@ -15,7 +15,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metriclie.algebra import Subspace, bracket
+from metriclie.algebra import (LieAlgebra, Subspace, _double_bracket,
+                               _integer_table, bracket, change_of_basis)
 from metriclie.base import CheckResult, InputError
 from metriclie.catalog import get
 from metriclie.cli import _sample_family
@@ -24,7 +25,8 @@ from metriclie.connection import (ahc_isometry_check, is_isometric_automorphism,
 from metriclie.forms import (SymBilinearForm, _form_from_coeffs,
                              _skew_form_rows, restrict_form, transform_form)
 from metriclie.linalg import (determinant, identity_matrix, invert, mat,
-                              mat_mul, nullspace, transpose)
+                              mat_mul, mat_vec, nullspace, transpose)
+from metriclie.scalars import QuadExt
 
 SOURCES = {"g0": "gmatrix0", "g1": "gmatrix0", "r+sl2": "killing+1",
            "r+so3": "killing+1"}
@@ -60,6 +62,33 @@ def _reference_ahc(g, B, A):
                          if any(lhs_op[r][k] != rhs_op[r][k] for r in range(n)))
                 return CheckResult(False, "double-bracket equivariance fails",
                                    (i, j, k))
+    return CheckResult(True)
+
+
+def _reference_ahc_isometry_check(g, B, A):
+    """ahc_isometry_check as it was: A^T B A = B from transform_form, then
+    A [[e_i, e_j], e_k] against [[Ae_i, Ae_j], Ae_k] with Fraction
+    brackets, the double bracket read as D^2 [[e_i, e_j], e_k]."""
+    A = mat(A)
+    n = g.dim
+    if len(A) != n or any(len(r) != n for r in A):
+        raise InputError("matrix size does not match algebra dimension")
+    lhs = transform_form(B, A).matrix
+    bad = next(((i, j) for i in range(n) for j in range(n)
+                if lhs[i][j] != B.matrix[i][j]), None)
+    if bad is not None:
+        return CheckResult(False, "metric not preserved", bad)
+    cols = transpose(A)
+    T = _double_bracket(g)
+    DD = _integer_table(g).D ** 2
+    scaled = [tuple(DD * a for a in col) for col in cols]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = bracket(g, cols[i], cols[j])
+            for k in range(n):
+                if mat_vec(A, T[i][j][k]) != bracket(g, w, scaled[k]):
+                    return CheckResult(False, "double-bracket equivariance fails",
+                                       (i, j, k))
     return CheckResult(True)
 
 
@@ -173,6 +202,57 @@ def test_ahc_bracket_witness_on_a_metric_preserving_map(pair, witness):
     res = ahc_isometry_check(g, B, A)
     assert _outcome(res) == _outcome(_reference_ahc(g, B, A)) == \
         (False, "double-bracket equivariance fails", witness)
+
+
+R2 = QuadExt(0, 1, 2)
+
+
+def _root2_scaled(g):
+    """[x, y]' = sqrt(2) [x, y]: the same isometries and invariant forms,
+    with the constants in Q(sqrt 2), so the integer table is unscaled."""
+    return LieAlgebra(g.dim, tuple(tuple(tuple(R2 * c if c else c for c in cij)
+                                         for cij in plane)
+                                   for plane in g.structure))
+
+
+def _reflection(B):
+    """The B-reflection in the first non-null e_a or e_a + e_b: it keeps B
+    and is in general no automorphism."""
+    n = B.dim
+    units = [tuple(F(int(a == b)) for b in range(n)) for a in range(n)]
+    v = next(v for v in units + [tuple(x + y for x, y in zip(u, w))
+                                 for u, w in itertools.combinations(units, 2)]
+             if B.evaluate(v, v))
+    Bv, vv = mat_vec(B.matrix, v), B.evaluate(v, v)
+    return tuple(tuple(F(int(a == b)) - 2 * v[a] * Bv[b] / vv
+                       for b in range(n)) for a in range(n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(which=st.sampled_from(["g0", "g1"]), root2=st.booleans(),
+       P=st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=4,
+                  max_size=4).filter(determinant),
+       seed=st.integers(0, 10**6), row=st.integers(0, 3), col=st.integers(0, 3),
+       q=rationals.filter(bool))
+def test_ahc_matches_the_fraction_loop_after_a_basis_change(
+        which, root2, P, seed, row, col, q):
+    """A family sample in a rational basis of g0 or g1 (or of its sqrt(2)
+    scaling), that sample with one entry moved, and that sample times a
+    B-reflection: ok, reason and witness are the Fraction loop's."""
+    entry = get(which)
+    g = _root2_scaled(entry.algebra) if root2 else entry.algebra
+    P = mat(P)
+    gP = change_of_basis(g, P)
+    BP = transform_form(entry.invariant_forms["gmatrix0"], P)
+    A = mat_mul(mat_mul(invert(P), _sample_family(which, random.Random(seed))), P)
+    moved = [list(r) for r in A]
+    moved[row][col] += q
+    outcomes = []
+    for M in (A, moved, mat_mul(A, _reflection(BP))):
+        got = _outcome(ahc_isometry_check(gP, BP, M))
+        assert got == _outcome(_reference_ahc_isometry_check(gP, BP, M))
+        outcomes.append(got)
+    assert outcomes[0] == (True, "", None)
 
 
 def test_ahc_size_check_comes_first():

@@ -12,12 +12,12 @@ from fractions import Fraction as F
 
 from hypothesis import assume, given, settings, strategies as st
 
-from metriclie.algebra import Subspace, bracket, change_of_basis
+from metriclie.algebra import LieAlgebra, Subspace, bracket, change_of_basis
 from metriclie.base import CheckResult
 from metriclie.catalog import get
-from metriclie.connection import (Connection, CurvatureTensor, bianchi_check,
-                                  biinvariant_curvature_check, curvature,
-                                  is_locally_symmetric, levi_civita,
+from metriclie.connection import (CONVENTIONS, Connection, CurvatureTensor,
+                                  bianchi_check, biinvariant_curvature_check,
+                                  curvature, is_locally_symmetric, levi_civita,
                                   metric_compatibility_check, nabla_R,
                                   naturally_reductive_check, torsion_check)
 from metriclie.forms import (SymBilinearForm, is_ad_invariant, restrict_form,
@@ -25,6 +25,7 @@ from metriclie.forms import (SymBilinearForm, is_ad_invariant, restrict_form,
 from metriclie.linalg import (basis_vector, contract, determinant,
                               first_nonzero, invert, is_zero_vector, mat_vec,
                               rank, tensor)
+from metriclie.scalars import QuadExt
 
 SOURCES = {"g0": "gmatrix0", "g1": "gmatrix0", "r+sl2": "killing+1",
            "r+so3": "killing+1"}
@@ -523,3 +524,42 @@ def test_tensor_checks_match_the_replaced_loops(pair, data):
                 _outcome(_reference_bianchi_check(T))
             assert _outcome(biinvariant_curvature_check(c, T)) == \
                 _outcome(_reference_biinvariant_curvature_check(c, T))
+
+
+# --- Q(sqrt 2) through the same loops ----------------------------------------
+
+R2 = QuadExt(0, 1, 2)
+
+
+def _root2_scaled(g):
+    """[x, y]' = sqrt(2) [x, y]: the same invariant forms, with the
+    constants in Q(sqrt 2), so the integer table is unscaled (scale 1)."""
+    return LieAlgebra(g.dim, tuple(tuple(tuple(R2 * c if c else c for c in cij)
+                                         for cij in plane)
+                                   for plane in g.structure))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(moved_pairs(), st.data())
+def test_quadratic_field_tensors_match_the_replaced_loops(pair, data):
+    """A sqrt(2)-scaled table in a rational basis: the connection, both
+    curvature conventions, Bianchi and the 1/4-ad check, the last two also
+    on a curvature bent by a rational or an irrational amount."""
+    g, B = pair
+    g = _root2_scaled(g)
+    n = g.dim
+    conn = levi_civita(g, B)
+    assert conn.gamma == _reference_levi_civita(g, B)
+    for convention in CONVENTIONS:
+        assert curvature(conn, convention).components == \
+            _reference_curvature(g, conn.gamma, convention)
+    R = curvature(conn)
+    slot = st.integers(0, n - 1)
+    idx, q, root = data.draw(st.tuples(st.tuples(slot, slot, slot, slot),
+                                       rationals.filter(bool), st.booleans()))
+    bent = CurvatureTensor(g, _bent(R.components, idx, R2 * q if root else q),
+                           "default")
+    for T in (R, bent):
+        assert _outcome(bianchi_check(T)) == _outcome(_reference_bianchi_check(T))
+        assert _outcome(biinvariant_curvature_check(conn, T)) == \
+            _outcome(_reference_biinvariant_curvature_check(conn, T))
