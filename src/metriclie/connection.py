@@ -32,10 +32,10 @@ from .base import (CheckResult, DegenerateMetricError, InputError,
                    JacobiError, once)
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
                     _skew_witness, is_ad_invariant, transform_form)
-from .linalg import (_mat_vec_over_z, _scaled_tensor, _unscaled, basis_vector,
-                     contract, first_nonzero, identity_matrix, invert,
-                     is_zero_vector, mat, mat_mul, mat_vec, nullspace, rank,
-                     tensor, transpose, vec)
+from .linalg import (_mat_vec_over_z, _scaled, _scaled_tensor, _unscaled,
+                     basis_vector, contract, first_nonzero, identity_matrix,
+                     invert, mat, mat_mul, mat_vec, nullspace, rank, tensor,
+                     transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
 
@@ -210,9 +210,9 @@ def ricci_form(conn: Connection, convention: str = "default") -> SymBilinearForm
 
 
 def ricci_operator(conn: Connection, convention: str = "default") -> tuple:
-    """Metric-raised Ricci: the operator Rc with <Rc x, y> = Ric(x, y)."""
-    S = ricci_form(conn, convention)
-    return mat_mul(invert(conn.metric.matrix), S.matrix)
+    """Metric-raised Ricci Rc, <Rc x, y> = Ric(x, y), once per convention."""
+    return once(conn, "_ricci_" + convention, lambda: mat_mul(
+        invert(conn.metric.matrix), ricci_form(conn, convention).matrix))
 
 
 def is_flat(conn: Connection) -> bool:
@@ -277,48 +277,45 @@ def soliton_solve(conn: Connection, convention: str = "default") -> SolitonResul
     E_Ric(i, j) + c [e_i, e_j] = 0 for every i < j.  The first nonzero
     structure constant fixes c (Id is a derivation only of an abelian
     algebra, where Ric = 0 and c = 0); every other entry is then checked.
-    The Ricci operator comes from the curvature memoised on conn.
+    The Ricci operator is memoised on conn.  Over Z, with Ric = Ri / r and
+    the rows of the integer table (scale D), entry (i, j, k) reads e = r D
+    E_Ric(i, j)_k and s = D [e_i, e_j]_k: c = -e0 / (r s0) at the forcing
+    entry, and an entry fails exactly when e s0 - e0 s != 0.
     """
     n = conn.algebra.dim
-    C = conn.algebra.structure
     ric = ricci_operator(conn, convention)
-    # entry (i, j, k): E_Ric(i, j)_k and its slope [e_i, e_j]_k in c
-    entries = [((i, j, k), e[k], C[i][j][k]) for (i, j), e in
-               _derivation_defects(conn.algebra, ric) for k in range(n)]
-    forcing, c = next(((key, -e / s) for key, e, s in entries if s),
-                      (None, Fraction(0)))
-    bad = next((key for key, e, s in entries if e + c * s), None)
+    flat, r = _scaled([x for row in ric for x in row])
+    C = _integer_table(conn.algebra).dense
+    entries = [((i, j, k), _dot(row, flat), C[i][j][k])
+               for ((i, j), k), row in _derivation_rows(C, 2)]
+    forcing, e0, s0 = next(((key, e, s) for key, e, s in entries if s),
+                           (None, 0, 1))
+    c = -_unscaled((e0,), 1)[0] / (r * s0)
+    bad = next((key for key, e, s in entries if e * s0 - e0 * s), None)
     if bad is not None:
         return SolitonResult(False, c=c, witness=(forcing, bad),
                              convention=convention)
     Id = identity_matrix(n)
-    D = tuple(tuple(r - c * e for r, e in zip(*rows)) for rows in zip(ric, Id))
-    residual = tuple(tuple(r - d - c * e for r, d, e in zip(*rows))
+    D = tuple(tuple(x - c * e for x, e in zip(*rows)) for rows in zip(ric, Id))
+    residual = tuple(tuple(x - d - c * e for x, d, e in zip(*rows))
                      for rows in zip(ric, D, Id))
     return SolitonResult(True, c=c, derivation=D, residual=residual,
                          convention=convention)
 
 
-def _derivation_defects(g: LieAlgebra, D):
-    """Yield ((i, j), E_D(i, j)) for basis pairs i < j in lexicographic
-    order, where E_D(i, j) = D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]."""
-    C = g.structure
-    E = [basis_vector(g.dim, k) for k in range(g.dim)]
-    cols = transpose(D)
-    for i, j in itertools.combinations(range(g.dim), 2):
-        yield (i, j), tuple(a - b - c for a, b, c in zip(
-            mat_vec(D, C[i][j]), contract(C, (cols[i], E[j])),
-            contract(C, (E[i], cols[j]))))
+def _dot(row, x):
+    return sum(a * x[col] for col, a in row)
 
 
 def is_derivation(g: LieAlgebra, D: Sequence[Sequence]) -> CheckResult:
-    """D[x, y] = [Dx, y] + [x, Dy] on basis pairs."""
+    """D[x, y] = [Dx, y] + [x, Dy] on basis pairs, over Z."""
     D = mat(D)
     if len(D) != g.dim or any(len(r) != g.dim for r in D):
         raise InputError("matrix size does not match algebra dimension")
+    flat = _scaled([x for row in D for x in row])[0]
     return CheckResult.from_witness(
-        next((ij for ij, e in _derivation_defects(g, D)
-              if not is_zero_vector(e)), None), "derivation identity fails")
+        next((ij for (ij, _), row in _derivation_rows(_integer_table(g).dense, 2)
+              if _dot(row, flat)), None), "derivation identity fails")
 
 
 def naturally_reductive_check(g: LieAlgebra, h: Subspace, m: Subspace,
@@ -479,65 +476,66 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
     if not B.is_nondegenerate():
         raise DegenerateMetricError("metric must be nondegenerate",
                                     radical=B.radical())
-    return len(_skew_derivations(B, _double_bracket(g)))
+    rows = _isotropy_rows(B, _double_bracket(g), 3)[0]
+    return B.dim * (B.dim - 1) // 2 - rank(list(rows))
 
 
-def _skew_derivations(B: SymBilinearForm, T) -> list:
-    """Nullspace basis of the row-major S skew for B and derivations of T."""
-    rows = _skew_rows(B) | _derivation_rows(T, 3)
-    return nullspace(list(rows), ncols=B.dim * B.dim)
-
-
-def _skew_rows(B: SymBilinearForm) -> set:
-    """Nonzero rows of <Sx, y> + <x, Sy> = 0 on basis pairs x <= y, for an
-    unknown matrix S stored row-major at a*n + b; each row starts at int 0."""
+def _isotropy_rows(B: SymBilinearForm, T, p: int) -> tuple[set, list, int]:
+    """(rows, table, v): the derivation rows of T for the S skew for B, in
+    the n(n-1)/2 skew coordinates.  S is skew for B exactly when BS = K is
+    antisymmetric; with K[c][y] = k_q = -K[y][c] for the q-th pair c < y
+    and B^-1 = V / v scaled once, v S[a][x] is the sum of w k_q over (q, w)
+    in table[a*n + x], n - 1 terms at most.  The rows are homogeneous, so v
+    drops out; the nonzero ones are collected into a set."""
     n = B.dim
-    M = B.matrix
+    V, v = _scaled_tensor(invert(B.matrix), 1)
+    pairs = list(enumerate(itertools.combinations(range(n), 2)))
+    table = [[(q, V[a][c] if y == x else -V[a][y]) for q, (c, y) in pairs
+              if x in (c, y) and V[a][c + y - x]]
+             for a in range(n) for x in range(n)]
     rows = set()
-    for i in range(n):
-        for j in range(i, n):
-            row = [0] * (n * n)
-            for l in range(n):
-                row[l * n + i] += M[l][j]
-                row[l * n + j] += M[i][l]
-            if any(row):
-                rows.add(tuple(row))
-    return rows
+    for _, row in _derivation_rows(T, p):
+        k = [0] * len(pairs)
+        for col, z in row:
+            for q, w in table[col]:
+                k[q] += z * w
+        if any(k):
+            rows.add(tuple(k))
+    return rows, table, v
 
 
-def _derivation_rows(T, p: int) -> set:
-    """Nonzero rows of S T(x_1, .., x_p) = sum_s T(.., S x_s, ..) on basis
-    tuples, for a (1,p) tensor T (T[i_1]..[i_p] is a coefficient vector) and
-    an unknown matrix S stored row-major at a*n + b.
+def _isotropy_basis(B: SymBilinearForm, T, p: int) -> list:
+    """A basis of the S skew for B that are derivations of T, as matrices:
+    the nullspace in skew coordinates, mapped back through the table."""
+    n = B.dim
+    rows, table, v = _isotropy_rows(B, T, p)
+    flats = [_unscaled([sum(w * k[q] for q, w in cell) for cell in table], v)
+             for k in nullspace(list(rows), ncols=n * (n - 1) // 2)]
+    return [tuple(f[a * n:(a + 1) * n] for a in range(n)) for f in flats]
 
-    T must be antisymmetric in its first two slots.  Only i_1 < i_2 is
-    visited: the rows with i_1 = i_2 vanish and each (i_2, i_1, ..) row is
-    the negative of an (i_1, i_2, ..) row, so the row space is unchanged.
-    Each row starts at int 0.
-    """
+
+def _derivation_rows(T, p: int):
+    """Yield ((idx, comp), row) for entry comp of the derivation identity
+    S T(x_1, .., x_p) = sum_s T(.., S x_s, ..) on the basis tuple idx, for a
+    (1,p) tensor T (T[i_1]..[i_p] is a coefficient vector) and an unknown
+    matrix S stored row-major at a*n + b: the left side minus the right is
+    the sum of x * S[col] over the (col, x) pairs of row, a column possibly
+    repeated.  The one builder of this identity (isotropy, the soliton and
+    is_derivation).  T must be antisymmetric in its first two slots; only
+    i_1 < i_2 is visited, in lexicographic order, as i_1 = i_2 gives zero
+    rows and (i_2, i_1, ..) the negatives of the (i_1, i_2, ..) rows."""
     n = len(T)
-
-    def at(key):
-        return reduce(operator.getitem, key, T)
-
-    rows = set()
+    at = {idx: reduce(operator.getitem, idx, T)
+          for idx in itertools.product(range(n), repeat=p)}
     for head in itertools.combinations(range(n), 2):
         for rest in itertools.product(range(n), repeat=p - 2):
             idx = head + rest
-            image = at(idx)
-            terms = [(l * n + i_s, at(idx[:s] + (l,) + idx[s + 1:]))
+            image = [(l, v) for l, v in enumerate(at[idx]) if v]
+            terms = [(l * n + i_s, at[idx[:s] + (l,) + idx[s + 1:]])
                      for s, i_s in enumerate(idx) for l in range(n)]
             for comp in range(n):
-                row = [0] * (n * n)
-                for l, v in enumerate(image):
-                    if v:
-                        row[comp * n + l] += v
-                for col, v in terms:
-                    if v[comp]:
-                        row[col] -= v[comp]
-                if any(row):
-                    rows.add(tuple(row))
-    return rows
+                yield (idx, comp), [(comp * n + l, v) for l, v in image] + \
+                    [(col, -v[comp]) for col, v in terms if v[comp]]
 
 
 def skew_adjoint_form_space(which: str, alpha, beta, gamma=0) -> list[SymBilinearForm]:
@@ -576,7 +574,9 @@ def is_isometric_automorphism(g: LieAlgebra, B: SymBilinearForm,
 
 @dataclass(frozen=True)
 class IsotropyReport:
-    """Linearized isotropy algebra of a Heisenberg metric at the identity."""
+    """Linearized isotropy algebra of a Heisenberg metric at the identity;
+    ``generators`` is a basis of it, canonical in the skew coordinates of
+    S = metric^-1 K (``_isotropy_rows``), not in the entries of S."""
 
     dim: int
     kind: str
@@ -596,18 +596,15 @@ def h3_isotropy(metric: SymBilinearForm) -> IsotropyReport:
     the skew derivations (rotation type for a definite plane, boost type for
     a split plane).
     """
-    n = 3
     R = curvature(levi_civita(catalog.get("h3").algebra, metric))
-    basis = _skew_derivations(metric, R.components)
-    gens = tuple(tuple(tuple(v[a * n + bb] for bb in range(n)) for a in range(n))
-                 for v in basis)
-    if len(basis) >= 3:
+    gens = tuple(_isotropy_basis(metric, _scaled_tensor(R.components, 3)[0], 3))
+    if len(gens) >= 3:
         kind = "O(2,1) type"
-    elif len(basis) == 1:
+    elif len(gens) == 1:
         S = gens[0]
-        tr2 = sum((S[a][bb] * S[bb][a] for a in range(n) for bb in range(n)),
+        tr2 = sum((S[a][b] * S[b][a] for a in range(3) for b in range(3)),
                   start=Fraction(0))
         kind = "O(2) type" if tr2 < 0 else "O(1,1) type"
     else:
         kind = "trivial"
-    return IsotropyReport(len(basis), kind, gens)
+    return IsotropyReport(len(gens), kind, gens)

@@ -40,7 +40,9 @@ QuadExt); both central series, the invariant-form system and the Killing
 form read it, and so does the one double bracket per algebra, kept in the
 same form as D^2 [[e_i, e_j], e_k] (read by Jacobi, the 1/4-ad curvature
 check, the isometry check and the isotropy rows).  Rows start at int 0,
-which ``_rref_generic`` reads as Fraction(0).
+which ``_rref_generic`` reads as Fraction(0).  One derivation-row builder
+serves isotropy, the soliton and ``is_derivation``; isotropy is solved in
+the n(n-1)/2 skew coordinates of S = B^-1 K, K antisymmetric.
 """
 
 from __future__ import annotations

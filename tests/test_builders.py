@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from metriclie.algebra import bracket, change_of_basis
 from metriclie.catalog import get
-from metriclie.connection import (_derivation_rows, _skew_rows, curvature,
+from metriclie.connection import (_derivation_rows, _isotropy_basis, curvature,
                                   h3_isotropy, is_derivation, levi_civita,
                                   linearized_isotropy_dim, soliton_solve)
 from metriclie.forms import (_skew_form_rows, invariant_form_space,
                              is_ad_invariant, transform_form)
-from metriclie.linalg import basis_vector, determinant, mat_vec, rank, row_space
+from metriclie.linalg import (basis_vector, determinant, mat_vec, nullspace,
+                              rank, row_space)
 
 SOURCES = {"g0": "gmatrix0", "g1": "gmatrix0", "r+sl2": "killing+1",
            "r+so3": "killing+1"}
@@ -60,6 +61,14 @@ def _reference_derivation_rows(T, p):
     return rows
 
 
+def _dense(row, size):
+    """A sparse builder row, its (col, coefficient) pairs summed per column."""
+    out = [F(0)] * size
+    for col, x in row:
+        out[col] += x
+    return tuple(out)
+
+
 def _reference_skew_rows(B):
     """<Sx, y> + <x, Sy> = 0 on every basis pair (x, y)."""
     n = B.dim
@@ -71,6 +80,18 @@ def _reference_skew_rows(B):
             row[l * n + y] += B.matrix[x][l]
         rows.append(tuple(row))
     return rows
+
+
+def _reference_isotropy(B, T, p):
+    """Row space of the S (as n^2 row-major entries) skew for B that are
+    derivations of T, from the full systems in all n^2 entries of S."""
+    rows = _reference_skew_rows(B) + _reference_derivation_rows(T, p)
+    return row_space(nullspace(rows))
+
+
+def _isotropy_space(B, T, p):
+    return row_space([sum(S, ()) for S in _isotropy_basis(B, T, p)] or
+                     [(F(0),) * (B.dim * B.dim)])
 
 
 def _reference_skew_form_rows(n, maps):
@@ -111,10 +132,25 @@ def test_builders_match_full_reference_systems(name, P):
     assert row_space(sorted(_skew_form_rows(4, g.structure))) == \
         row_space(sorted(_reference_skew_form_rows(4, g.structure)))
     for T, p in ((g.structure, 2), (_double_bracket(g), 3)):
-        assert row_space(sorted(_derivation_rows(T, p))) == \
+        keys, rows = zip(*_derivation_rows(T, p))
+        assert list(keys) == [(idx, comp) for idx in itertools.product(
+            range(4), repeat=p) if idx[0] < idx[1] for comp in range(4)]
+        assert row_space([_dense(row, 16) for row in rows]) == \
             row_space(_reference_derivation_rows(T, p))
-    assert row_space(sorted(_skew_rows(B))) == \
-        row_space(_reference_skew_rows(B))
+    # the isotropy space solved in skew coordinates is the space of the
+    # full n^2 system: S skew for B and a derivation of the double bracket
+    T = _double_bracket(g)
+    assert _isotropy_space(B, T, 3) == _reference_isotropy(B, T, 3)
+
+
+def test_h3_isotropy_space_matches_the_full_system():
+    h3 = get("h3").algebra
+    for name, metric in get("h3").left_metrics.items():
+        R = curvature(levi_civita(h3, metric)).components
+        want = _reference_isotropy(metric, R, 3)
+        assert len(want) == {"h0": 3, "h1": 1, "h2": 1}[name]
+        assert row_space([sum(S, ()) for S in h3_isotropy(metric).generators]) \
+            == _isotropy_space(metric, R, 3) == want, name
 
 
 def test_h3_isotropy_generators_checked_directly():

@@ -12,7 +12,7 @@ from metriclie.algebra import (LieAlgebra, Subspace, bracket,
                                change_of_basis, jacobi_check)
 from metriclie.base import DegenerateMetricError, InputError, JacobiError
 from metriclie.catalog import get
-from metriclie.connection import (CONVENTIONS, Connection, _derivation_rows,
+from metriclie.connection import (CONVENTIONS, Connection, SolitonResult,
                                   ahc_isometry_check,
                                   bianchi_check, biinvariant_curvature_check,
                                   curvature, extract_family_parameters,
@@ -27,9 +27,11 @@ from metriclie.connection import (CONVENTIONS, Connection, _derivation_rows,
                                   torsion_check)
 from metriclie.forms import (SymBilinearForm, restrict_form, signature,
                              transform_form)
-from metriclie.linalg import (basis_vector, determinant, first_nonzero,
-                              identity_matrix, mat_mul, mat_vec, nullspace,
-                              solve, tensor)
+from metriclie.linalg import (basis_vector, contract, determinant,
+                              first_nonzero, identity_matrix, is_zero_vector,
+                              mat, mat_mul, mat_vec, nullspace, solve, tensor,
+                              transpose)
+from metriclie.scalars import QuadExt
 
 E = lambda i: basis_vector(4, i)
 HALF = F(1, 2)
@@ -296,9 +298,15 @@ def _joint_soliton(g, ric):
     rows = [(F(a == b),) + basis_vector(n * n, a * n + b)
             for a in range(n) for b in range(n)]
     rhs = [ric[a][b] for a in range(n) for b in range(n)]
-    for row in sorted(_derivation_rows(g.structure, 2)):
-        rows.append((F(0),) + row)
-        rhs.append(F(0))
+    # the derivation rows on every basis pair, column a*n + b read off the
+    # defect of the matrix unit E_ab
+    units = [tuple(tuple(F(r == a and s == b) for s in range(n)) for r in range(n))
+             for a in range(n) for b in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        defects = [_defect(g, U, i, j) for U in units]
+        for k in range(n):
+            rows.append((F(0),) + tuple(d[k] for d in defects))
+            rhs.append(F(0))
     sol = solve(rows, rhs)
     if sol is None:
         return None
@@ -361,6 +369,116 @@ def test_soliton_matches_the_joint_system(case, convention):
     else:
         assert repr((res.c, res.derivation)) == repr(ref)
         assert all(x == 0 for row in res.residual for x in row)
+
+
+def _derivation_defects_loop(g, D):
+    """((i, j), E_D(i, j)) for i < j, E_D(i, j) = D[e_i, e_j] - [D e_i, e_j]
+    - [e_i, D e_j] from mat_vec and contract: the loop that the derivation
+    rows over Z replaced in soliton_solve and is_derivation."""
+    C = g.structure
+    E = [basis_vector(g.dim, k) for k in range(g.dim)]
+    cols = transpose(D)
+    for i, j in itertools.combinations(range(g.dim), 2):
+        yield (i, j), tuple(a - b - c for a, b, c in zip(
+            mat_vec(D, C[i][j]), contract(C, (cols[i], E[j])),
+            contract(C, (E[i], cols[j]))))
+
+
+def _reference_soliton(conn, convention):
+    """soliton_solve as it was, on the Fraction defects of the loop above."""
+    n = conn.algebra.dim
+    C = conn.algebra.structure
+    ric = ricci_operator(conn, convention)
+    entries = [((i, j, k), e[k], C[i][j][k]) for (i, j), e in
+               _derivation_defects_loop(conn.algebra, ric) for k in range(n)]
+    forcing, c = next(((key, -e / s) for key, e, s in entries if s),
+                      (None, F(0)))
+    bad = next((key for key, e, s in entries if e + c * s), None)
+    if bad is not None:
+        return SolitonResult(False, c=c, witness=(forcing, bad),
+                             convention=convention)
+    Id = identity_matrix(n)
+    D = tuple(tuple(r - c * e for r, e in zip(*rows)) for rows in zip(ric, Id))
+    residual = tuple(tuple(r - d - c * e for r, d, e in zip(*rows))
+                     for rows in zip(ric, D, Id))
+    return SolitonResult(True, c=c, derivation=D, residual=residual,
+                         convention=convention)
+
+
+def _reference_derivation_witness(g, D):
+    return next((ij for ij, e in _derivation_defects_loop(g, mat(D))
+                 if not is_zero_vector(e)), None)
+
+
+def _sqrt2_scaled(g):
+    """[x, y]' = sqrt(2) [x, y]: constants in Q(sqrt 2), Jacobi kept."""
+    r2 = QuadExt(0, 1, 2)
+    return LieAlgebra(g.dim, tuple(tuple(tuple(r2 * c if c else c for c in cij)
+                                         for cij in plane)
+                                   for plane in g.structure))
+
+
+def assert_soliton_matches_the_loop(g, B, convention, extra=()):
+    conn = levi_civita(g, B)
+    try:
+        ric = ricci_operator(conn, convention)
+    except JacobiError:
+        return False
+    res = soliton_solve(conn, convention)
+    # repr: c, the derivation and the residual must match in type as well
+    assert repr(res) == repr(_reference_soliton(conn, convention))
+    n = g.dim
+    Id = identity_matrix(n)
+    shifted = tuple(tuple(r - res.c * e for r, e in zip(*rows))
+                    for rows in zip(ric, Id))
+    for D in (ric, shifted) + tuple(extra):
+        assert is_derivation(g, D).witness == _reference_derivation_witness(g, D)
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=soliton_inputs(), convention=st.sampled_from(CONVENTIONS),
+       D=_square(4))
+@example(case=SQUASHED, convention="default", D=[[0] * 4] * 4)
+@example(case=NON_JACOBI[0], convention="oneill", D=[[0] * 4] * 4)
+@example(case=NON_JACOBI[1], convention="default", D=[[0] * 4] * 4)
+def test_soliton_and_is_derivation_match_the_defect_loop(case, convention, D):
+    g, B = case
+    extra = [tuple(tuple(row[:g.dim]) for row in D[:g.dim])]
+    if not assert_soliton_matches_the_loop(g, B, convention, extra):
+        reject()
+
+
+def test_quadratic_field_solitons_match_the_defect_loop():
+    sources = [(get(name).algebra, B) for name in ("h3", "g0", "g1", "sl2", "so3")
+               for B in {**get(name).left_metrics,
+                         **get(name).invariant_forms}.values()]
+    sources += [(get("r+sl2").algebra, get("r+sl2").invariant_forms["killing+1"]),
+                SQUASHED]
+    seen = set()
+    for g, B in sources:
+        gq = _sqrt2_scaled(g)
+        for convention in CONVENTIONS:
+            assert assert_soliton_matches_the_loop(gq, B, convention)
+            seen.add(soliton_solve(levi_civita(gq, B), convention).feasible)
+    assert seen == {True, False}
+
+
+def test_geometry_builds_each_ricci_form_once(monkeypatch):
+    calls = []
+    real = connection.ricci_form
+
+    def counted(conn, convention="default"):
+        calls.append((id(conn), convention))
+        return real(conn, convention)
+
+    monkeypatch.setattr(connection, "ricci_form", counted)
+    for argv in (["geometry", "g0", "gmatrix0"], ["geometry", "h3", "h1"],
+                 ["geometry", "so3", "killing"]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(calls) == len(set(calls)) >= 1, argv
 
 
 def test_asymmetric_ricci_names_the_jacobi_triple():

@@ -29,8 +29,8 @@ from metriclie.algebra import (LieAlgebra, Subspace, _chain, _double_bracket,
                                change_of_basis, jacobi_check, lower_central,
                                upper_central)
 from metriclie.catalog import get, names
-from metriclie.connection import (_derivation_rows, _skew_derivations,
-                                  _skew_rows, ahc_isometry_check,
+from metriclie.connection import (_derivation_rows, _isotropy_basis,
+                                  ahc_isometry_check,
                                   biinvariant_curvature_check, curvature,
                                   levi_civita, linearized_isotropy_dim)
 from metriclie.forms import (_form_from_coeffs, _skew_form_rows,
@@ -472,6 +472,30 @@ def same_rows(rows, want):
     return row_space(list(rows)) == row_space(list(want))
 
 
+def builder_rows(T, p):
+    """The rows of ``_derivation_rows``, their (col, coefficient) pairs
+    summed per column into dense rows."""
+    n = len(T)
+    rows = []
+    for _, pairs in _derivation_rows(T, p):
+        row = [F(0)] * (n * n)
+        for col, x in pairs:
+            row[col] += x
+        rows.append(row)
+    return rows
+
+
+def assert_isotropy_space(B, T, g):
+    """The S basis solved in skew coordinates spans the space of the full
+    n^2 system (``isotropy_loop``); over Q its entries are Fractions."""
+    basis = [sum(S, ()) for S in _isotropy_basis(B, T, 3)]
+    assert same_rows(basis, isotropy_loop(g, B))
+    if all(type(x) is F for row in B.matrix for x in row) and \
+            all(type(x) is int for plane in T for row in plane
+                for leaf in row for x in leaf):
+        assert all(type(x) is F for v in basis for x in v)
+
+
 # metric sources: each algebra with an ad-invariant nondegenerate form
 METRICS = {"g0": "gmatrix0", "g1": "gmatrix0", "r+sl2": "killing+1",
            "r+so3": "killing+1"}
@@ -512,13 +536,12 @@ def test_isotropy_systems_match_the_field_loops(case):
     B = transform_form(entry.invariant_forms[METRICS[name]], P)
     assert_scaled_double_bracket(g)
     dbl, want = _double_bracket(g), double_bracket_loop(g)
-    assert same_rows(_derivation_rows(g.structure, 2),
+    assert same_rows(builder_rows(g.structure, 2),
                      derivation_rows_loop(g.structure, 2))
-    assert same_rows(_derivation_rows(dbl, 3), derivation_rows_loop(want, 3))
-    assert same_rows(_derivation_rows(want, 3), derivation_rows_loop(want, 3))
-    assert same_rows(_skew_rows(B), skew_rows_loop(B))
-    assert repr(_skew_derivations(B, dbl)) == repr(isotropy_loop(g, B))
-    assert linearized_isotropy_dim(g, B) == 3
+    assert same_rows(builder_rows(dbl, 3), derivation_rows_loop(want, 3))
+    assert same_rows(builder_rows(want, 3), derivation_rows_loop(want, 3))
+    assert_isotropy_space(B, dbl, g)
+    assert linearized_isotropy_dim(g, B) == len(isotropy_loop(g, B)) == 3
 
 
 def test_quadext_structure_tables_keep_the_field_loops():
@@ -540,6 +563,7 @@ def test_quadext_structure_tables_keep_the_field_loops():
         assert repr(killing_form(gq).matrix) == repr(mat(killing_loop(gq)))
         B = entry.invariant_forms[form]
         assert_scaled_double_bracket(gq)
+        assert_isotropy_space(B, _double_bracket(gq), gq)
         assert linearized_isotropy_dim(gq, B) == len(isotropy_loop(gq, B)) == 3
 
 
