@@ -112,11 +112,16 @@ class Signature:
 
 
 def is_ad_invariant(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:
-    """<[x,y],z> + <y,[x,z]> = 0 on all basis triples."""
+    """<[x,y],z> + <y,[x,z]> = 0 on all basis triples; checked once per
+    algebra and form, so the check a caller runs serves the functions that
+    take the form's invariance as a precondition."""
     if B.dim != g.dim:
         raise InputError("form and algebra dimensions differ")
-    return CheckResult.from_witness(_skew_witness(B, g.structure),
-                                    "ad-invariance fails")
+    checked = once(g, "_ad_invariant", dict)
+    if B not in checked:
+        checked[B] = CheckResult.from_witness(_skew_witness(B, g.structure),
+                                              "ad-invariance fails")
+    return checked[B]
 
 
 def orthogonal_complement(B: SymBilinearForm, m: Subspace) -> Subspace:

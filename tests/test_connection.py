@@ -1,13 +1,14 @@
 import contextlib
 import io
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
-from metriclie import cli, connection
+from metriclie import cli, connection, forms
 from metriclie.algebra import (LieAlgebra, Subspace, bracket,
                                change_of_basis, jacobi_check)
 from metriclie.base import DegenerateMetricError, InputError, JacobiError
@@ -479,6 +480,32 @@ def test_geometry_builds_each_ricci_form_once(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
         assert len(calls) == len(set(calls)) >= 1, argv
+
+
+def test_geometry_checks_ad_invariance_once(monkeypatch, tmp_path):
+    # the verb's check also serves linearized_isotropy_dim's precondition;
+    # file algebras are fresh, so no earlier check is kept on them
+    calls = []
+    real = forms._skew_witness
+
+    def counted(B, maps):
+        calls.append(B)
+        return real(B, maps)
+
+    monkeypatch.setattr(forms, "_skew_witness", counted)
+    osc = tmp_path / "osc.json"
+    osc.write_text(json.dumps({
+        "dim": 4, "brackets": [[0, 1, 2, "1"], [0, 2, 1, "-1"], [1, 2, 3, "1"]],
+        "metrics": {"B": [[0, 3, "1"], [1, 1, "1"], [2, 2, "1"]]}}))
+    so3 = tmp_path / "so3.json"
+    so3.write_text(json.dumps({
+        "dim": 3, "brackets": [[0, 1, 2, 1], [1, 2, 0, 1], [2, 0, 1, 1]]}))
+    for argv in (["geometry", str(osc), "B"], ["geometry", str(so3), "killing"]):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        assert "isotropy dim: " in out.getvalue()
+        assert len(calls) == 1, argv
 
 
 def test_asymmetric_ricci_names_the_jacobi_triple():
