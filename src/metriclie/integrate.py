@@ -17,6 +17,13 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+# np.einsum(..., optimize=False) hands its arguments to this C function, so
+# calling it directly gives the same bits without the Python wrapper
+if int(np.__version__.split(".")[0]) >= 2:
+    from numpy._core.multiarray import c_einsum
+else:
+    from numpy.core.multiarray import c_einsum
+
 from .base import InputError, NumericalError
 from .groups import (GeodesicSpec, GroupElement, coordinate_metric, frame,
                      geodesic_closed_form, group_identity)
@@ -92,6 +99,43 @@ def _h2_partials(p):
     return -_h1_partials(p)
 
 
+def _h3_lowered_template(s):
+    """The point-independent entries of the h1 (s = 1.0) or h2 (s = -1.0)
+    lowered tensor, flat at index 9 i + 3 j + l.  T[0,1,2] and T[1,0,2] are
+    (0.5 - 0.5) - 0 = +0.0 on both charts."""
+    out = np.zeros(27)
+    out[7] = out[19] = s     # T[0,2,1], T[2,0,1]
+    out[15] = out[21] = -s   # T[1,2,0], T[2,1,0]
+    out.flags.writeable = False
+    return out
+
+
+_H3_LOWERED = {"h1": _h3_lowered_template(1.0), "h2": _h3_lowered_template(-1.0)}
+
+
+class _H3Chart(MetricChart):
+    """h1 or h2: the lowered tensor is built on Python floats.
+
+    Each entry is (d_i g_jl + d_j g_il) - d_l g_ij on the partials of the
+    chart itself (h2's are h1's negated, zeros included), in the order
+    MetricChart.lowered_at adds them, so the bits are the same: negating
+    h1's tensor as a whole would flip the sign of a zero that mixes signs.
+    """
+
+    def lowered_at(self, p) -> np.ndarray:
+        x, y, _ = _floats(p)
+        # d_y g_xx, d_x g_yy, d_x g_xy and d_y g_xy, as _h1_partials has them
+        yxx, xyy, xxy, yxy = -y / 2, -x / 2, y / 4, x / 4
+        if self.name == "h2":
+            yxx, xyy, xxy, yxy = -yxx, -xyy, -xxy, -yxy
+        out = _H3_LOWERED[self.name].copy()
+        out[1] = (xxy + xxy) - yxx               # T[0,0,1]
+        out[3] = out[9] = (xxy + yxx) - xxy      # T[0,1,0], T[1,0,0]
+        out[4] = out[10] = (xyy + yxy) - yxy     # T[0,1,1], T[1,0,1]
+        out[12] = (yxy + yxy) - xyy              # T[1,1,0]
+        return out.reshape(3, 3, 3)
+
+
 def _floats(p) -> list:
     """The coordinates of p as Python floats, which compute the chart
     entries faster than numpy scalars and round the same."""
@@ -106,9 +150,9 @@ def chart(name: str) -> MetricChart:
     if name in ("g0", "g1"):
         return _ConstantPartialsChart(name, 4, metric_at, _g0g1_partials)
     if name == "h1":
-        return MetricChart(name, 3, metric_at, _h1_partials)
+        return _H3Chart(name, 3, metric_at, _h1_partials)
     if name == "h2":
-        return MetricChart(name, 3, metric_at, _h2_partials)
+        return _H3Chart(name, 3, metric_at, _h2_partials)
     raise InputError(f"no chart named {name!r}; have g0, g1, h1, h2")
 
 
@@ -116,26 +160,36 @@ def _raise_singular(err, flag):
     raise np.linalg.LinAlgError("singular matrix")
 
 
-def christoffel(ch: MetricChart, p: Sequence) -> np.ndarray:
-    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 at p."""
-    p = np.asarray(p, dtype=float)
-    g = ch.metric_at(p)
-    try:
-        # the LAPACK gufunc and error state of np.linalg.inv, without its
-        # Python wrapper: the same bits
-        with np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            ginv = _umath_linalg.inv(g, signature="d->d")
-    except np.linalg.LinAlgError:
-        raise NumericalError(f"metric of chart {ch.name} singular at {p.tolist()}")
-    gam = np.einsum("kl,ijl->kij", ginv, ch.lowered_at(p))
+# the error state np.linalg.inv enters: its inverse gufunc flags a singular
+# matrix as invalid, and the callback raises LinAlgError
+_SINGULAR_RAISES = dict(call=_raise_singular, invalid="call", over="ignore",
+                        divide="ignore", under="ignore")
+
+
+def _christoffel(ch: MetricChart, p: np.ndarray) -> np.ndarray:
+    """christoffel on a float array p, under the caller's error state: a
+    singular metric raises LinAlgError when that state is _SINGULAR_RAISES."""
+    # the LAPACK gufunc of np.linalg.inv, without its Python wrapper: the
+    # same bits
+    ginv = _umath_linalg.inv(ch.metric_at(p), signature="d->d")
+    gam = c_einsum("kl,ijl->kij", ginv, ch.lowered_at(p))
     gam *= 0.5
     return gam
 
 
+def christoffel(ch: MetricChart, p: Sequence) -> np.ndarray:
+    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 at p."""
+    p = np.asarray(p, dtype=float)
+    try:
+        with np.errstate(**_SINGULAR_RAISES):
+            return _christoffel(ch, p)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"metric of chart {ch.name} singular at {p.tolist()}")
+
+
 def geodesic_rhs(ch: MetricChart, pos: np.ndarray, vel: np.ndarray) -> tuple:
     gam = christoffel(ch, pos)
-    acc = -np.einsum("kij,i,j->k", gam, vel, vel)
+    acc = -c_einsum("kij,i,j->k", gam, vel, vel)
     return vel, acc
 
 
@@ -157,28 +211,33 @@ def integrate_geodesic(ch: MetricChart, p0: Sequence, v0: Sequence,
                        s_end: float, step: float = 1e-3) -> Trajectory:
     """Classical RK4 on (position, velocity).
 
-    A non-finite state aborts the run; the trajectory then carries the
-    samples up to the last valid one and is flagged ``aborted``.  That flag
-    is the report, so numpy's floating-point warnings are silenced.
+    The run enters np.linalg.inv's error state once, not once per
+    Christoffel evaluation, so an invalid operation anywhere in a step (a
+    singular metric, or inf - inf) raises and aborts the run.  Such an
+    operation leaves a NaN in the state, which the finiteness test would
+    catch at the end of the step, so the samples are the same.  A non-finite
+    state aborts too; the trajectory then carries the samples up to the last
+    valid one and is flagged ``aborted``.  That flag is the report, so
+    numpy's other floating-point warnings are silenced.
     """
     nsteps = _step_count(s_end, step)
     n = len(p0)
 
     def rhs(y):
-        vel, acc = geodesic_rhs(ch, y[:n], y[n:])
+        vel = y[n:]
         dy = np.empty(2 * n)
         dy[:n] = vel
-        dy[n:] = acc
+        dy[n:] = -c_einsum("kij,i,j->k", _christoffel(ch, y[:n]), vel, vel)
         return dy
 
     y = np.concatenate((np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)))
     ys = [y]
     aborted = False
-    with np.errstate(all="ignore"):
+    with np.errstate(**_SINGULAR_RAISES):
         for _ in range(nsteps):
             try:
                 y = _rk4_step(rhs, y, step)
-            except NumericalError:
+            except np.linalg.LinAlgError:
                 aborted = True
                 break
             if not np.isfinite(y).all():

@@ -1,6 +1,10 @@
+import inspect
 import io
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +14,8 @@ from numpy.linalg import _umath_linalg
 
 from metriclie.base import InputError, NumericalError
 from metriclie.groups import GeodesicSpec, GroupElement, exp_map, group_identity
-from metriclie.integrate import (MetricChart, Trajectory, _step_count, chart,
+from metriclie.integrate import (MetricChart, Trajectory, _h1_partials,
+                                 _h2_partials, _step_count, c_einsum, chart,
                                  christoffel, compare_to_closed_form,
                                  energy_series, flow_left_invariant_field,
                                  geodesic_rhs, initial_velocity,
@@ -295,14 +300,19 @@ def test_flow_out_of_float_range_raises_numerical_error(model, a):
         flow_left_invariant_field(model, a, 1.0, 0.5)
 
 
-def test_singular_chart_aborts_with_last_valid_sample():
-    # metric degenerates at x = 1; the run must stop there, keeping samples
-    degenerating = MetricChart(
+def _degenerating_chart():
+    # metric degenerates at x = 1
+    return MetricChart(
         "bad", 2,
         lambda p: np.array([[max(1.0 - p[0], 0.0), 0.0], [0.0, 1.0]]),
         lambda p: np.array([[[-1.0, 0.0], [0.0, 0.0]],
                             [[0.0, 0.0], [0.0, 0.0]]]))
-    traj = integrate_geodesic(degenerating, [0.0, 0.0], [1.0, 0.0], 5.0, 1e-2)
+
+
+def test_singular_chart_aborts_with_last_valid_sample():
+    # the run must stop where the metric degenerates, keeping samples
+    traj = integrate_geodesic(_degenerating_chart(), [0.0, 0.0], [1.0, 0.0],
+                              5.0, 1e-2)
     assert traj.aborted
     assert 0 < len(traj) < 501
     assert np.all(np.isfinite(traj.positions))
@@ -370,9 +380,15 @@ def _oracle_christoffel(name, p):
 
 
 def _oracle_integrate(name, p0, v0, s_end, step):
-    """(positions, velocities, aborted) of the RK4 loop on the concatenated
-    state, with the oracle Christoffel symbols."""
+    """(positions, velocities, aborted, invalid_at) of the RK4 loop on the
+    concatenated state, with the oracle Christoffel symbols.  invalid_at
+    names the function of each operation that raised numpy's invalid flag
+    outside np.linalg.inv; recording it changes no value."""
     n = len(p0)
+    invalid_at = []
+
+    def record(err, flag):
+        invalid_at.append(sys._getframe(1).f_code.co_name)
 
     def rhs(y):
         vel = y[n:]
@@ -384,7 +400,7 @@ def _oracle_integrate(name, p0, v0, s_end, step):
                         np.asarray(v0, dtype=float)))
     ys = [y]
     aborted = False
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore", invalid="call", call=record):
         for _ in range(_step_count(s_end, step)):
             try:
                 k1 = rhs(y)
@@ -400,11 +416,16 @@ def _oracle_integrate(name, p0, v0, s_end, step):
                 break
             ys.append(y)
     Y = np.array(ys)
-    return Y[:, :n], Y[:, n:], aborted
+    return Y[:, :n], Y[:, n:], aborted, invalid_at
 
 
 _coordinate = st.one_of(st.floats(-2, 2),
                         st.sampled_from([0.0, -0.0, 1e-300, 1e200, -1e200]))
+
+
+# the RK4 stage sums of the first step meet inf - inf
+_INVALID_STAGE = dict(name="h2", data=[0.0, 0.0, 0.0, 0.0, 1e150, 1.0, 1e160,
+                                       0.0], nsteps=1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -413,6 +434,7 @@ _coordinate = st.one_of(st.floats(-2, 2),
        nsteps=st.integers(1, 12))
 @example(name="h2", data=[0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0], nsteps=3)
 @example(name="g1", data=[0.3, -0.2, 0.1, 0.0, -1.1, 0.9, 1e200, 0.0], nsteps=4)
+@example(**_INVALID_STAGE)
 def test_trajectory_matches_pre_cache_christoffel_bit_for_bit(name, data,
                                                                nsteps):
     # tobytes, not array_equal: -0.0 and 0.0 compare equal but print
@@ -420,7 +442,13 @@ def test_trajectory_matches_pre_cache_christoffel_bit_for_bit(name, data,
     dim = chart(name).dim
     p0, v0 = data[:dim], data[4:4 + dim]
     traj = integrate_geodesic(chart(name), p0, v0, nsteps * 0.01, 0.01)
-    ps, vs, aborted = _oracle_integrate(name, p0, v0, nsteps * 0.01, 0.01)
+    ps, vs, aborted, invalid_at = _oracle_integrate(name, p0, v0,
+                                                    nsteps * 0.01, 0.01)
+    if dict(name=name, data=data, nsteps=nsteps) == _INVALID_STAGE:
+        assert "_oracle_integrate" in invalid_at
+    # an invalid operation leaves a NaN in the state, so the oracle aborts
+    # where integrate_geodesic, which raises on the flag, aborts too
+    assert aborted or not invalid_at
     assert traj.aborted == aborted
     assert traj.positions.tobytes() == ps.tobytes()
     assert traj.velocities.tobytes() == vs.tobytes()
@@ -488,6 +516,87 @@ def test_private_inverse_gufunc_is_np_linalg_inv(n):
             np.linalg.inv(A).tobytes()
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_private_einsum_is_np_einsum(n):
+    # the geodesic layer calls np.einsum's C function directly; it must be
+    # the function np.einsum(..., optimize=False) calls, with the same bits
+    assert c_einsum is inspect.unwrap(np.einsum).__globals__["c_einsum"]
+    rng = np.random.default_rng(n)
+    special = [0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200, 1.0, -2.5]
+    for k in range(200):
+        if k % 2:
+            A, T, v = (rng.standard_normal(shape)
+                       for shape in ((n, n), (n, n, n), n))
+        else:
+            A, T, v = (rng.choice(special, shape)
+                       for shape in ((n, n), (n, n, n), n))
+        for spec, args in (("kl,ijl->kij", (A, T)), ("kij,i,j->k", (T, v, v))):
+            with np.errstate(all="ignore"):
+                assert c_einsum(spec, *args).tobytes() == \
+                    np.einsum(spec, *args).tobytes()
+
+
+def test_private_einsum_import_warns_nothing():
+    # numpy 2 warns on numpy.core; the module imports numpy._core there
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(inspect.getfile(chart))),
+        os.environ.get("PYTHONPATH")])))
+    code = ("import warnings, numpy; warnings.simplefilter('error');"
+            " import metriclie.integrate")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def _h3_point_values():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200]
+    rng = np.random.default_rng(7)
+    return [(x, y, z) for x in edges for y in edges for z in (0.0, -1e200)] + \
+        [tuple(rng.uniform(-3, 3, 3)) for _ in range(100)]
+
+
+@pytest.mark.parametrize("name, partials", [("h1", _h1_partials),
+                                            ("h2", _h2_partials)])
+def test_h3_lowered_tensor_matches_the_partials_bit_for_bit(name, partials):
+    ch = chart(name)
+    assert ch.partials_at is partials
+    for p in _h3_point_values():
+        T = ch.lowered_at(np.array(p))
+        assert T.tobytes() == MetricChart.lowered_at(ch, np.array(p)).tobytes()
+    # entries that are zero at every point are +0.0 on both charts
+    always_zero = ch.lowered_at(np.array([0.7, -1.3, 0.2])) == 0
+    for p in ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]):
+        assert not np.signbit(ch.lowered_at(np.array(p))[always_zero]).any()
+
+
+def test_h2_lowered_tensor_is_not_h1s_negated():
+    # at y = 0, T[0,1,0] = (y/4 - y/2) - y/4 is +0.0 on both charts: a zero
+    # that mixes signs is not negated with the rest
+    p = np.array([0.0, 0.0, 0.0])
+    h1, h2 = chart("h1").lowered_at(p), chart("h2").lowered_at(p)
+    assert h1[0, 1, 0] == h2[0, 1, 0] == 0 and not np.signbit(h2[0, 1, 0])
+    assert (-h1).tobytes() != h2.tobytes()
+
+
+def _ignore(err, flag):
+    pass
+
+
+@pytest.mark.parametrize("outer", [{}, dict(all="warn", under="raise",
+                                            call=_ignore)])
+@pytest.mark.parametrize("ch, p0, v0, aborted", [
+    (chart("h1"), [0.1, -0.2, 0.05], [0.3, 0.2, -0.1], False),
+    (_degenerating_chart(), [0.0, 0.0], [1.0, 0.0], True),       # singular
+    (chart("g0"), [0.0, 0.0, 0.0, 0.0], [1e200, 1e200, 1e200, 0.0], True),
+])
+def test_integration_restores_the_error_state(outer, ch, p0, v0, aborted):
+    with np.errstate(**outer):
+        before = np.geterr(), np.geterrcall()
+        traj = integrate_geodesic(ch, p0, v0, 2.0, 1e-2)
+        assert (np.geterr(), np.geterrcall()) == before
+    assert traj.aborted == aborted
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("metric", [
     np.zeros((3, 3)),
@@ -498,3 +607,5 @@ def test_singular_metric_raises_numerical_error_without_warning(metric):
                            lambda p: np.zeros((3, 3, 3)))
     with pytest.raises(NumericalError, match="singular"):
         christoffel(singular, [0.1, 0.2, 0.3])
+    with pytest.raises(NumericalError, match="singular"):
+        geodesic_rhs(singular, np.array([0.1, 0.2, 0.3]), np.ones(3))
