@@ -19,8 +19,6 @@ from .forms import (SymBilinearForm, has_nondegenerate_invariant_form,
                     is_ad_invariant, killing_form, signature)
 from .linalg import basis_vector
 
-LABELS = ("R4", "R+sl2", "R+so3", "oscillator_g0", "g1", "not_in_list")
-
 
 @dataclass(frozen=True)
 class CatalogEntry:

@@ -31,7 +31,7 @@ from .algebra import (LieAlgebra, Subspace, _bracket_over_z, _double_bracket,
 from .base import (CheckResult, DegenerateMetricError, InputError,
                    JacobiError, once)
 from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
-                    _skew_witness, is_ad_invariant, transform_form)
+                    _skew_witness, is_ad_invariant)
 from .linalg import (_mat_vec_over_z, _scaled, _scaled_tensor, _unscaled,
                      basis_vector, contract, first_nonzero, identity_matrix,
                      invert, mat, mat_mul, mat_vec, nullspace, rank, tensor,
@@ -434,7 +434,7 @@ def isometry_family(which: str, sign: int, w: Sequence,
         raise InputError("Atilde must be 2x2")
     s = Fraction(sign)
     kind, J = _PAIRINGS[which]
-    if transform_form(J, At) != J:
+    if not _metric_preserved(J, *_scaled_tensor(At, 1)):
         raise InputError(f"Atilde is not {kind}")
     norm2 = J.evaluate(w, w)
     bottom = mat_vec(transpose(At), mat_vec(J.matrix, w))
@@ -476,17 +476,17 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
     if not B.is_nondegenerate():
         raise DegenerateMetricError("metric must be nondegenerate",
                                     radical=B.radical())
-    rows = _isotropy_rows(B, _double_bracket(g), 3)[0]
+    rows = _isotropy_rows(B, _double_bracket(g))[0]
     return B.dim * (B.dim - 1) // 2 - rank(list(rows))
 
 
-def _isotropy_rows(B: SymBilinearForm, T, p: int) -> tuple[set, list, int]:
-    """(rows, table, v): the derivation rows of T for the S skew for B, in
-    the n(n-1)/2 skew coordinates.  S is skew for B exactly when BS = K is
-    antisymmetric; with K[c][y] = k_q = -K[y][c] for the q-th pair c < y
-    and B^-1 = V / v scaled once, v S[a][x] is the sum of w k_q over (q, w)
-    in table[a*n + x], n - 1 terms at most.  The rows are homogeneous, so v
-    drops out; the nonzero ones are collected into a set."""
+def _isotropy_rows(B: SymBilinearForm, T) -> tuple[set, list, int]:
+    """(rows, table, v): the derivation rows of the (1,3) tensor T for the S
+    skew for B, in the n(n-1)/2 skew coordinates.  S is skew for B exactly
+    when BS = K is antisymmetric; with K[c][y] = k_q = -K[y][c] for the
+    q-th pair c < y and B^-1 = V / v scaled once, v S[a][x] is the sum of
+    w k_q over (q, w) in table[a*n + x], n - 1 terms at most.  The rows are
+    homogeneous, so v drops out; the nonzero ones are collected into a set."""
     n = B.dim
     V, v = _scaled_tensor(invert(B.matrix), 1)
     pairs = list(enumerate(itertools.combinations(range(n), 2)))
@@ -494,7 +494,7 @@ def _isotropy_rows(B: SymBilinearForm, T, p: int) -> tuple[set, list, int]:
               if x in (c, y) and V[a][c + y - x]]
              for a in range(n) for x in range(n)]
     rows = set()
-    for _, row in _derivation_rows(T, p):
+    for _, row in _derivation_rows(T, 3):
         k = [0] * len(pairs)
         for col, z in row:
             for q, w in table[col]:
@@ -504,11 +504,11 @@ def _isotropy_rows(B: SymBilinearForm, T, p: int) -> tuple[set, list, int]:
     return rows, table, v
 
 
-def _isotropy_basis(B: SymBilinearForm, T, p: int) -> list:
-    """A basis of the S skew for B that are derivations of T, as matrices:
-    the nullspace in skew coordinates, mapped back through the table."""
+def _isotropy_basis(B: SymBilinearForm, T) -> list:
+    """A basis of the S skew for B that are derivations of the (1,3) tensor
+    T, as matrices: the nullspace in skew coordinates, mapped back."""
     n = B.dim
-    rows, table, v = _isotropy_rows(B, T, p)
+    rows, table, v = _isotropy_rows(B, T)
     flats = [_unscaled([sum(w * k[q] for q, w in cell) for cell in table], v)
              for k in nullspace(list(rows), ncols=n * (n - 1) // 2)]
     return [tuple(f[a * n:(a + 1) * n] for a in range(n)) for f in flats]
@@ -597,7 +597,7 @@ def h3_isotropy(metric: SymBilinearForm) -> IsotropyReport:
     a split plane).
     """
     R = curvature(levi_civita(catalog.get("h3").algebra, metric))
-    gens = tuple(_isotropy_basis(metric, _scaled_tensor(R.components, 3)[0], 3))
+    gens = tuple(_isotropy_basis(metric, _scaled_tensor(R.components, 3)[0]))
     if len(gens) >= 3:
         kind = "O(2,1) type"
     elif len(gens) == 1:

@@ -40,8 +40,8 @@ from typing import Iterator, Sequence
 from .algebra import (LieAlgebra, Subspace, _integer_table, is_ideal,
                       lower_central, restricted_algebra, upper_central)
 from .base import CheckResult, DegenerateMetricError, InputError, once
-from .linalg import (basis_vector, contract, determinant, mat, mat_mul,
-                     mat_vec, nullspace, solve, transpose, vec)
+from .linalg import (_scaled, basis_vector, contract, determinant, mat,
+                     mat_mul, mat_vec, nullspace, solve, transpose, vec)
 from .scalars import sign_of
 
 # determinants one "no" certificate may take: C(n+k-1, k-1) lattice points
@@ -119,8 +119,8 @@ def is_ad_invariant(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:
         raise InputError("form and algebra dimensions differ")
     checked = once(g, "_ad_invariant", dict)
     if B not in checked:
-        checked[B] = CheckResult.from_witness(_skew_witness(B, g.structure),
-                                              "ad-invariance fails")
+        checked[B] = CheckResult.from_witness(
+            _skew_witness(B, _integer_table(g).dense), "ad-invariance fails")
     return checked[B]
 
 
@@ -190,40 +190,40 @@ def _form_from_coeffs(n: int, coeffs) -> SymBilinearForm:
     return SymBilinearForm(n, m)
 
 
-def _skew_form_rows(n: int, maps) -> set:
-    """Nonzero rows of Q(Ax, y) + Q(x, Ay) = 0 for every map A in ``maps``,
-    in the unknowns of ``_pair_index(n)``; each A is given by its images
-    A[x] of the basis vectors.  Only pairs x <= y are visited: the (y, x)
-    row is the same row.  Each row starts at int 0."""
+def _skew_rows(n: int, maps) -> Iterator[tuple[tuple, list]]:
+    """Yield ((i, x, y), row), in lexicographic order, for each map A_i in
+    ``maps`` (given by its images A[x] of the basis vectors) and basis pair
+    x <= y: row dotted with Q's entries in the unknowns of ``_pair_index(n)``
+    is Q(A_i x, y) + Q(x, A_i y), and each row starts at int 0.  The one
+    builder of this identity, for the two form solvers and three checks."""
     index = {p: c for c, p in enumerate(_pair_index(n))}
-    rows = set()
-    for A in maps:
+    at = [[index[min(a, b), max(a, b)] for b in range(n)] for a in range(n)]
+    for i, A in enumerate(maps):
+        images = [[(l, c) for l, c in enumerate(image) if c] for image in A]
         for x in range(n):
             for y in range(x, n):
                 row = [0] * len(index)
-                for l in range(n):
-                    if A[x][l]:
-                        row[index[min(l, y), max(l, y)]] += A[x][l]
-                    if A[y][l]:
-                        row[index[min(x, l), max(x, l)]] += A[y][l]
-                if any(row):
-                    rows.add(tuple(row))
-    return rows
+                for l, c in images[x]:
+                    row[at[l][y]] += c
+                for l, c in images[y]:
+                    row[at[x][l]] += c
+                yield (i, x, y), row
+
+
+def _skew_form_rows(n: int, maps) -> set:
+    """The nonzero rows of ``_skew_rows``, collected into a set."""
+    return {tuple(row) for _, row in _skew_rows(n, maps) if any(row)}
 
 
 def _skew_witness(B: SymBilinearForm, maps):
-    """First (i, j, k), in lexicographic order, with
-
-        B(A_i e_j, e_k) + B(e_j, A_i e_k) = (B A_i e_j)_k + (B A_i e_k)_j != 0,
-
-    that is, the first place where a map A_i of ``maps`` (given as in
-    ``_skew_form_rows``) is not skew for B; None when every map is skew."""
-    for i, A in enumerate(maps):
-        BA = [mat_vec(B.matrix, image) for image in A]
-        for j, k in itertools.product(range(len(BA)), repeat=2):
-            if BA[j][k] + BA[k][j]:
-                return (i, j, k)
-    return None
+    """First (i, j, k), in lexicographic order, where the map A_i of ``maps``
+    (given as in ``_skew_rows``) is not skew for B, B(A_i e_j, e_k) +
+    B(e_j, A_i e_k) != 0; None when every map is skew.  That sum is
+    symmetric in j, k, so the first failure has j <= k: the first row whose
+    dot with B's entries, scaled once, is nonzero."""
+    b, _ = _scaled([B.matrix[i][j] for i, j in _pair_index(B.dim)])
+    return next((key for key, row in _skew_rows(B.dim, maps)
+                 if sum(r * x for r, x in zip(row, b) if r)), None)
 
 
 def invariant_form_space(g: LieAlgebra) -> list[SymBilinearForm]:

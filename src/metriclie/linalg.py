@@ -42,7 +42,10 @@ same form as D^2 [[e_i, e_j], e_k] (read by Jacobi, the 1/4-ad curvature
 check, the isometry check and the isotropy rows).  Rows start at int 0,
 which ``_rref_generic`` reads as Fraction(0).  One derivation-row builder
 serves isotropy, the soliton and ``is_derivation``; isotropy is solved in
-the n(n-1)/2 skew coordinates of S = B^-1 K, K antisymmetric.
+the n(n-1)/2 skew coordinates of S = B^-1 K, K antisymmetric.  One
+skew-row builder, ``forms._skew_rows``, serves the invariant-form and
+skew-adjoint-form solvers and the three metric-skew checks (ad-invariance,
+metric compatibility, the naturally reductive identity).
 """
 
 from __future__ import annotations

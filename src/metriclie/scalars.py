@@ -9,6 +9,7 @@ different roots is an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -28,14 +29,7 @@ def frac(value) -> Fraction:
 
 
 def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n ** 0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r * r == n
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 @dataclass(frozen=True)

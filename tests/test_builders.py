@@ -89,8 +89,8 @@ def _reference_isotropy(B, T, p):
     return row_space(nullspace(rows))
 
 
-def _isotropy_space(B, T, p):
-    return row_space([sum(S, ()) for S in _isotropy_basis(B, T, p)] or
+def _isotropy_space(B, T):
+    return row_space([sum(S, ()) for S in _isotropy_basis(B, T)] or
                      [(F(0),) * (B.dim * B.dim)])
 
 
@@ -140,7 +140,7 @@ def test_builders_match_full_reference_systems(name, P):
     # the isotropy space solved in skew coordinates is the space of the
     # full n^2 system: S skew for B and a derivation of the double bracket
     T = _double_bracket(g)
-    assert _isotropy_space(B, T, 3) == _reference_isotropy(B, T, 3)
+    assert _isotropy_space(B, T) == _reference_isotropy(B, T, 3)
 
 
 def test_h3_isotropy_space_matches_the_full_system():
@@ -150,7 +150,7 @@ def test_h3_isotropy_space_matches_the_full_system():
         want = _reference_isotropy(metric, R, 3)
         assert len(want) == {"h0": 3, "h1": 1, "h2": 1}[name]
         assert row_space([sum(S, ()) for S in h3_isotropy(metric).generators]) \
-            == _isotropy_space(metric, R, 3) == want, name
+            == _isotropy_space(metric, R) == want, name
 
 
 def test_h3_isotropy_generators_checked_directly():

@@ -488,7 +488,7 @@ def builder_rows(T, p):
 def assert_isotropy_space(B, T, g):
     """The S basis solved in skew coordinates spans the space of the full
     n^2 system (``isotropy_loop``); over Q its entries are Fractions."""
-    basis = [sum(S, ()) for S in _isotropy_basis(B, T, 3)]
+    basis = [sum(S, ()) for S in _isotropy_basis(B, T)]
     assert same_rows(basis, isotropy_loop(g, B))
     if all(type(x) is F for row in B.matrix for x in row) and \
             all(type(x) is int for plane in T for row in plane

@@ -41,6 +41,14 @@ def test_quadext_rejects_square_d():
         QuadExt(1, 1, 4)
     with pytest.raises(InputError):
         QuadExt(1, 1, -2)
+    with pytest.raises(InputError):
+        QuadExt(1, 1, 10**400)         # a square past the float range
+
+
+def test_quadext_takes_d_past_the_float_range():
+    x = QuadExt(1, 1, 10**400 + 1)
+    assert x.d == 10**400 + 1
+    assert x * x == QuadExt(10**400 + 2, 2, 10**400 + 1)
 
 
 def test_quadext_mixed_roots_rejected():

@@ -3,8 +3,10 @@
 ``linalg.tensor`` builds a tensor stored as nested tuples, ``linalg.contract``
 evaluates it at coefficient vectors and ``linalg.first_nonzero`` finds its
 first nonzero leaf; ``forms._skew_witness`` finds the first place where a
-family of maps is not skew for a metric.  The hand-written loops they
-replaced are kept here as the oracle.
+family of maps is not skew for a metric, from the rows of the one skew-row
+builder ``forms._skew_rows`` that also serves the invariant-form and
+skew-adjoint-form solvers.  The hand-written loops they replaced are kept
+here as the oracle.
 """
 
 import itertools
@@ -544,7 +546,9 @@ def _root2_scaled(g):
 def test_quadratic_field_tensors_match_the_replaced_loops(pair, data):
     """A sqrt(2)-scaled table in a rational basis: the connection, both
     curvature conventions, Bianchi and the 1/4-ad check, the last two also
-    on a curvature bent by a rational or an irrational amount."""
+    on a curvature bent by a rational or an irrational amount; ad-invariance
+    and metric compatibility on the metric, also bent in one entry by a
+    rational or an irrational amount."""
     g, B = pair
     g = _root2_scaled(g)
     n = g.dim
@@ -563,3 +567,10 @@ def test_quadratic_field_tensors_match_the_replaced_loops(pair, data):
         assert _outcome(bianchi_check(T)) == _outcome(_reference_bianchi_check(T))
         assert _outcome(biinvariant_curvature_check(conn, T)) == \
             _outcome(_reference_biinvariant_curvature_check(conn, T))
+    (a, b), q = data.draw(_perturbations(n))
+    for form in (B, _perturbed(B, a, b, q), _perturbed(B, a, b, R2 * q)):
+        assert _outcome(is_ad_invariant(g, form)) == \
+            _outcome(_reference_is_ad_invariant(g, form))
+        c = Connection(g, form, conn.gamma)
+        assert _outcome(metric_compatibility_check(c)) == \
+            _outcome(_reference_metric_compatibility(c))
