@@ -12,32 +12,41 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .base import CheckResult, InputError, once
-from .linalg import (_scaled, _unscaled, basis_vector, invert, is_zero_vector,
-                     mat, mat_vec, nullspace, row_space, solve, tensor,
-                     transpose, vec)
+from .linalg import (_kernel, _rational, _rref_rows, _scaled, _unscaled,
+                     basis_vector, identity_matrix, invert, is_zero_vector,
+                     mat, mat_vec, row_space, solve, tensor, transpose, vec)
 from .scalars import frac
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n held in canonical row-reduced form.
-
-    Equality of subspaces is equality of the stored bases.
-    """
+    """A subspace of Q^n in canonical form: ``rows`` are the primitive integer
+    rows of its RREF with positive pivots (``linalg._rref_rows``), or its
+    field RREF when it is spanned over Q(sqrt d) and not over Q.  Any
+    spanning vectors given are reduced, so equality of subspaces is equality
+    of rows.  ``basis``, the RREF with leading ones, is built on first read."""
 
     ambient_dim: int
-    basis: tuple = ()
+    rows: tuple = ()
+
+    def __post_init__(self):
+        rows = [tuple(v) for v in self.rows]
+        if not _rational(rows):
+            # vec turns the rational QuadExt entries of a field RREF into Fractions
+            rows = [vec(r) for r in row_space([vec(r) for r in rows])]
+        object.__setattr__(self, "rows", _rref_rows(rows)[0]
+                           if _rational(rows) else tuple(rows))
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        rows = [vec(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise InputError("vector length does not match ambient dimension")
-        return Subspace(ambient_dim, row_space(rows))
+        rows = [tuple(v) for v in vectors]
+        if any(len(r) != ambient_dim for r in rows):
+            raise InputError("vector length does not match ambient dimension")
+        return Subspace(ambient_dim, rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -45,19 +54,25 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span([basis_vector(ambient_dim, i) for i in range(ambient_dim)],
-                             ambient_dim)
+        return Subspace(ambient_dim, identity_matrix(ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple:
+        return once(self, "_basis", lambda: tuple(
+            _unscaled(row, next(x for x in row if x)) for row in self.rows))
 
     def contains(self, v: Sequence) -> bool:
-        # the basis is canonical RREF, so v adds nothing iff it is reproduced
-        return row_space(self.basis + (vec(v),)) == self.basis
+        # the rows are canonical, so v adds nothing iff they are reproduced
+        return Subspace.span(self.rows + (tuple(v),), self.ambient_dim) == self
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
+        if other.ambient_dim != self.ambient_dim:
+            raise InputError("subspace ambient dimensions differ")
+        return all(self.contains(b) for b in other.rows)
 
     def __str__(self):
         if not self.basis:
@@ -239,18 +254,15 @@ def lower_central(g: LieAlgebra, r: int) -> Subspace:
     if r < 0:
         raise InputError("r must be nonnegative")
     n = g.dim
-    C = _integer_table(g).dense
 
-    def step(c):
-        # each basis vector b scaled to ints; [e_i, b] is a multiple of the
-        # row with entries sum_j b[j] D c[i][j][k]
-        basis = [_scaled(b)[0] for b in c.basis]
-        rows = [tuple(sum(b[j] * C[i][j][k] for j in range(n)) for k in range(n))
-                for i in range(n) for b in basis]
-        return Subspace.span(rows, n)
+    def build():
+        # D [e_i, b] has the entries of b dotted with the columns of D c[i]
+        cols = [tuple(zip(*plane)) for plane in _integer_table(g).dense]
+        return _chain(Subspace.full(n), lambda c: Subspace.span(
+            [tuple(sum(map(mul, b, col)) for col in cols[i])
+             for i in range(n) for b in c.rows], n), n)
 
-    return once(g, "_lower_central",
-                lambda: _chain(Subspace.full(n), step, n))[min(r, n)]
+    return once(g, "_lower_central", build)[min(r, n)]
 
 
 def upper_central(g: LieAlgebra, r: int) -> Subspace:
@@ -262,12 +274,12 @@ def upper_central(g: LieAlgebra, r: int) -> Subspace:
     C = _integer_table(g).dense
 
     def step(c):
-        # each annihilator vector scaled to ints; x -> [x, e_j] has matrix M
-        # with M[k][i] = c[i][j][k]
-        ann = [_scaled(a)[0] for a in nullspace(c.basis, ncols=n)]
-        rows = [tuple(sum(a[k] * C[i][j][k] for k in range(n)) for i in range(n))
+        # x -> [x, e_j] has matrix M with M[k][i] = c[i][j][k]; x lies in
+        # the next term iff a M x = 0 for each kernel vector a of c's rows
+        ann = _kernel(c.rows, n)
+        rows = [tuple(sum(map(mul, a, C[i][j])) for i in range(n))
                 for j in range(n) for a in ann]
-        return Subspace.span(nullspace(rows, ncols=n), n)
+        return Subspace.span(_kernel(rows, n), n)
 
     return once(g, "_upper_central",
                 lambda: _chain(Subspace.zero(n), step, n))[min(r, n)]
@@ -287,7 +299,7 @@ def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
         raise InputError("subspace ambient dimension does not match algebra")
     n = g.dim
     return all(s.contains(bracket(g, basis_vector(n, i), b))
-               for i in range(n) for b in s.basis)
+               for i in range(n) for b in s.rows)
 
 
 def is_abelian(g: LieAlgebra) -> bool:
@@ -298,7 +310,7 @@ def is_solvable(g: LieAlgebra) -> bool:
     """Derived series g, [g,g], [[g,g],[g,g]], ... reaches zero."""
     # [a, a] = 0 and [b, a] = -[a, b] add nothing to the span
     derived = _chain(Subspace.full(g.dim), lambda c: Subspace.span(
-        [bracket(g, a, b) for a, b in itertools.combinations(c.basis, 2)],
+        [bracket(g, a, b) for a, b in itertools.combinations(c.rows, 2)],
         g.dim), g.dim)
     return derived[-1].dim == 0
 

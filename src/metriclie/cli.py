@@ -51,7 +51,7 @@ MAX_DIGITS = 4300
 _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 # dimensions an algebra file may declare (the library has no bound): the
 # structure table has dim^3 entries; `report` on the abelian {"dim": 16} takes
-# 0.4-0.7 s and 32 MiB per process (2 cores, Python 3.11.7), on {"dim": 60}
+# 0.25 s and 32 MiB per process (2 cores, Python 3.11.7), on {"dim": 60}
 # 284 s and 508 MiB; a 5.3 MB h15 file (constants up to 3,382 digits) takes
 # 36.7 s under `report` and 265 s under `geometry`
 MAX_DIM = 16

@@ -40,8 +40,8 @@ from typing import Iterator, Sequence
 from .algebra import (LieAlgebra, Subspace, _integer_table, is_ideal,
                       lower_central, restricted_algebra, upper_central)
 from .base import CheckResult, DegenerateMetricError, InputError, once
-from .linalg import (_scaled, basis_vector, contract, determinant, mat,
-                     mat_mul, mat_vec, nullspace, solve, transpose, vec)
+from .linalg import (_kernel, _scaled, basis_vector, contract, determinant,
+                     mat, mat_mul, mat_vec, nullspace, solve, transpose, vec)
 from .scalars import sign_of
 
 # determinants one "no" certificate may take: C(n+k-1, k-1) lattice points
@@ -85,7 +85,7 @@ class SymBilinearForm:
                    start=Fraction(0))
 
     def radical(self) -> Subspace:
-        return Subspace.span(nullspace(self.matrix, ncols=self.dim), self.dim)
+        return Subspace.span(_kernel(self.matrix, self.dim), self.dim)
 
     def is_nondegenerate(self) -> bool:
         return bool(determinant(self.matrix))
@@ -128,8 +128,8 @@ def orthogonal_complement(B: SymBilinearForm, m: Subspace) -> Subspace:
     """{x : <x, v> = 0 for all v in m}.  Need not be a complement of m."""
     if m.ambient_dim != B.dim:
         raise InputError("subspace ambient dimension does not match form")
-    rows = [mat_vec(B.matrix, b) for b in m.basis]
-    return Subspace.span(nullspace(rows, ncols=B.dim), B.dim)
+    rows = [mat_vec(B.matrix, b) for b in m.rows]
+    return Subspace.span(_kernel(rows, B.dim), B.dim)
 
 
 def signature(B: SymBilinearForm) -> Signature:
@@ -282,14 +282,15 @@ def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
     before its first determinant.  The search runs once per algebra.
     """
     def search():
-        space = invariant_form_space(g)
         n = g.dim
         r = next((r for r in range(n + 1)
                   if lower_central(g, r).dim + upper_central(g, r).dim != n),
                  None)
-        if r is not None:
-            return FormSearch(False, None, len(space), series_r=r)
-        return _search_span(space)
+        if r is None:
+            return _search_span(invariant_form_space(g))
+        rows = list(_skew_form_rows(n, _integer_table(g).dense))
+        return FormSearch(False, None, len(_kernel(rows, n * (n + 1) // 2)),
+                          series_r=r)
 
     return once(g, "_form_search", search)
 

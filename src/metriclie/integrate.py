@@ -50,6 +50,9 @@ class MetricChart:
         dg = self.partials_at(p)  # dg[k,i,j] = d_k g_ij
         return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
 
+    def _parts_at(self, p) -> tuple:  # (metric, lowered tensor) for _christoffel
+        return self.metric_at(p), self.lowered_at(p)
+
 
 @dataclass
 class _ConstantPartialsChart(MetricChart):
@@ -123,7 +126,14 @@ class _H3Chart(MetricChart):
     """
 
     def lowered_at(self, p) -> np.ndarray:
-        x, y, _ = _floats(p)
+        return self._lowered(_floats(p))
+
+    def _parts_at(self, p) -> tuple:
+        q = _floats(p)  # one conversion serves the metric and the tensor
+        return coordinate_metric(self.name, q), self._lowered(q)
+
+    def _lowered(self, q) -> np.ndarray:
+        x, y, _ = q
         # d_y g_xx, d_x g_yy, d_x g_xy and d_y g_xy, as _h1_partials has them
         yxx, xyy, xxy, yxy = -y / 2, -x / 2, y / 4, x / 4
         if self.name == "h2":
@@ -171,8 +181,9 @@ def _christoffel(ch: MetricChart, p: np.ndarray) -> np.ndarray:
     singular metric raises LinAlgError when that state is _SINGULAR_RAISES."""
     # the LAPACK gufunc of np.linalg.inv, without its Python wrapper: the
     # same bits
-    ginv = _umath_linalg.inv(ch.metric_at(p), signature="d->d")
-    gam = c_einsum("kl,ijl->kij", ginv, ch.lowered_at(p))
+    g, lowered = ch._parts_at(p)
+    ginv = _umath_linalg.inv(g, signature="d->d")
+    gam = c_einsum("kl,ijl->kij", ginv, lowered)
     gam *= 0.5
     return gam
 

@@ -2,13 +2,13 @@
 
 Matrices are tuples of row tuples, vectors plain tuples.  Entries are
 Fractions in normal use; anything supporting field arithmetic and truthiness
-(e.g. QuadExt) works as well.  Reduced forms are canonical (RREF with
-leading-one pivots), so subspace equality is a tuple comparison.  A matrix
-of ints and Fractions only is reduced over the integers (``_rref_int``:
-denominators cleared row by row, fraction-free Gauss-Jordan with
-gcd-content removal, one division per entry at the end); any other scalar
-takes the Gauss-Jordan loop over the field (``_rref_generic``).  The RREF
-is unique, so both give the same rows and pivots.
+(e.g. QuadExt) works as well.  A matrix of ints and Fractions only is
+reduced over Z by ``_rref_rows`` (rows scaled to ints one by one,
+fraction-free Gauss-Jordan with gcd-content removal) to the primitive
+integer rows of its RREF with positive pivots, a canonical form:
+``algebra.Subspace`` keeps it, ``_kernel`` reads kernels off it over Z, and
+only ``rref``, ``nullspace`` and ``Subspace.basis`` divide, once per entry.
+Other scalars take the Gauss-Jordan loop over the field (``_rref_generic``).
 
 The kernels under the tensor layer work the same way.  ``_scaled`` turns a
 sequence of ints and Fractions into integers over their lcm denominator,
@@ -32,20 +32,20 @@ ints.  ``_mat_vec_over_z`` is the one integer matrix-vector loop, and
 ``algebra._bracket_over_z`` the one bracket loop, shared by ``bracket``
 and the isometry check.
 
-The homogeneous systems solved by ``nullspace`` are built over Z as well:
-scaling a row leaves its canonical RREF as it is, and ``_rref_int``
-scales each row on its own.  The same per-algebra table keeps the dense
+The homogeneous systems ``_kernel`` solves are built over Z too (scaling a
+row leaves its RREF as it is).  The same per-algebra table keeps the dense
 constants D c[i][j][k] (D = 1 and the constants as they are when one is a
-QuadExt); both central series, the invariant-form system and the Killing
-form read it, and so does the one double bracket per algebra, kept in the
-same form as D^2 [[e_i, e_j], e_k] (read by Jacobi, the 1/4-ad curvature
-check, the isometry check and the isotropy rows).  Rows start at int 0,
-which ``_rref_generic`` reads as Fraction(0).  One derivation-row builder
-serves isotropy, the soliton and ``is_derivation``; isotropy is solved in
-the n(n-1)/2 skew coordinates of S = B^-1 K, K antisymmetric.  One
-skew-row builder, ``forms._skew_rows``, serves the invariant-form and
-skew-adjoint-form solvers and the three metric-skew checks (ad-invariance,
-metric compatibility, the naturally reductive identity).
+QuadExt); both central series (int rows from kernel to kernel), the
+invariant-form system and the Killing form read it, and so does the one
+double bracket per algebra, kept in the same form as D^2 [[e_i, e_j], e_k]
+(read by Jacobi, the 1/4-ad curvature check, the isometry check and the
+isotropy rows).  Rows start at int 0, which ``_rref_generic`` reads as
+Fraction(0).  One derivation-row builder serves isotropy, the soliton and
+``is_derivation``; isotropy is solved in the n(n-1)/2 skew coordinates of
+S = B^-1 K, K antisymmetric.  One skew-row builder, ``forms._skew_rows``,
+serves the invariant-form and skew-adjoint-form solvers and the three
+metric-skew checks (ad-invariance, metric compatibility, the naturally
+reductive identity).
 """
 
 from __future__ import annotations
@@ -227,30 +227,41 @@ def rref(A: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
     kernel and come back as Fractions; any other scalar (QuadExt, bool, a
     mix with them) takes the generic field loop.
     """
-    if A and all(type(x) is Fraction or type(x) is int for row in A for x in row):
+    if A and _rational(A):
         return _rref_int(A)
     return _rref_generic(A)
 
 
-def _rref_int(A) -> tuple[Matrix, tuple[int, ...]]:
-    """RREF of a nonempty matrix of ints and Fractions, computed over Z.
+def _rational(A) -> bool:
+    """Every entry of the matrix is exactly an int or a Fraction."""
+    return all(_only(row, (Fraction, int)) for row in A)
 
-    Each row is scaled by the lcm of its denominators and made primitive.
-    Eliminating row i with pivot row p at column c replaces it by the
-    primitive part of (p_c/g) row_i - (row_i[c]/g) p with g = gcd(p_c,
-    row_i[c]), so entries stay integers and small.  The pivot is the
-    candidate of least absolute value; the RREF does not depend on it.
-    At the end each pivot row is divided by its pivot once.
-    """
+
+def _rref_int(A) -> tuple[Matrix, tuple[int, ...]]:
+    """``rref`` over Z: the rows of ``_rref_rows`` divided by their pivots."""
+    rows, pivots = _rref_rows(A)
+    out = [_unscaled(row, row[c]) for row, c in zip(rows, pivots)]
+    out += [(_ZERO,) * len(A[0])] * (len(A) - len(pivots))
+    return tuple(out), pivots
+
+
+def _rref_rows(A) -> tuple[tuple, tuple[int, ...]]:
+    """(rows, pivots): the nonzero rows of the RREF of a matrix of ints and
+    Fractions as primitive int tuples with positive pivots, a form each
+    rational row space has exactly one of.  Each row is scaled to ints
+    (``_scaled``) and made primitive; eliminating row i with pivot row p at
+    column c gives the primitive part of (p_c/g) row_i - (row_i[c]/g) p,
+    g = gcd(p_c, row_i[c]), so entries stay small.  The pivot is the
+    candidate of least absolute value; the result does not depend on it."""
     rows = []
     for row in A:
-        ints, _ = _scaled(row)
+        ints = row if _only(row, (int,)) else _scaled(row)[0]
         h = gcd(*ints)
         rows.append([x // h for x in ints] if h > 1 else ints)
-    m, ncols = len(rows), len(rows[0])
+    m = len(rows)
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
         piv = min((i for i in range(r, m) if rows[i][c]),
                   key=lambda i: abs(rows[i][c]), default=None)
         if piv is None:
@@ -270,11 +281,26 @@ def _rref_int(A) -> tuple[Matrix, tuple[int, ...]]:
         r += 1
         if r == m:
             break
-    zero = Fraction(0)
-    out = [tuple(Fraction(x, row[c]) if x else zero for x in row)
-           for row, c in zip(rows, pivots)]
-    out += [(zero,) * ncols] * (m - r)
-    return tuple(out), tuple(pivots)
+    return tuple(tuple(row) if row[c] > 0 else tuple(-x for x in row)
+                 for row, c in zip(rows, pivots)), tuple(pivots)
+
+
+def _kernel(A, n: int) -> list:
+    """A basis of {x : A x = 0}, A with n columns: for each free column f in
+    order, m > 0 times ``nullspace``'s vector: m = 1 from a field RREF, and
+    over Z (``_rref_rows``) the lcm of the pivots of the rows nonzero at f."""
+    over_z = _rational(A)
+    rows, pivots = _rref_rows(A) if over_z else _rref_generic(A)
+    out = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        reach = [(row, p) for row, p in zip(rows, pivots) if row[f]]
+        m = lcm(*(row[p] for row, p in reach)) if over_z else 1
+        v = [0] * n
+        v[f] = m
+        for row, p in reach:
+            v[p] = -row[f] * (m // row[p]) if over_z else -row[f]
+        out.append(tuple(v))
+    return out
 
 
 def _rref_generic(A) -> tuple[Matrix, tuple[int, ...]]:
@@ -311,26 +337,16 @@ def row_space(A) -> Matrix:
 
 
 def rank(A) -> int:
-    return len(rref(A)[1])
+    return len(A[0]) - len(_kernel(A, len(A[0]))) if A else 0
 
 
 def nullspace(A, ncols: int | None = None) -> list[Vector]:
     """Canonical basis of {x : A x = 0}; pass ncols when A may be empty."""
-    if not A:
-        if ncols is None:
-            raise InputError("nullspace of empty matrix needs ncols")
-        return [basis_vector(ncols, i) for i in range(ncols)]
-    n = len(A[0])
-    R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -R[r][f]
-        basis.append(tuple(v))
-    return basis
+    if not A and ncols is None:
+        raise InputError("nullspace of empty matrix needs ncols")
+    # the entry at the free column is the last nonzero one of its vector
+    return [_unscaled(v, next(x for x in reversed(v) if x))
+            for v in _kernel(A, len(A[0]) if A else ncols)]
 
 
 def solve(A, b) -> Vector | None:

@@ -231,6 +231,21 @@ def test_series_memo_is_not_part_of_the_value(g1):
     assert (hash(a), repr(a)) == before
 
 
+def test_contains_rejects_a_vector_of_the_wrong_length():
+    # as span does: a vector of another length is an InputError, not False
+    # (nor True, which a zero vector of another length used to give)
+    with pytest.raises(InputError):
+        Subspace.span([(1, 0, 0)], 3).contains((1, 0, 0, 0))
+    with pytest.raises(InputError):
+        Subspace.zero(3).contains((0, 0))
+    with pytest.raises(InputError):
+        Subspace.full(3).contains_subspace(Subspace.zero(2))
+    with pytest.raises(InputError):
+        Subspace.zero(2).contains_subspace(Subspace.span([(1, 0, 0)], 3))
+    assert Subspace.span([(1, 0, 0)], 3).contains((F(5, 3), 0, 0))
+    assert Subspace.full(3).contains_subspace(Subspace.span([(1, 2, 3)], 3))
+
+
 def test_is_ideal(g0):
     assert is_ideal(g0, Subspace.span([E(3)], 4))
     assert not is_ideal(g0, Subspace.span([E(1)], 4))

@@ -16,6 +16,7 @@ well as values; row builders by their row space.
 """
 
 import itertools
+import math
 import operator
 from fractions import Fraction as F
 from functools import reduce
@@ -579,6 +580,102 @@ def test_rational_constants_from_the_quadratic_field_are_fractions():
         {-2, -1, 0, 1, 2}
     assert all(type(c) is int for plane in _integer_table(g).dense
                for row in plane for c in row)
+
+
+# --- subspaces as primitive integer RREF rows --------------------------------
+# The field loop ``_rref_generic`` is the oracle: the integer rows divided by
+# their pivots, the kernel read off them and the row space they span.
+
+def generic_nullspace(A, n):
+    """The nullspace as it was built from the field RREF."""
+    R, pivots = linalg._rref_generic(A)
+    free = [c for c in range(n) if c not in pivots]
+    out = []
+    for f in free:
+        v = [F(0)] * n
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -R[r][f]
+        out.append(tuple(v))
+    return out, free
+
+
+@st.composite
+def rational_systems(draw):
+    """Ints and Fractions with 100-digit entries, and a dependent row."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = draw(matrices(m, n, st.one_of(entries, mixed)))
+    if m > 1 and draw(st.booleans()):
+        c = draw(st.one_of(small, big))
+        A.append([x + c * y for x, y in zip(A[0], A[1])])
+    return [tuple(row) for row in A]
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=rational_systems())
+def test_integer_rref_rows_are_the_field_rref_scaled(A):
+    rows, pivots = linalg._rref_rows(A)
+    R, want = linalg._rref_generic(A)
+    assert pivots == want
+    for row, c, r in zip(rows, pivots, R):
+        assert all(type(x) is int for x in row)
+        assert row[c] > 0 and math.gcd(*row) == 1
+        assert tuple(F(x, row[c]) for x in row) == r
+    assert not any(any(r) for r in R[len(pivots):])
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=rational_systems())
+def test_integer_kernel_is_a_positive_multiple_of_the_nullspace(A):
+    n = len(A[0])
+    want, free = generic_nullspace(A, n)
+    kernel = linalg._kernel(A, n)
+    assert len(kernel) == len(want)
+    for v, w, f in zip(kernel, want, free):
+        assert all(type(x) is int for x in v)
+        assert v[f] > 0 and tuple(F(x, v[f]) for x in v) == w
+    assert repr(nullspace(A)) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=rational_systems())
+def test_span_holds_the_integer_rows_of_the_row_space(A):
+    n = len(A[0])
+    s = Subspace.span(A, n)
+    R, pivots = linalg._rref_generic(A)
+    fraction_rref = R[:len(pivots)]
+    assert s.rows == linalg._rref_rows(A)[0]
+    assert repr(s.basis) == repr(row_space(A)) == repr(fraction_rref)
+    assert Subspace(n, fraction_rref) == s
+    assert hash(Subspace(n, fraction_rref)) == hash(s)
+    assert s.dim == len(pivots)
+    assert all(s.contains(row) for row in A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=rational_systems(), data=st.data())
+def test_a_rational_span_of_quadratic_field_vectors_is_held_over_z(A, data):
+    # each vector times 1 + sqrt 2, or spelled with QuadExt entries b = 0:
+    # the span over Q(sqrt 2) is the rational one, so the rows are ints
+    n = len(A[0])
+    r2 = QuadExt(0, 1, 2)
+    vectors = [tuple((1 + r2) * x for x in v) if data.draw(st.booleans())
+               else tuple(QuadExt(x, 0, 2) for x in v) for v in A]
+    s = Subspace.span(vectors, n)
+    assert s == Subspace.span(A, n)
+    assert all(type(x) is int for row in s.rows for x in row)
+    assert repr(s.basis) == repr(Subspace.span(A, n).basis)
+
+
+def test_an_irrational_subspace_keeps_its_field_rref():
+    r2 = QuadExt(0, 1, 2)
+    s = Subspace.span([(2, 2 * r2, 0), (r2, 2, 0)], 3)
+    assert s.rows == ((F(1), r2, F(0)),) and s.basis == s.rows
+    assert s == Subspace(3, [(r2, 2, 0)])
+    assert s.contains((r2, 2, 0)) and not s.contains((1, 1, 0))
+    assert not Subspace.span([(1, 0, 0), (0, 1, 0)], 3).contains_subspace(
+        Subspace.full(3))
+    assert Subspace.span([(1, 0, 0), (0, 1, 0)], 3).contains_subspace(s)
 
 
 # --- the double bracket, kept once per algebra -------------------------------

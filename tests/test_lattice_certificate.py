@@ -134,6 +134,24 @@ def test_grid_sources_after_a_basis_change(name):
 
 
 @pytest.mark.parametrize("name", sorted(GRID_SOURCES))
+def test_series_no_builds_no_form(name, monkeypatch):
+    # a series "no" takes the space dimension from the rank of the
+    # invariant-form system over Z: no nullspace and no SymBilinearForm
+    g = LieAlgebra.from_brackets(4, GRID_SOURCES[name], name)
+    h = change_of_basis(g, random_invertible(random.Random(f"no-form:{name}"), 4))
+    want = [len(invariant_form_space(a)) for a in (g, h)]
+
+    def refuse(*args):
+        raise AssertionError("a form was built")
+
+    monkeypatch.setattr(forms, "invariant_form_space", refuse)
+    monkeypatch.setattr(forms, "_form_from_coeffs", refuse)
+    monkeypatch.setattr(forms, "nullspace", refuse)
+    assert [has_nondegenerate_invariant_form(a) for a in (g, h)] == [
+        FormSearch(False, None, k, 0, series_r=1) for k in want]
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SOURCES))
 def test_grid_sources_take_no_determinant(name, monkeypatch):
     # dim C^1 + dim C_1 != 4 for each of them: [g, g] and the centre are
     # too small for C_1 = (C^1)-perp, so no lattice point is needed
