@@ -2,22 +2,25 @@
 
 A Lie algebra is its dimension plus the rank-3 array of structure constants
 c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k, all entries exact
-rationals.  Antisymmetry is enforced at construction; the Jacobi identity
-is checked on demand (``jacobi_check``) so that deliberately broken inputs
-can still be built and diagnosed.
+rationals, held as one integer table D c scaled once at construction;
+the brackets, both central series and the double bracket read it, and the
+Fraction ``structure`` is built on first read.  Antisymmetry is enforced
+at construction; the Jacobi identity is checked on demand
+(``jacobi_check``) so that deliberately broken inputs can still be built
+and diagnosed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Integral
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .base import CheckResult, InputError, once
-from .linalg import (_kernel, _rational, _rref_rows, _scaled, _unscaled,
-                     basis_vector, identity_matrix, invert, is_zero_vector,
+from .linalg import (_coerce, _kernel, _rational, _rref_rows, _scaled,
+                     _unscaled, basis_vector, identity_matrix, invert, is_zero_vector,
                      mat, mat_vec, row_space, solve, tensor, transpose, vec)
 from .scalars import frac
 
@@ -35,6 +38,8 @@ class Subspace:
 
     def __post_init__(self):
         rows = [tuple(v) for v in self.rows]
+        if any(len(r) != self.ambient_dim for r in rows):
+            raise InputError("vector length does not match ambient dimension")
         if not _rational(rows):
             # vec turns the rational QuadExt entries of a field RREF into Fractions
             rows = [vec(r) for r in row_space([vec(r) for r in rows])]
@@ -43,10 +48,7 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        rows = [tuple(v) for v in vectors]
-        if any(len(r) != ambient_dim for r in rows):
-            raise InputError("vector length does not match ambient dimension")
-        return Subspace(ambient_dim, rows)
+        return Subspace(ambient_dim, vectors)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -80,32 +82,53 @@ class Subspace:
         return "span{" + "; ".join(str(list(map(str, b))) for b in self.basis) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LieAlgebra:
-    """Structure constants c[i][j][k] of [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    """Structure constants c[i][j][k] of [e_i, e_j] = sum_k c[i][j][k] e_k,
+    held over Z: dense[i][j][k] = D c[i][j][k], D the lcm of their
+    denominators, zeros as int 0 (D = 1 and the constants as they are when
+    one is a QuadExt).  dim, D, dense and name are the value, so ``==``,
+    ``hash`` and ``repr`` mean same dim, constants and name; ``structure``
+    (the constants as Fractions) and ``pairs`` are built on first read."""
 
     dim: int
-    structure: tuple
-    name: str = ""
+    D: int
+    dense: tuple
+    name: str
 
-    def __post_init__(self):
-        n = self.dim
+    def __init__(self, dim: int, structure: Sequence, name: str = ""):
+        n, s = dim, structure
         if n <= 0:
             raise InputError("dimension must be positive")
-        s = self.structure
-        if len(s) != n or any(len(s[i]) != n or any(len(s[i][j]) != n
-                                                    for j in range(n))
-                              for i in range(n)):
+        if len(s) != n or any(len(p) != n or any(len(r) != n for r in p) for p in s):
             raise InputError("structure array must be dim x dim x dim")
-        c = tuple(tuple(vec(s[i][j]) for j in range(n)) for i in range(n))
+        ints, D = _scaled([_coerce(c) or 0 for plane in s for cij in plane
+                           for c in cij])
+        C = tensor(n, 2, lambda i, j: tuple(ints[(i * n + j) * n:
+                                                 (i * n + j + 1) * n]))
         # (i, j, k) fails iff (j, i, k) does, so j >= i finds the first failure
         for i in range(n):
             for j in range(i, n):
                 for k in range(n):
-                    if c[i][j][k] != -c[j][i][k]:
+                    if C[i][j][k] != -C[j][i][k]:
                         raise InputError(
                             f"structure constants not antisymmetric at ({i},{j},{k})")
-        object.__setattr__(self, "structure", c)
+        for key, value in (("dim", n), ("D", D), ("dense", C), ("name", name)):
+            object.__setattr__(self, key, value)
+
+    @property
+    def structure(self) -> tuple:
+        return once(self, "_structure", lambda: tuple(
+            tuple(_unscaled(cij, self.D) for cij in plane) for plane in self.dense))
+
+    @property
+    def pairs(self) -> tuple:
+        """(i, j, ((k, D c[i][j][k]) for c[i][j][k] != 0)) for each i < j
+        with c[i][j] != 0, as ``bracket`` reads them."""
+        return once(self, "_pairs", lambda: tuple(
+            (i, j, tuple((k, c) for k, c in enumerate(self.dense[i][j]) if c))
+            for i, j in itertools.combinations(range(self.dim), 2)
+            if any(self.dense[i][j])))
 
     @staticmethod
     def from_brackets(dim: int, brackets: Iterable[tuple], name: str = "") -> "LieAlgebra":
@@ -114,13 +137,13 @@ class LieAlgebra:
         The antisymmetric partner (j, i, k, -value) is filled in automatically;
         conflicting duplicates are an error.
         """
-        c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         seen = {}
         for (i, j, k, value) in brackets:
+            if not all(isinstance(x, Integral) and 0 <= x < dim for x in (i, j, k)):
+                raise InputError(f"bracket index out of range: ({i!r},{j!r},{k!r})")
             v = frac(value)
             for (a, b, w) in ((i, j, v), (j, i, -v)):
-                if not (0 <= a < dim and 0 <= b < dim and 0 <= k < dim):
-                    raise InputError(f"bracket index out of range: ({i},{j},{k})")
                 if a == b and w != 0:
                     raise InputError(f"[e_{a}, e_{a}] must vanish")
                 key = (a, b, k)
@@ -128,8 +151,7 @@ class LieAlgebra:
                     raise InputError(f"conflicting bracket entries at {key}")
                 seen[key] = w
                 c[a][b][k] = w
-        return LieAlgebra(dim, tuple(tuple(tuple(row) for row in plane) for plane in c),
-                          name=name)
+        return LieAlgebra(dim, c, name=name)
 
     def bracket_basis(self, i: int, j: int) -> tuple:
         return self.structure[i][j]
@@ -148,10 +170,9 @@ def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:
     x, y = vec(x), vec(y)
     if len(x) != g.dim or len(y) != g.dim:
         raise InputError("vector length does not match algebra dimension")
-    D, pairs, _ = _integer_table(g)
     xs, dx = _scaled(x)
     ys, dy = _scaled(y)
-    return _unscaled(_bracket_over_z(pairs, xs, ys), D * dx * dy)
+    return _unscaled(_bracket_over_z(g.pairs, xs, ys), g.D * dx * dy)
 
 
 def _bracket_over_z(pairs, xs, ys) -> list:
@@ -165,35 +186,6 @@ def _bracket_over_z(pairs, xs, ys) -> list:
             for k, c in row:
                 acc[k] += w * c
     return acc
-
-
-class _IntegerTable(NamedTuple):
-    """The structure constants over Z: ``pairs`` as ``bracket`` reads them,
-    and ``dense`` with dense[i][j][k] = D c[i][j][k] as nested tuples."""
-
-    D: int
-    pairs: tuple
-    dense: tuple
-
-
-def _integer_table(g: LieAlgebra) -> _IntegerTable:
-    """(D, pairs, dense): D the lcm of the structure-constant denominators
-    and, for each i < j with c[i][j] != 0, (i, j, ((k, D c[i][j][k]) for
-    c[i][j][k] != 0)).  Zeros are stored as int 0, so a table whose
-    constants are all rational is scaled to ints however its zeros are
-    spelled; a QuadExt constant gives D = 1 and the constants as they are.
-    One scaling, built once per algebra."""
-    def build():
-        n = g.dim
-        ints, D = _scaled([c if c else 0 for plane in g.structure
-                           for cij in plane for c in cij])
-        dense = tensor(n, 2, lambda i, j: tuple(ints[(i * n + j) * n:
-                                                     (i * n + j + 1) * n]))
-        return _IntegerTable(D, tuple(
-            (i, j, tuple((k, c) for k, c in enumerate(dense[i][j]) if c))
-            for i, j in itertools.combinations(range(n), 2) if any(dense[i][j])),
-            dense)
-    return once(g, "_integer_table", build)
 
 
 def jacobi_check(g: LieAlgebra) -> CheckResult:
@@ -219,11 +211,10 @@ def _double_bracket(g: LieAlgebra) -> tuple:
     nonzero pair i < j, over its nonzero terms only, its (j, i) leaves
     negated and one zero plane shared by the rest."""
     def build():
-        n = g.dim
-        _, pairs, C = _integer_table(g)
+        n, C = g.dim, g.dense
         zero = ((0,) * n,) * n
         T = [[zero] * n for _ in range(n)]
-        for i, j, row in pairs:
+        for i, j, row in g.pairs:
             T[i][j] = tuple(tuple(sum(c * C[l][k][m] for l, c in row
                                       if C[l][k][m])
                                   for m in range(n)) for k in range(n))
@@ -257,7 +248,7 @@ def lower_central(g: LieAlgebra, r: int) -> Subspace:
 
     def build():
         # D [e_i, b] has the entries of b dotted with the columns of D c[i]
-        cols = [tuple(zip(*plane)) for plane in _integer_table(g).dense]
+        cols = [tuple(zip(*plane)) for plane in g.dense]
         return _chain(Subspace.full(n), lambda c: Subspace.span(
             [tuple(sum(map(mul, b, col)) for col in cols[i])
              for i in range(n) for b in c.rows], n), n)
@@ -271,7 +262,7 @@ def upper_central(g: LieAlgebra, r: int) -> Subspace:
     if r < 0:
         raise InputError("r must be nonnegative")
     n = g.dim
-    C = _integer_table(g).dense
+    C = g.dense
 
     def step(c):
         # x -> [x, e_j] has matrix M with M[k][i] = c[i][j][k]; x lies in
@@ -303,7 +294,7 @@ def is_ideal(g: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_abelian(g: LieAlgebra) -> bool:
-    return not _integer_table(g).pairs
+    return not g.pairs
 
 
 def is_solvable(g: LieAlgebra) -> bool:

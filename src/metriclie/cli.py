@@ -51,9 +51,9 @@ MAX_DIGITS = 4300
 _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 # dimensions an algebra file may declare (the library has no bound): the
 # structure table has dim^3 entries; `report` on the abelian {"dim": 16} takes
-# 0.25 s and 32 MiB per process (2 cores, Python 3.11.7), on {"dim": 60}
-# 284 s and 508 MiB; a 5.3 MB h15 file (constants up to 3,382 digits) takes
-# 36.7 s under `report` and 265 s under `geometry`
+# 0.2-0.45 s and 31 MiB per process, 0.06-0.13 s of it in the verb (2 cores,
+# Python 3.11.7), on {"dim": 60} 284 s and 508 MiB; a 5.3 MB h15 file takes
+# (constants up to 3,382 digits) 36.7 s under `report`, 265 s under `geometry`
 MAX_DIM = 16
 
 
@@ -186,13 +186,12 @@ def cmd_geometry(args) -> None:
     if metric_name is None:
         raise InputError("geometry needs a metric (positional or --metric)")
     B = catalog.get_metric(entry, metric_name)
-    if not B.is_nondegenerate():
-        rad = B.radical()
-        raise DegenerateMetricError(
-            f"metric {metric_name} is degenerate; radical: {rad}", radical=rad)
+    try:
+        conn = levi_civita(g, B)
+    except DegenerateMetricError as exc:
+        raise DegenerateMetricError(f"metric {metric_name}: {exc}", exc.radical) from None
     print(f"algebra: {g.name or args.target}, metric: {metric_name}")
     print(f"signature: {signature(B)}")
-    conn = levi_civita(g, B)
     adinv = is_ad_invariant(g, B)
     print(f"ad-invariant: {'yes' if adinv else 'no'}")
     R = curvature(conn)

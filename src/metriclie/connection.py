@@ -27,11 +27,11 @@ from typing import Sequence
 
 from . import catalog
 from .algebra import (LieAlgebra, Subspace, _bracket_over_z, _double_bracket,
-                      _integer_table, add3, bracket, jacobi_check)
-from .base import (CheckResult, DegenerateMetricError, InputError,
-                   JacobiError, once)
-from .forms import (SymBilinearForm, _form_from_coeffs, _skew_form_rows,
-                    _skew_witness, is_ad_invariant)
+                      add3, bracket, jacobi_check)
+from .base import CheckResult, InputError, JacobiError, once
+from .forms import (SymBilinearForm, _form_from_coeffs, _inverse,
+                    _require_nondegenerate, _skew_form_rows, _skew_witness,
+                    is_ad_invariant)
 from .linalg import (_mat_vec_over_z, _scaled, _scaled_tensor, _unscaled,
                      basis_vector, contract, first_nonzero, identity_matrix,
                      invert, mat, mat_mul, mat_vec, nullspace, rank, tensor,
@@ -66,16 +66,13 @@ def levi_civita(g: LieAlgebra, B: SymBilinearForm) -> Connection:
     """
     if B.dim != g.dim:
         raise InputError("metric and algebra dimensions differ")
-    if not B.is_nondegenerate():
-        raise DegenerateMetricError(
-            "Levi-Civita connection needs a nondegenerate metric",
-            radical=B.radical())
+    _require_nondegenerate(B, "Levi-Civita connection needs a nondegenerate metric")
     n = g.dim
     # over Z with B = M / b, B^-1 = V / v and c = C / D, each scaled once:
     # MC[i][j] = b D B c_ij, so <[e_i, e_j], e_k> = MC[i][j][k] / (b D)
     M, b = _scaled_tensor(B.matrix, 1)
-    V, v = _scaled_tensor(invert(B.matrix), 1)
-    D, _, C = _integer_table(g)
+    V, v = _scaled_tensor(_inverse(B), 1)
+    D, C = g.D, g.dense
     MC = tensor(n, 2, lambda i, j: _mat_vec_over_z(M, C[i][j]))
 
     def leaf(i, j):
@@ -135,7 +132,7 @@ def _build_curvature(conn: Connection, convention: str) -> CurvatureTensor:
     g = conn.algebra
     n = g.dim
     G, d = _scaled_tensor(conn.gamma, 2)
-    D, _, C = _integer_table(g)
+    D, C = g.D, g.dense
     scale = (-1 if convention == "oneill" else 1) * d * d * D
 
     def leaf(i, j, k):
@@ -183,7 +180,7 @@ def biinvariant_curvature_check(conn: Connection,
     # T is D^2 [[e_i, e_j], e_k] and R = Ri / r, so 4 D^2 Ri + r T is
     # nonzero exactly where R differs from the claim
     Ri, r = _scaled_tensor(R.components, 3)
-    q = 4 * _integer_table(g).D ** 2
+    q = 4 * g.D ** 2
     residual = tensor(g.dim, 3, lambda i, j, k: tuple(
         q * x + r * t for x, t in zip(Ri[i][j][k], T[i][j][k])))
     return CheckResult.from_witness(first_nonzero(residual, 3),
@@ -212,7 +209,7 @@ def ricci_form(conn: Connection, convention: str = "default") -> SymBilinearForm
 def ricci_operator(conn: Connection, convention: str = "default") -> tuple:
     """Metric-raised Ricci Rc, <Rc x, y> = Ric(x, y), once per convention."""
     return once(conn, "_ricci_" + convention, lambda: mat_mul(
-        invert(conn.metric.matrix), ricci_form(conn, convention).matrix))
+        _inverse(conn.metric), ricci_form(conn, convention).matrix))
 
 
 def is_flat(conn: Connection) -> bool:
@@ -285,7 +282,7 @@ def soliton_solve(conn: Connection, convention: str = "default") -> SolitonResul
     n = conn.algebra.dim
     ric = ricci_operator(conn, convention)
     flat, r = _scaled([x for row in ric for x in row])
-    C = _integer_table(conn.algebra).dense
+    C = conn.algebra.dense
     entries = [((i, j, k), _dot(row, flat), C[i][j][k])
                for ((i, j), k), row in _derivation_rows(C, 2)]
     forcing, e0, s0 = next(((key, e, s) for key, e, s in entries if s),
@@ -314,7 +311,7 @@ def is_derivation(g: LieAlgebra, D: Sequence[Sequence]) -> CheckResult:
         raise InputError("matrix size does not match algebra dimension")
     flat = _scaled([x for row in D for x in row])[0]
     return CheckResult.from_witness(
-        next((ij for (ij, _), row in _derivation_rows(_integer_table(g).dense, 2)
+        next((ij for (ij, _), row in _derivation_rows(g.dense, 2)
               if _dot(row, flat)), None), "derivation identity fails")
 
 
@@ -334,9 +331,7 @@ def naturally_reductive_check(g: LieAlgebra, h: Subspace, m: Subspace,
         raise InputError("h and m do not form a direct-sum decomposition")
     if B_m.dim != m.dim:
         raise InputError("B_m size does not match dim m")
-    if not B_m.is_nondegenerate():
-        raise DegenerateMetricError("B_m must be nondegenerate on m",
-                                    radical=B_m.radical())
+    _require_nondegenerate(B_m, "B_m must be nondegenerate on m")
     Tinv = invert(transpose(h.basis + m.basis))
 
     def m_part(v):
@@ -377,7 +372,7 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
     # a^2 Ai T = [[Ai e_i, Ai e_j], Ai e_k] over Z
     cols = transpose(Ai)
     T = _double_bracket(g)
-    pairs = _integer_table(g).pairs
+    pairs = g.pairs
     aa = a * a
     for i in range(n):
         for j in range(i + 1, n):
@@ -473,9 +468,7 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
     inv = is_ad_invariant(g, B)
     if not inv:
         raise InputError(f"metric must be ad-invariant ({inv})")
-    if not B.is_nondegenerate():
-        raise DegenerateMetricError("metric must be nondegenerate",
-                                    radical=B.radical())
+    _require_nondegenerate(B, "metric must be nondegenerate")
     rows = _isotropy_rows(B, _double_bracket(g))[0]
     return B.dim * (B.dim - 1) // 2 - rank(list(rows))
 
@@ -488,7 +481,7 @@ def _isotropy_rows(B: SymBilinearForm, T) -> tuple[set, list, int]:
     w k_q over (q, w) in table[a*n + x], n - 1 terms at most.  The rows are
     homogeneous, so v drops out; the nonzero ones are collected into a set."""
     n = B.dim
-    V, v = _scaled_tensor(invert(B.matrix), 1)
+    V, v = _scaled_tensor(_inverse(B), 1)
     pairs = list(enumerate(itertools.combinations(range(n), 2)))
     table = [[(q, V[a][c] if y == x else -V[a][y]) for q, (c, y) in pairs
               if x in (c, y) and V[a][c + y - x]]

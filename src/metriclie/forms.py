@@ -35,13 +35,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterator, Sequence
 
-from .algebra import (LieAlgebra, Subspace, _integer_table, is_ideal,
-                      lower_central, restricted_algebra, upper_central)
+from .algebra import (LieAlgebra, Subspace, is_ideal, lower_central,
+                      restricted_algebra, upper_central)
 from .base import CheckResult, DegenerateMetricError, InputError, once
 from .linalg import (_kernel, _scaled, basis_vector, contract, determinant,
-                     mat, mat_mul, mat_vec, nullspace, solve, transpose, vec)
+                     invert, mat, mat_mul, mat_vec, nullspace, solve,
+                     transpose, vec)
 from .scalars import sign_of
 
 # determinants one "no" certificate may take: C(n+k-1, k-1) lattice points
@@ -71,9 +73,9 @@ class SymBilinearForm:
         m = [[Fraction(0)] * dim for _ in range(dim)]
         seen = {}
         for (i, j, value) in entries:
+            if not all(isinstance(x, Integral) and 0 <= x < dim for x in (i, j)):
+                raise InputError(f"metric index out of range: ({i!r},{j!r})")
             for (a, b) in ((i, j), (j, i)):
-                if not (0 <= a < dim and 0 <= b < dim):
-                    raise InputError(f"metric index out of range: ({i},{j})")
                 if (a, b) in seen and seen[(a, b)] != value:
                     raise InputError(f"conflicting metric entries at ({a},{b})")
                 seen[(a, b)] = value
@@ -85,10 +87,24 @@ class SymBilinearForm:
                    start=Fraction(0))
 
     def radical(self) -> Subspace:
-        return Subspace.span(_kernel(self.matrix, self.dim), self.dim)
+        """{x : B(x, .) = 0}, one elimination per form (over Z if rational)."""
+        return once(self, "_radical", lambda: Subspace.span(
+            _kernel(self.matrix, self.dim), self.dim))
 
     def is_nondegenerate(self) -> bool:
-        return bool(determinant(self.matrix))
+        return not self.radical().dim
+
+
+def _require_nondegenerate(B: SymBilinearForm, what: str) -> None:
+    """Raise DegenerateMetricError naming the radical unless B is nondegenerate."""
+    if not B.is_nondegenerate():
+        rad = B.radical()
+        raise DegenerateMetricError(f"{what}; radical: {rad}", radical=rad)
+
+
+def _inverse(B: SymBilinearForm) -> tuple:
+    """The matrix of a nondegenerate B inverted, once per form."""
+    return once(B, "_inverse", lambda: invert(B.matrix))
 
 
 @dataclass(frozen=True)
@@ -120,7 +136,7 @@ def is_ad_invariant(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:
     checked = once(g, "_ad_invariant", dict)
     if B not in checked:
         checked[B] = CheckResult.from_witness(
-            _skew_witness(B, _integer_table(g).dense), "ad-invariance fails")
+            _skew_witness(B, g.dense), "ad-invariance fails")
     return checked[B]
 
 
@@ -236,7 +252,7 @@ def invariant_form_space(g: LieAlgebra) -> list[SymBilinearForm]:
     rows are built over Z from the integer structure table.
     """
     n = g.dim
-    rows = _skew_form_rows(n, _integer_table(g).dense)
+    rows = _skew_form_rows(n, g.dense)
     basis = nullspace(list(rows), ncols=n * (n + 1) // 2)
     return [_form_from_coeffs(n, b) for b in basis]
 
@@ -288,7 +304,7 @@ def has_nondegenerate_invariant_form(g: LieAlgebra) -> FormSearch:
                  None)
         if r is None:
             return _search_span(invariant_form_space(g))
-        rows = list(_skew_form_rows(n, _integer_table(g).dense))
+        rows = list(_skew_form_rows(n, g.dense))
         return FormSearch(False, None, len(_kernel(rows, n * (n + 1) // 2)),
                           series_r=r)
 
@@ -344,9 +360,8 @@ def killing_form(g: LieAlgebra) -> SymBilinearForm:
     entries c[i][s][r], so each trace is summed over the integer structure
     table, then scaled by 1/D^2."""
     n = g.dim
-    table = _integer_table(g)
-    ads = [transpose(plane) for plane in table.dense]
-    scale = Fraction(1, table.D ** 2)
+    ads = [transpose(plane) for plane in g.dense]
+    scale = Fraction(1, g.D ** 2)
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -365,9 +380,7 @@ def series_duality_check(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:
     dim (C_r)-perp = dim g - dim C_r, so the equality also gives
     dim C^r + dim C_r = dim g.
     """
-    if not B.is_nondegenerate():
-        raise DegenerateMetricError("series duality needs a nondegenerate form",
-                                    radical=B.radical())
+    _require_nondegenerate(B, "series duality needs a nondegenerate form")
     inv = is_ad_invariant(g, B)
     if not inv:
         raise InputError(f"series duality needs an ad-invariant form ({inv})")

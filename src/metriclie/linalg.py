@@ -15,8 +15,8 @@ sequence of ints and Fractions into integers over their lcm denominator,
 once; a sequence with a QuadExt entry is used as it is, at scale 1.
 ``_unscaled`` builds one Fraction per nonzero output entry, and an entry
 that met a QuadExt keeps its type.  So ``contract`` (one denominator for
-the weights, one for the leaves it visits) and ``algebra.bracket`` (an
-integer structure table kept per algebra) have one loop for Q and
+the weights, one for the leaves it visits) and ``algebra.bracket`` (the
+integer table a ``LieAlgebra`` holds) have one loop for Q and
 Q(sqrt d) alike, and Fractions come out canonical.  ``mat_vec`` takes the
 integer kernel only when every matrix entry is exactly a Fraction and every
 vector entry an int or a Fraction (one denominator for the matrix, one for
@@ -33,14 +33,14 @@ ints.  ``_mat_vec_over_z`` is the one integer matrix-vector loop, and
 and the isometry check.
 
 The homogeneous systems ``_kernel`` solves are built over Z too (scaling a
-row leaves its RREF as it is).  The same per-algebra table keeps the dense
-constants D c[i][j][k] (D = 1 and the constants as they are when one is a
-QuadExt); both central series (int rows from kernel to kernel), the
-invariant-form system and the Killing form read it, and so does the one
-double bracket per algebra, kept in the same form as D^2 [[e_i, e_j], e_k]
-(read by Jacobi, the 1/4-ad curvature check, the isometry check and the
-isotropy rows).  Rows start at int 0, which ``_rref_generic`` reads as
-Fraction(0).  One derivation-row builder serves isotropy, the soliton and
+row leaves its RREF as it is).  A ``LieAlgebra`` is the dense constants
+D c[i][j][k], scaled once at construction (D = 1 and the constants as they
+are when one is a QuadExt); both central series, the invariant-form system,
+the Killing form and the one double bracket per algebra, D^2 [[e_i, e_j],
+e_k] (read by Jacobi, the 1/4-ad check, the isometry check and the
+isotropy rows), read it.  A form's radical is one ``_kernel``, kept with
+the form; it decides nondegeneracy, and the form is inverted once.  Rows
+start at int 0, which ``_rref_generic`` reads as Fraction(0).  One derivation-row builder serves isotropy, the soliton and
 ``is_derivation``; isotropy is solved in the n(n-1)/2 skew coordinates of
 S = B^-1 K, K antisymmetric.  One skew-row builder, ``forms._skew_rows``,
 serves the invariant-form and skew-adjoint-form solvers and the three

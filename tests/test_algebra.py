@@ -72,6 +72,23 @@ def test_antisymmetry_failure_names_the_first_triple():
     assert str(exc.value) == "structure constants not antisymmetric at (0,1,2)"
 
 
+@pytest.mark.parametrize("entry", [(0, 1.0, 1, 1), (0, "1", 1, 1),
+                                   (0, 1, None, 1), (0, 1, 2, 1)])
+def test_bracket_index_not_an_integer_in_range_is_input_error(entry):
+    with pytest.raises(InputError, match="bracket index out of range") as exc:
+        LieAlgebra.from_brackets(2, [entry])
+    assert repr(entry[1]) in str(exc.value) and repr(entry[2]) in str(exc.value)
+
+
+def test_subspace_rows_of_the_wrong_length_are_input_error():
+    for build in (lambda: Subspace(3, [(1, 0)]), lambda: Subspace(3, ((1, 0, 0, 0),)),
+                  lambda: Subspace.span([(1, 0)], 3)):
+        with pytest.raises(InputError, match="does not match ambient dimension"):
+            build()
+    s = Subspace(3, [(1, 0, 0)])
+    assert s.contains((2, 0, 0)) and not s.contains((0, 1, 0))
+
+
 def test_jacobi_tampered_fails():
     # scaling [e1,e2] alone keeps Jacobi (central direction), so tamper a
     # non-central component instead: [e1,e2] = e1 + e3 breaks the identity

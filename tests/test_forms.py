@@ -24,6 +24,14 @@ def test_symmetry_enforced():
         SymBilinearForm(2, ((0, 1), (2, 0)))
 
 
+@pytest.mark.parametrize("entry", [(0, 1.5, 1), (0, "1", 1), (None, 0, 1),
+                                   (0, 2, 1)])
+def test_metric_index_not_an_integer_in_range_is_input_error(entry):
+    with pytest.raises(InputError, match="metric index out of range") as exc:
+        SymBilinearForm.from_entries(2, [entry])
+    assert repr(entry[0]) in str(exc.value) and repr(entry[1]) in str(exc.value)
+
+
 def test_ad_invariance(g0, gmatrix0_g0):
     assert is_ad_invariant(g0, gmatrix0_g0)
     r4 = get("r4").algebra

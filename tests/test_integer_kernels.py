@@ -26,9 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from metriclie import algebra, connection, linalg
 from metriclie.algebra import (LieAlgebra, Subspace, _chain, _double_bracket,
-                               _integer_table, _jacobi_witness, add3, bracket,
-                               change_of_basis, jacobi_check, lower_central,
-                               upper_central)
+                               _jacobi_witness, add3, bracket, change_of_basis,
+                               jacobi_check, lower_central, upper_central)
 from metriclie.catalog import get, names
 from metriclie.connection import (_derivation_rows, _isotropy_basis,
                                   ahc_isometry_check,
@@ -325,11 +324,15 @@ def test_integer_kernel_dispatch(monkeypatch):
 
 def test_bracket_table_is_built_once_and_not_part_of_the_value():
     g = LieAlgebra.from_brackets(3, [(0, 1, 2, F(1, 2)), (0, 2, 1, F(-2, 3))])
+    # D and the dense integer table are the value; the pairs that bracket
+    # reads are built on first use and kept outside it
+    assert g.D == 6 and g.dense[0][1] == (0, 0, 3) and g.dense[2][0] == (0, 4, 0)
+    assert "_pairs" not in g.__dict__
     assert bracket(g, (1, 0, 0), (0, 1, 0)) == (0, 0, F(1, 2))
-    table = g.__dict__["_integer_table"]
-    assert table[:2] == (6, ((0, 1, ((2, 3),)), (0, 2, ((1, -4),))))
+    pairs = g.__dict__["_pairs"]
+    assert pairs == ((0, 1, ((2, 3),)), (0, 2, ((1, -4),)))
     assert bracket(g, (0, 0, 1), (1, 0, 0)) == (0, F(2, 3), 0)
-    assert g.__dict__["_integer_table"] is table
+    assert g.pairs is pairs
     twin = LieAlgebra.from_brackets(3, [(0, 1, 2, F(1, 2)), (0, 2, 1, F(-2, 3))])
     assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
 
@@ -448,7 +451,7 @@ def double_bracket_loop(g):
 def assert_scaled_double_bracket(g):
     """_double_bracket(g) is D^2 times the loop's tensor, D the scale of the
     integer structure table; all ints when the table is rational."""
-    D = _integer_table(g).D
+    D = g.D
     T, want = _double_bracket(g), double_bracket_loop(g)
     for i, j, k in itertools.product(range(g.dim), repeat=3):
         assert T[i][j][k] == tuple(D * D * x for x in want[i][j][k])
@@ -521,7 +524,7 @@ def test_structure_systems_match_the_field_loops(case):
         repr(upper_central_loop(g))
     assert same_rows(_skew_form_rows(n, g.structure),
                      skew_form_rows_loop(n, g.structure))
-    assert same_rows(_skew_form_rows(n, _integer_table(g).dense),
+    assert same_rows(_skew_form_rows(n, g.dense),
                      skew_form_rows_loop(n, g.structure))
     assert repr(invariant_form_space(g)) == repr(invariant_forms_loop(g))
     assert repr(killing_form(g).matrix) == \
@@ -555,7 +558,7 @@ def test_quadext_structure_tables_keep_the_field_loops():
         gq = LieAlgebra(g.dim, tuple(tuple(tuple(r2 * c if c else c for c in cij)
                                            for cij in plane)
                                      for plane in g.structure))
-        assert _integer_table(gq)[0] == 1
+        assert gq.D == 1
         n = g.dim
         assert repr(tuple(upper_central(gq, r) for r in range(n + 1))) == \
             repr(upper_central_loop(gq))
@@ -578,7 +581,7 @@ def test_rational_constants_from_the_quadratic_field_are_fractions():
                for c in cij)
     assert {c for plane in g.structure for cij in plane for c in cij} == \
         {-2, -1, 0, 1, 2}
-    assert all(type(c) is int for plane in _integer_table(g).dense
+    assert all(type(c) is int for plane in g.dense
                for row in plane for c in row)
 
 

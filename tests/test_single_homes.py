@@ -15,8 +15,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metriclie.algebra import (LieAlgebra, Subspace, _double_bracket,
-                               _integer_table, bracket, change_of_basis)
+from metriclie.algebra import (LieAlgebra, Subspace, _double_bracket, bracket,
+                               change_of_basis)
 from metriclie.base import CheckResult, InputError
 from metriclie.catalog import get
 from metriclie.cli import _sample_family
@@ -80,7 +80,7 @@ def _reference_ahc_isometry_check(g, B, A):
         return CheckResult(False, "metric not preserved", bad)
     cols = transpose(A)
     T = _double_bracket(g)
-    DD = _integer_table(g).D ** 2
+    DD = g.D ** 2
     scaled = [tuple(DD * a for a in col) for col in cols]
     for i in range(n):
         for j in range(i + 1, n):
