@@ -18,7 +18,7 @@ from numbers import Integral
 from operator import mul
 from typing import Iterable, Sequence
 
-from .base import CheckResult, InputError, once
+from .base import CheckResult, InputError, once, set_fields
 from .linalg import (_coerce, _kernel, _rational, _rref_rows, _scaled,
                      _unscaled, basis_vector, identity_matrix, invert, is_zero_vector,
                      mat, mat_vec, row_space, solve, tensor, transpose, vec)
@@ -104,8 +104,7 @@ class LieAlgebra:
             raise InputError("structure array must be dim x dim x dim")
         ints, D = _scaled([_coerce(c) or 0 for plane in s for cij in plane
                            for c in cij])
-        C = tensor(n, 2, lambda i, j: tuple(ints[(i * n + j) * n:
-                                                 (i * n + j + 1) * n]))
+        C = _table(n, ints)
         # (i, j, k) fails iff (j, i, k) does, so j >= i finds the first failure
         for i in range(n):
             for j in range(i, n):
@@ -113,8 +112,7 @@ class LieAlgebra:
                     if C[i][j][k] != -C[j][i][k]:
                         raise InputError(
                             f"structure constants not antisymmetric at ({i},{j},{k})")
-        for key, value in (("dim", n), ("D", D), ("dense", C), ("name", name)):
-            object.__setattr__(self, key, value)
+        set_fields(self, dim=n, D=D, dense=C, name=name)
 
     @property
     def structure(self) -> tuple:
@@ -135,9 +133,9 @@ class LieAlgebra:
         """Build from sparse entries (i, j, k, value) meaning [e_i,e_j] has value*e_k.
 
         The antisymmetric partner (j, i, k, -value) is filled in automatically;
-        conflicting duplicates are an error.
+        conflicting duplicates are an error.  The entries given are scaled
+        to the integer table once, with no dense Fraction table between.
         """
-        c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         seen = {}
         for (i, j, k, value) in brackets:
             if not all(isinstance(x, Integral) and 0 <= x < dim for x in (i, j, k)):
@@ -150,8 +148,14 @@ class LieAlgebra:
                 if key in seen and seen[key] != w:
                     raise InputError(f"conflicting bracket entries at {key}")
                 seen[key] = w
-                c[a][b][k] = w
-        return LieAlgebra(dim, c, name=name)
+        if dim <= 0:
+            raise InputError("dimension must be positive")
+        ints, D = _scaled(list(seen.values()))
+        flat = [0] * dim ** 3
+        for (a, b, k), x in zip(seen, ints):
+            flat[(a * dim + b) * dim + k] = x
+        return set_fields(object.__new__(LieAlgebra), dim=dim, D=D,
+                          dense=_table(dim, flat), name=name)
 
     def bracket_basis(self, i: int, j: int) -> tuple:
         return self.structure[i][j]
@@ -162,6 +166,13 @@ class LieAlgebra:
         n = self.dim
         cols = [bracket(self, x, basis_vector(n, j)) for j in range(n)]
         return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
+
+
+def _table(n: int, ints: list) -> tuple:
+    """The n^3 entries ints, in the order of (i, j, k), as the nested tuples
+    of ``LieAlgebra.dense``."""
+    return tensor(n, 2, lambda i, j: tuple(ints[(i * n + j) * n:
+                                                (i * n + j + 1) * n]))
 
 
 def bracket(g: LieAlgebra, x: Sequence, y: Sequence) -> tuple:

@@ -85,3 +85,11 @@ def once(obj: Any, key: str, build: Callable[[], Any]) -> Any:
     if key not in obj.__dict__:
         obj.__dict__[key] = build()
     return obj.__dict__[key]
+
+
+def set_fields(obj: Any, **values: Any) -> Any:
+    """obj with the given fields of its frozen dataclass set; the one setter
+    of the classes that build their value in their own constructor."""
+    for key, value in values.items():
+        object.__setattr__(obj, key, value)
+    return obj

@@ -28,25 +28,39 @@ from typing import Sequence
 from . import catalog
 from .algebra import (LieAlgebra, Subspace, _bracket_over_z, _double_bracket,
                       add3, bracket, jacobi_check)
-from .base import CheckResult, InputError, JacobiError, once
+from .base import CheckResult, InputError, JacobiError, once, set_fields
 from .forms import (SymBilinearForm, _form_from_coeffs, _inverse,
                     _require_nondegenerate, _skew_form_rows, _skew_witness,
                     is_ad_invariant)
-from .linalg import (_mat_vec_over_z, _scaled, _scaled_tensor, _unscaled,
-                     basis_vector, contract, first_nonzero, identity_matrix,
-                     invert, mat, mat_mul, mat_vec, nullspace, rank, tensor,
-                     transpose, vec)
+from .linalg import (_canonical_tensor, _mat_vec_over_z, _scaled, _unscaled,
+                     _unscaled_tensor, basis_vector, contract, first_nonzero,
+                     identity_matrix, invert, mat, mat_mul, mat_vec, nullspace,
+                     rank, tensor, transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Connection:
-    """gamma[i][j] = coefficient vector of nabla_{e_i} e_j."""
+    """gamma[i][j] = coefficient vector of nabla_{e_i} e_j, held over Z:
+    dense[i][j] = d gamma[i][j] with d > 0 the least such scale
+    (``linalg._canonical_tensor``; d = 1 and the values when one is a
+    QuadExt).  algebra, metric, d and dense are the value, so ``==``,
+    ``hash`` and ``repr`` mean same algebra, metric and symbols; ``gamma``
+    is built on first read."""
 
     algebra: LieAlgebra
     metric: SymBilinearForm
-    gamma: tuple
+    d: int
+    dense: tuple
+
+    def __init__(self, algebra: LieAlgebra, metric: SymBilinearForm,
+                 gamma: Sequence):
+        _hold(self, gamma, 2, 1, algebra=algebra, metric=metric)
+
+    @property
+    def gamma(self) -> tuple:
+        return once(self, "_gamma", lambda: _unscaled_tensor(self.dense, 2, self.d))
 
     def nabla(self, i: int, j: int) -> tuple:
         return self.gamma[i][j]
@@ -54,6 +68,14 @@ class Connection:
     def nabla_vector(self, i: int, v: Sequence) -> tuple:
         """nabla_{e_i} of a constant-coefficient field v."""
         return contract(self.gamma[i], (v,))
+
+
+def _hold(obj, T, p: int, d: int, **fields):
+    """obj, a Connection or a CurvatureTensor, holding the rank-p tensor
+    T / d (T of ints and Fractions, d > 0) as dense / d, canonical
+    (``_canonical_tensor``), and the other fields given."""
+    dense, d = _canonical_tensor(T, p, d)
+    return set_fields(obj, d=d, dense=dense, **fields)
 
 
 def levi_civita(g: LieAlgebra, B: SymBilinearForm) -> Connection:
@@ -70,46 +92,64 @@ def levi_civita(g: LieAlgebra, B: SymBilinearForm) -> Connection:
     n = g.dim
     # over Z with B = M / b, B^-1 = V / v and c = C / D, each scaled once:
     # MC[i][j] = b D B c_ij, so <[e_i, e_j], e_k> = MC[i][j][k] / (b D)
-    M, b = _scaled_tensor(B.matrix, 1)
-    V, v = _scaled_tensor(_inverse(B), 1)
+    M, b = _canonical_tensor(B.matrix, 1)
+    V, v = _canonical_tensor(_inverse(B), 1)
     D, C = g.D, g.dense
     MC = tensor(n, 2, lambda i, j: _mat_vec_over_z(M, C[i][j]))
 
     def leaf(i, j):
         koszul = [MC[i][j][k] - MC[j][k][i] + MC[k][i][j] for k in range(n)]
-        return _unscaled(_mat_vec_over_z(V, koszul), 2 * b * D * v)
+        return _mat_vec_over_z(V, koszul)
 
-    return Connection(g, B, tensor(n, 2, leaf))
+    return _hold(object.__new__(Connection), tensor(n, 2, leaf), 2,
+                 2 * b * D * v, algebra=g, metric=B)
 
 
 def metric_compatibility_check(conn: Connection) -> CheckResult:
     """<nabla_i e_j, e_k> + <e_j, nabla_i e_k> = 0 on basis triples."""
-    return CheckResult.from_witness(_skew_witness(conn.metric, conn.gamma),
+    # the rows are linear in the maps, so dense = d gamma, d > 0, fails first
+    # where gamma does
+    return CheckResult.from_witness(_skew_witness(conn.metric, conn.dense),
                                     "metric compatibility fails")
 
 
 def torsion_check(conn: Connection) -> CheckResult:
-    """nabla_i e_j - nabla_j e_i = [e_i, e_j]."""
-    g, gam = conn.algebra, conn.gamma
+    """nabla_i e_j - nabla_j e_i = [e_i, e_j], over Z: with Gamma = G / d and
+    c = C / D, D (G_ij - G_ji) - d C_ij vanishes exactly where it holds."""
+    g, G, d = conn.algebra, conn.dense, conn.d
+    D, C = g.D, g.dense
     residual = tensor(g.dim, 2, lambda i, j: tuple(
-        a - b - c for a, b, c in zip(gam[i][j], gam[j][i], g.bracket_basis(i, j))))
+        D * (a - b) - d * c for a, b, c in zip(G[i][j], G[j][i], C[i][j])))
     return CheckResult.from_witness(first_nonzero(residual, 2),
                                     "torsion does not vanish")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurvatureTensor:
-    """components[i][j][k] = coefficient vector of R(e_i, e_j) e_k."""
+    """components[i][j][k] = coefficient vector of R(e_i, e_j) e_k, held over
+    Z as ``Connection`` holds gamma: dense = d components, d > 0 least.
+    algebra, d, dense and convention are the value; ``components`` is built
+    on first read."""
 
     algebra: LieAlgebra
-    components: tuple
+    d: int
+    dense: tuple
     convention: str
+
+    def __init__(self, algebra: LieAlgebra, components: Sequence,
+                 convention: str):
+        _hold(self, components, 3, 1, algebra=algebra, convention=convention)
+
+    @property
+    def components(self) -> tuple:
+        return once(self, "_components",
+                    lambda: _unscaled_tensor(self.dense, 3, self.d))
 
     def apply(self, x: Sequence, y: Sequence, z: Sequence) -> tuple:
         return contract(self.components, (vec(x), vec(y), vec(z)))
 
     def is_zero(self) -> bool:
-        return first_nonzero(self.components, 3) is None
+        return first_nonzero(self.dense, 3) is None
 
 
 def curvature(conn: Connection, convention: str = "default") -> CurvatureTensor:
@@ -127,17 +167,18 @@ def _build_curvature(conn: Connection, convention: str) -> CurvatureTensor:
 
         d^2 D R_ijk = D (sum_l G_jk[l] G_il - G_ik[l] G_jl) - d sum_l C_ij[l] G_lk,
 
-    summed for i < j only, with one Fraction per nonzero entry: the right
-    side is antisymmetric in i, j for any Gamma, so R_jik = -R_ijk."""
+    summed for i < j only and held at the scale d^2 D (negated for
+    "oneill"): the right side is antisymmetric in i, j for any Gamma, so
+    R_jik = -R_ijk."""
     g = conn.algebra
     n = g.dim
-    G, d = _scaled_tensor(conn.gamma, 2)
+    G, d = conn.dense, conn.d
     D, C = g.D, g.dense
-    scale = (-1 if convention == "oneill" else 1) * d * d * D
+    sign = -1 if convention == "oneill" else 1
 
     def leaf(i, j, k):
         acc = [0] * n
-        for s, a, b in ((D, i, j), (-D, j, i)):
+        for s, a, b in ((sign * D, i, j), (-sign * D, j, i)):
             for l, x in enumerate(G[b][k]):
                 if x:
                     x *= s
@@ -146,25 +187,26 @@ def _build_curvature(conn: Connection, convention: str) -> CurvatureTensor:
                             acc[m] += x * y
         for l, c in enumerate(C[i][j]):
             if c:
-                c *= d
+                c *= sign * d
                 for m, y in enumerate(G[l][k]):
                     if y:
                         acc[m] -= c * y
-        return _unscaled(acc, scale)
+        return tuple(acc)
 
     planes = {}
     for i, j in itertools.combinations(range(n), 2):
         planes[i, j] = tuple(leaf(i, j, k) for k in range(n))
         planes[j, i] = tuple(tuple(-x for x in v) for v in planes[i, j])
-    zero = (tuple(Fraction(0) for _ in range(n)),) * n
-    return CurvatureTensor(g, tensor(n, 2, lambda i, j: planes.get((i, j), zero)),
-                           convention)
+    zero = ((0,) * n,) * n
+    return _hold(object.__new__(CurvatureTensor),
+                 tensor(n, 2, lambda i, j: planes.get((i, j), zero)), 3,
+                 d * d * D, algebra=g, convention=convention)
 
 
 def bianchi_check(R: CurvatureTensor) -> CheckResult:
     """First Bianchi identity R(x,y)z + R(y,z)x + R(z,x)y = 0, compared over
-    Z from one scaling of the components."""
-    C, _ = _scaled_tensor(R.components, 3)
+    Z on the integer components."""
+    C = R.dense
     residual = tensor(R.algebra.dim, 3,
                       lambda i, j, k: add3(C[i][j][k], C[j][k][i], C[k][i][j]))
     return CheckResult.from_witness(first_nonzero(residual, 3),
@@ -179,7 +221,7 @@ def biinvariant_curvature_check(conn: Connection,
     T = _double_bracket(g)
     # T is D^2 [[e_i, e_j], e_k] and R = Ri / r, so 4 D^2 Ri + r T is
     # nonzero exactly where R differs from the claim
-    Ri, r = _scaled_tensor(R.components, 3)
+    Ri, r = R.dense, R.d
     q = 4 * g.D ** 2
     residual = tensor(g.dim, 3, lambda i, j, k: tuple(
         q * x + r * t for x, t in zip(Ri[i][j][k], T[i][j][k])))
@@ -191,11 +233,13 @@ def ricci_form(conn: Connection, convention: str = "default") -> SymBilinearForm
     """Ric(x, y) = trace(z -> R(z, x) y) as a bilinear form on the algebra.
 
     Without Jacobi the form need not be symmetric; that case raises
-    JacobiError with the failing basis triple."""
-    R = curvature(conn, convention).components
+    JacobiError with the failing basis triple.  Each trace is summed over
+    Z and becomes one Fraction."""
+    R = curvature(conn, convention)
     n = conn.algebra.dim
-    ric = tensor(n, 2, lambda a, b: sum((R[k][a][b][k] for k in range(n)),
-                                        start=Fraction(0)))
+    traces = _unscaled([sum(R.dense[k][a][b][k] for k in range(n))
+                        for a in range(n) for b in range(n)], R.d)
+    ric = tuple(traces[a * n:(a + 1) * n] for a in range(n))
     try:
         return SymBilinearForm(n, ric)
     except InputError as exc:
@@ -237,13 +281,14 @@ def nabla_R(conn: Connection, convention: str = "default") -> tuple:
 def is_locally_symmetric(conn: Connection) -> bool:
     """nabla R = 0.  True without building nabla_R when Gamma = 1/2 ad on the
     frame and the algebra satisfies Jacobi; otherwise nabla_R is scanned.
+    With Gamma = G / d and c = C / D, Gamma = 1/2 ad reads 2 D G = d C over Z.
 
     Proof of the shortcut: with nabla_X = 1/2 ad_X, Jacobi gives R(Y, Z) =
     -1/4 ad([Y, Z]) and makes ad_X a derivation, so nabla_X commutes with R."""
     g = conn.algebra
-    n = g.dim
-    if all(conn.gamma[h][i] == tuple(c / 2 for c in g.bracket_basis(h, i))
-           for h in range(n) for i in range(n)) and jacobi_check(g):
+    G, d, D, C = conn.dense, conn.d, g.D, g.dense
+    if all(2 * D * x == d * c for h, i in itertools.product(range(g.dim), repeat=2)
+           for x, c in zip(G[h][i], C[h][i])) and jacobi_check(g):
         return True
     return first_nonzero(nabla_R(conn), 4) is None
 
@@ -358,31 +403,47 @@ def ahc_isometry_check(g: LieAlgebra, B: SymBilinearForm,
 
     (i)  <Ax, Ay> = <x, y>,
     (ii) A[[x,y],z] = [[Ax,Ay],Az]   on all basis triples.
+
+    (ii) is first tried as A[e_i, e_j] = eps [Ae_i, Ae_j] on the basis
+    pairs, for eps = 1 or eps = -1: that gives A[[x,y],z] = eps [A[x,y], Az]
+    = eps^2 [[Ax,Ay],Az].  Otherwise the triples are scanned, and the first
+    one that fails is the witness.
     """
     A = mat(A)
     n = g.dim
     if len(A) != n or any(len(r) != n for r in A):
         raise InputError("matrix size does not match algebra dimension")
     # A = Ai / a, scaled once for both conditions
-    Ai, a = _scaled_tensor(A, 1)
+    Ai, a = _canonical_tensor(A, 1)
     kept = _metric_preserved(B, Ai, a)
     if not kept:
         return kept
-    # with T = D^2 [[e_i, e_j], e_k] and the table's pairs D c, (ii) reads
-    # a^2 Ai T = [[Ai e_i, Ai e_j], Ai e_k] over Z
+    sides = _pair_sides(g, Ai, a)
+    if all(lhs == w for lhs, w in sides.values()) or \
+            all(w == [-x for x in lhs] for lhs, w in sides.values()):
+        return CheckResult(True)
+    # with T = D^2 [[e_i, e_j], e_k] and w = D [Ai e_i, Ai e_j], (ii) reads
+    # a^2 Ai T = D [w, Ai e_k] over Z
     cols = transpose(Ai)
     T = _double_bracket(g)
-    pairs = g.pairs
     aa = a * a
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = _bracket_over_z(pairs, cols[i], cols[j])
-            for k in range(n):
-                lhs = [aa * x for x in _mat_vec_over_z(Ai, T[i][j][k])]
-                if lhs != _bracket_over_z(pairs, w, cols[k]):
-                    return CheckResult(False, "double-bracket equivariance fails",
-                                       (i, j, k))
+    for (i, j), (_, w) in sides.items():
+        for k in range(n):
+            lhs = [aa * x for x in _mat_vec_over_z(Ai, T[i][j][k])]
+            if lhs != _bracket_over_z(g.pairs, w, cols[k]):
+                return CheckResult(False, "double-bracket equivariance fails",
+                                   (i, j, k))
     return CheckResult(True)
+
+
+def _pair_sides(g: LieAlgebra, Ai, a: int) -> dict:
+    """{(i, j): (lhs, w)} for the basis pairs i < j in order, with A = Ai / a
+    and the table's pairs D c: lhs = a Ai (D c_ij) and w = D [Ai e_i, Ai e_j]
+    over Z, a^2 D times the two sides of A[e_i, e_j] = [Ae_i, Ae_j]."""
+    cols = transpose(Ai)
+    return {(i, j): ([a * x for x in _mat_vec_over_z(Ai, g.dense[i][j])],
+                     _bracket_over_z(g.pairs, cols[i], cols[j]))
+            for i, j in itertools.combinations(range(g.dim), 2)}
 
 
 def _metric_preserved(B: SymBilinearForm, Ai, a: int) -> CheckResult:
@@ -391,7 +452,7 @@ def _metric_preserved(B: SymBilinearForm, Ai, a: int) -> CheckResult:
     n = B.dim
     if len(Ai) != n:
         raise InputError("matrix size does not match the form")
-    M, _ = _scaled_tensor(B.matrix, 1)
+    M, _ = _canonical_tensor(B.matrix, 1)
     cols = transpose(Ai)
     # lhs[j] is column j of Ai^T M Ai
     lhs = [_mat_vec_over_z(cols, _mat_vec_over_z(M, col)) for col in cols]
@@ -429,7 +490,7 @@ def isometry_family(which: str, sign: int, w: Sequence,
         raise InputError("Atilde must be 2x2")
     s = Fraction(sign)
     kind, J = _PAIRINGS[which]
-    if not _metric_preserved(J, *_scaled_tensor(At, 1)):
+    if not _metric_preserved(J, *_canonical_tensor(At, 1)):
         raise InputError(f"Atilde is not {kind}")
     norm2 = J.evaluate(w, w)
     bottom = mat_vec(transpose(At), mat_vec(J.matrix, w))
@@ -481,7 +542,7 @@ def _isotropy_rows(B: SymBilinearForm, T) -> tuple[set, list, int]:
     w k_q over (q, w) in table[a*n + x], n - 1 terms at most.  The rows are
     homogeneous, so v drops out; the nonzero ones are collected into a set."""
     n = B.dim
-    V, v = _scaled_tensor(_inverse(B), 1)
+    V, v = _canonical_tensor(_inverse(B), 1)
     pairs = list(enumerate(itertools.combinations(range(n), 2)))
     table = [[(q, V[a][c] if y == x else -V[a][y]) for q, (c, y) in pairs
               if x in (c, y) and V[a][c + y - x]]
@@ -549,20 +610,18 @@ def skew_adjoint_form_space(which: str, alpha, beta, gamma=0) -> list[SymBilinea
 
 def is_isometric_automorphism(g: LieAlgebra, B: SymBilinearForm,
                               A: Sequence[Sequence]) -> CheckResult:
-    """A[x,y] = [Ax, Ay] on basis pairs and A^T B A = B."""
+    """A[x,y] = [Ax, Ay] on basis pairs and A^T B A = B, over Z."""
     A = mat(A)
     n = g.dim
     if len(A) != n or any(len(r) != n for r in A):
         raise InputError("matrix size does not match algebra dimension")
-    kept = _metric_preserved(B, *_scaled_tensor(A, 1))
+    Ai, a = _canonical_tensor(A, 1)
+    kept = _metric_preserved(B, Ai, a)
     if not kept:
         return kept
-    cols = transpose(A)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat_vec(A, g.bracket_basis(i, j)) != bracket(g, cols[i], cols[j]):
-                return CheckResult(False, "not an automorphism", (i, j))
-    return CheckResult(True)
+    return CheckResult.from_witness(
+        next((ij for ij, (lhs, w) in _pair_sides(g, Ai, a).items() if lhs != w),
+             None), "not an automorphism")
 
 
 @dataclass(frozen=True)
@@ -590,7 +649,7 @@ def h3_isotropy(metric: SymBilinearForm) -> IsotropyReport:
     a split plane).
     """
     R = curvature(levi_civita(catalog.get("h3").algebra, metric))
-    gens = tuple(_isotropy_basis(metric, _scaled_tensor(R.components, 3)[0]))
+    gens = tuple(_isotropy_basis(metric, R.dense))
     if len(gens) >= 3:
         kind = "O(2,1) type"
     elif len(gens) == 1:

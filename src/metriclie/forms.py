@@ -41,9 +41,9 @@ from typing import Iterator, Sequence
 from .algebra import (LieAlgebra, Subspace, is_ideal, lower_central,
                       restricted_algebra, upper_central)
 from .base import CheckResult, DegenerateMetricError, InputError, once
-from .linalg import (_kernel, _scaled, basis_vector, contract, determinant,
-                     invert, mat, mat_mul, mat_vec, nullspace, solve,
-                     transpose, vec)
+from .linalg import (_coerce, _kernel, _scaled, basis_vector, contract,
+                     determinant, invert, mat, mat_mul, mat_vec, nullspace,
+                     solve, transpose, vec)
 from .scalars import sign_of
 
 # determinants one "no" certificate may take: C(n+k-1, k-1) lattice points
@@ -69,12 +69,14 @@ class SymBilinearForm:
 
     @staticmethod
     def from_entries(dim: int, entries: Sequence[tuple]) -> "SymBilinearForm":
-        """Sparse (i, j, value) entries, symmetrized automatically."""
+        """Sparse (i, j, value) entries, symmetrized automatically; equal
+        values spelled differently ("1/2", "2/4") do not conflict."""
         m = [[Fraction(0)] * dim for _ in range(dim)]
         seen = {}
         for (i, j, value) in entries:
             if not all(isinstance(x, Integral) and 0 <= x < dim for x in (i, j)):
                 raise InputError(f"metric index out of range: ({i!r},{j!r})")
+            value = _coerce(value)
             for (a, b) in ((i, j), (j, i)):
                 if (a, b) in seen and seen[(a, b)] != value:
                     raise InputError(f"conflicting metric entries at ({a},{b})")

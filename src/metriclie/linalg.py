@@ -24,13 +24,17 @@ the vector; ``mat_mul`` is its columns), so int-only input keeps its type
 there.
 
 The geometry is summed over Z from one scaling per operand as well:
-``_scaled_tensor`` scales a whole tensor (the metric, its inverse, the
-Christoffel symbols, the curvature components) once.  The Levi-Civita
-connection and the curvature then build one Fraction per nonzero output
-entry, and Bianchi, the 1/4-ad check and both isometry conditions compare
-ints.  ``_mat_vec_over_z`` is the one integer matrix-vector loop, and
-``algebra._bracket_over_z`` the one bracket loop, shared by ``bracket``
-and the isometry check.
+``_canonical_tensor`` holds a whole tensor (the metric, its inverse, a
+map) as ints at its least positive scale, from one scaling of its entries
+and one gcd.  The Levi-Civita connection and the curvature are held in
+that form (``connection.Connection`` and ``CurvatureTensor``): the
+Koszul and curvature loops hand their integer leaves in, torsion, metric
+compatibility, Bianchi, the 1/4-ad check, Ricci (one Fraction per trace),
+the locally-symmetric shortcut, the H3 isotropy rows and both isometry
+conditions read the ints, and ``gamma`` and ``components`` are divided
+(``_unscaled_tensor``) only when read.  ``_mat_vec_over_z`` is the one
+integer matrix-vector loop, and ``algebra._bracket_over_z`` the one
+bracket loop, shared by ``bracket`` and the isometry checks.
 
 The homogeneous systems ``_kernel`` solves are built over Z too (scaling a
 row leaves its RREF as it is).  A ``LieAlgebra`` is the dense constants
@@ -170,15 +174,34 @@ def tensor(n, p, entry):
     return T[0]
 
 
-def _scaled_tensor(T, p) -> tuple[tuple, int]:
-    """(I, d) with T = I / d: the rank-p tensor T, its leaves of length
-    len(T), as the same nested tuples over Z from one scaling of all its
-    entries (``_scaled``; scale 1 when one is a QuadExt)."""
+def _canonical_tensor(T, p, d=1) -> tuple[tuple, int]:
+    """(I, s) with I / s = T / d: the rank-p tensor T of ints and Fractions,
+    its leaves of length len(T), over d > 0 as the same nested tuples over
+    Z at the least positive scale s, from one scaling of all its entries
+    (``_scaled``) and one gcd; a form each such tensor has exactly one of.
+    A tensor with a QuadExt entry is held as its values T / d (``_unscaled``)
+    at scale 1."""
     n = len(T)
-    flat, d = _scaled([x for idx in itertools.product(range(n), repeat=p)
-                       for x in reduce(operator.getitem, idx, T)])
-    leaves = (tuple(flat[a:a + n]) for a in range(0, len(flat), n))
-    return tensor(n, p, lambda *idx: next(leaves)), d
+    for _ in range(p):
+        T = [x for sub in T for x in sub]
+    flat, s = _scaled(T)
+    s *= d
+    try:
+        h = gcd(s, *flat)
+    except TypeError:  # a QuadExt entry
+        flat, s, h = _unscaled(flat, s), 1, 1
+    if h > 1:
+        flat, s = [x // h for x in flat], s // h
+    for _ in range(p + 1):
+        flat = [tuple(flat[a:a + n]) for a in range(0, len(flat), n)]
+    return flat[0], s
+
+
+def _unscaled_tensor(I, p, d) -> tuple:
+    """The rank-p tensor I / d, one ``_unscaled`` per leaf."""
+    if not p:
+        return _unscaled(I, d)
+    return tuple(_unscaled_tensor(sub, p - 1, d) for sub in I)
 
 
 def first_nonzero(T, p):
@@ -337,7 +360,13 @@ def row_space(A) -> Matrix:
 
 
 def rank(A) -> int:
-    return len(A[0]) - len(_kernel(A, len(A[0]))) if A else 0
+    """rank A; a rational matrix is eliminated over Z on its shorter side
+    (rank A = rank A^T)."""
+    if not A:
+        return 0
+    if _rational(A):
+        return len(_rref_rows(A if len(A) <= len(A[0]) else transpose(A))[1])
+    return len(A[0]) - len(_kernel(A, len(A[0])))
 
 
 def nullspace(A, ncols: int | None = None) -> list[Vector]:

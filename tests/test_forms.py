@@ -32,6 +32,16 @@ def test_metric_index_not_an_integer_in_range_is_input_error(entry):
     assert repr(entry[0]) in str(exc.value) and repr(entry[1]) in str(exc.value)
 
 
+def test_metric_entries_compare_as_rationals():
+    # equal values spelled otherwise agree; a real conflict is refused
+    B = SymBilinearForm.from_entries(2, [(0, 1, "1/2"), (1, 0, "2/4")])
+    assert B == SymBilinearForm(2, ((0, "1/2"), ("1/2", 0)))
+    assert SymBilinearForm.from_entries(2, [(1, 1, 2), (1, 1, "4/2")]) == \
+        SymBilinearForm(2, ((0, 0), (0, 2)))
+    with pytest.raises(InputError, match=r"conflicting metric entries at \(1,0\)"):
+        SymBilinearForm.from_entries(2, [(0, 1, "1/2"), (1, 0, "1/3")])
+
+
 def test_ad_invariance(g0, gmatrix0_g0):
     assert is_ad_invariant(g0, gmatrix0_g0)
     r4 = get("r4").algebra

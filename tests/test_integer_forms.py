@@ -1,23 +1,28 @@
 """The integer forms of the two exact objects against the code they replaced.
 
 A ``LieAlgebra`` holds its constants as one integer table (``D`` and
-``dense``) and builds the Fraction ``structure`` on first read; a
+``dense``) and builds the Fraction ``structure`` on first read, and
+``from_brackets`` fills that table from the sparse entries; a
 ``SymBilinearForm`` is eliminated once for its radical, which decides
 nondegeneracy, and inverted once.  The oracles are the pre-change
-``vec``-coerced table and the determinant.
+``vec``-coerced table, the pre-change ``from_brackets`` and the determinant.
 """
 
 import json
 from fractions import Fraction as F
+from numbers import Integral
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from metriclie import algebra, cli, connection, forms, linalg
 from metriclie.algebra import LieAlgebra, change_of_basis
+from metriclie.base import InputError
 from metriclie.catalog import get
 from metriclie.forms import SymBilinearForm, transform_form
 from metriclie.linalg import determinant, mat, mat_mul, transpose, vec
-from metriclie.scalars import QuadExt
+from metriclie.scalars import QuadExt, frac
 
 SPELLINGS = ("int", "str", "fraction", "quadext")
 
@@ -101,6 +106,102 @@ def test_nonzero_constants_compare_however_they_are_spelled():
                 for v, w in spellings]
     assert len(set(algebras)) == 1
     assert all(g.D == 1 and g.dense[0][1] == (0, 2) for g in algebras)
+
+
+def reference_from_brackets(dim, brackets, name=""):
+    """from_brackets as it was: the dense Fraction table, int zeros, handed
+    to the constructor."""
+    c = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    seen = {}
+    for (i, j, k, value) in brackets:
+        if not all(isinstance(x, Integral) and 0 <= x < dim for x in (i, j, k)):
+            raise InputError(f"bracket index out of range: ({i!r},{j!r},{k!r})")
+        v = frac(value)
+        for (a, b, w) in ((i, j, v), (j, i, -v)):
+            if a == b and w != 0:
+                raise InputError(f"[e_{a}, e_{a}] must vanish")
+            key = (a, b, k)
+            if key in seen and seen[key] != w:
+                raise InputError(f"conflicting bracket entries at {key}")
+            seen[key] = w
+            c[a][b][k] = w
+    return LieAlgebra(dim, c, name=name)
+
+
+def built(build, dim, entries):
+    """(g, hash, repr) of the algebra built, or the InputError message."""
+    try:
+        g = build(dim, entries, "x")
+    except InputError as exc:
+        return str(exc)
+    return g, hash(g), repr(g)
+
+
+@st.composite
+def bracket_entries(draw):
+    """(dim, entries): sparse (i, j, k, value) entries with values spelled as
+    ints, "p/q" strings and Fractions; some repeat an earlier entry, equal
+    (spelled otherwise, or as its antisymmetric partner) or conflicting,
+    some lie on the diagonal, and a few indices are out of range or not
+    integers, also for dim <= 0."""
+    dim = draw(st.integers(-1, 4))
+    n = max(dim, 1)
+    values = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        if entries and draw(st.integers(0, 3)) == 0:
+            i, j, k, v = draw(st.sampled_from(entries))
+            kind = draw(st.sampled_from(["same", "partner", "other"]))
+            v = frac(v)
+            if kind == "partner":
+                i, j, v = j, i, -v
+            elif kind == "other":
+                v = v + draw(st.sampled_from([0, 1, F(1, 2)]))
+            entries.append((i, j, k, str(v) if draw(st.booleans()) else v))
+            continue
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if i == j and draw(st.integers(0, 3)):
+            j = (i + 1) % n
+        v = draw(values)
+        how = draw(st.sampled_from(["int", "str", "fraction"]))
+        entries.append((i, j, k, {"int": v.numerator, "str": str(v),
+                                  "fraction": v}[how]))
+    if entries and draw(st.integers(0, 5)) == 0:
+        at, slot = draw(st.integers(0, len(entries) - 1)), draw(st.integers(0, 2))
+        bad = list(entries[at])
+        bad[slot] = draw(st.sampled_from([-1, n, 1.0, "1", None]))
+        entries[at] = tuple(bad)
+    return dim, entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bracket_entries())
+def test_from_brackets_matches_the_dense_table_path(case):
+    dim, entries = case
+    assert built(LieAlgebra.from_brackets, dim, entries) == \
+        built(reference_from_brackets, dim, entries)
+
+
+@pytest.mark.parametrize("dim, entries, message", [
+    (0, [], "dimension must be positive"),
+    (-1, [], "dimension must be positive"),
+    (0, [(0, 0, 0, 1)], "bracket index out of range: (0,0,0)"),
+    (2, [(0, 2, 1, 1)], "bracket index out of range: (0,2,1)"),
+    (2, [(0, 1.0, 1, 1)], "bracket index out of range: (0,1.0,1)"),
+    (2, [("0", 1, 1, 1)], "bracket index out of range: ('0',1,1)"),
+    (2, [(1, 1, 0, 1)], "[e_1, e_1] must vanish"),
+    (2, [(0, 1, 1, 1), (1, 0, 1, 1)], "conflicting bracket entries at (1, 0, 1)"),
+    (2, [(0, 1, 1, "1/2"), (0, 1, 1, "1/3")],
+     "conflicting bracket entries at (0, 1, 1)"),
+])
+def test_from_brackets_keeps_each_input_error(dim, entries, message):
+    with pytest.raises(InputError) as exc:
+        LieAlgebra.from_brackets(dim, entries)
+    assert str(exc.value) == message == built(reference_from_brackets, dim,
+                                              entries)
+    # equal values spelled otherwise do not conflict
+    g = LieAlgebra.from_brackets(2, [(0, 1, 1, "1/2"), (1, 0, 1, "-2/4")])
+    assert g == LieAlgebra(2, (((0, 0), (0, F(1, 2))), ((0, F(-1, 2)), (0, 0))))
 
 
 @st.composite

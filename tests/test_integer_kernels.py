@@ -681,6 +681,43 @@ def test_an_irrational_subspace_keeps_its_field_rref():
     assert Subspace.span([(1, 0, 0), (0, 1, 0)], 3).contains_subspace(s)
 
 
+@st.composite
+def rank_systems(draw):
+    """rational_systems, some with zero rows and some tall (up to 12 rows)."""
+    A = draw(rational_systems())
+    if draw(st.booleans()):
+        A += [(0,) * len(A[0])] * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        A += draw(matrices(draw(st.integers(0, 6)), len(A[0]), entries))
+    return draw(st.permutations([tuple(row) for row in A]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=rank_systems())
+def test_rank_is_n_minus_the_kernel_length(A):
+    n = len(A[0])
+    assert linalg.rank(A) == n - len(linalg._kernel(A, n))
+    assert linalg.rank(A) == linalg.rank(linalg.transpose(A))
+
+
+def test_rank_eliminates_the_shorter_side(monkeypatch):
+    """A rational matrix is reduced over Z on its shorter side; a QuadExt
+    matrix keeps the field loop."""
+    shapes, generic = [], []
+    rows, field = linalg._rref_rows, linalg._rref_generic
+    monkeypatch.setattr(linalg, "_rref_rows", lambda A: shapes.append(
+        (len(A), len(A[0]))) or rows(A))
+    monkeypatch.setattr(linalg, "_rref_generic", lambda A: generic.append(
+        len(A)) or field(A))
+    tall = [(i, 2 * i, F(i, 3)) for i in range(12)]
+    assert linalg.rank(tall) == 1 and shapes == [(3, 12)]
+    assert linalg.rank(linalg.transpose(tall)) == 1 and shapes[1:] == [(3, 12)]
+    r2 = QuadExt(0, 1, 2)
+    quad = [(1, r2), (r2, 2), (0, 1), (1, 0)]
+    assert linalg.rank(quad) == 2 and len(shapes) == 2 and generic == [4]
+    assert linalg.rank(quad[:2]) == 1
+
+
 # --- the double bracket, kept once per algebra -------------------------------
 
 def jacobi_witness_loop(g):

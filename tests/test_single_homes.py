@@ -2,7 +2,9 @@
 against the code they replaced.
 
 ``ahc_isometry_check`` compares A[[e_i, e_j], e_k] with [[Ae_i, Ae_j], Ae_k]
-column by column, ``restrict_form`` is the congruence P^T B P of
+column by column after trying A[e_i, e_j] = eps [Ae_i, Ae_j] for eps = +-1,
+``is_isometric_automorphism`` compares A[e_i, e_j] with [Ae_i, Ae_j] over
+Z, ``restrict_form`` is the congruence P^T B P of
 ``transform_form`` and ``skew_adjoint_form_space`` reads ad(v) from the
 catalog algebra.  The ad-matrix check, the ``_eval`` loop and the
 hand-copied columns they replaced are kept here as the oracle.
@@ -15,6 +17,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metriclie import connection
 from metriclie.algebra import (LieAlgebra, Subspace, _double_bracket, bracket,
                                change_of_basis)
 from metriclie.base import CheckResult, InputError
@@ -90,6 +93,35 @@ def _reference_ahc_isometry_check(g, B, A):
                     return CheckResult(False, "double-bracket equivariance fails",
                                        (i, j, k))
     return CheckResult(True)
+
+
+def _reference_is_isometric_automorphism(g, B, A):
+    """A^T B A = B from transform_form, then A[e_i, e_j] = [Ae_i, Ae_j] with
+    Fraction brackets."""
+    A = mat(A)
+    n = g.dim
+    lhs = transform_form(B, A).matrix
+    bad = next(((i, j) for i in range(n) for j in range(n)
+                if lhs[i][j] != B.matrix[i][j]), None)
+    if bad is not None:
+        return CheckResult(False, "metric not preserved", bad)
+    cols = transpose(A)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if mat_vec(A, g.bracket_basis(i, j)) != bracket(g, cols[i], cols[j]):
+                return CheckResult(False, "not an automorphism", (i, j))
+    return CheckResult(True)
+
+
+def _automorphism_signs(g, A):
+    """The eps = +-1 with A[e_i, e_j] = eps [Ae_i, Ae_j] on every basis pair,
+    from Fraction brackets."""
+    A = mat(A)
+    cols = transpose(A)
+    return {eps for eps in (1, -1) if all(
+        mat_vec(A, g.bracket_basis(i, j)) ==
+        tuple(eps * x for x in bracket(g, cols[i], cols[j]))
+        for i, j in itertools.combinations(range(g.dim), 2))}
 
 
 def _reference_eval(m, x, y):
@@ -202,6 +234,69 @@ def test_ahc_bracket_witness_on_a_metric_preserving_map(pair, witness):
     res = ahc_isometry_check(g, B, A)
     assert _outcome(res) == _outcome(_reference_ahc(g, B, A)) == \
         (False, "double-bracket equivariance fails", witness)
+    assert not _automorphism_signs(g, A)
+
+
+@pytest.mark.parametrize("which", ["g0", "g1"])
+def test_family_members_pass_as_automorphisms_up_to_sign(which, monkeypatch):
+    """Each of 200 sampled members is an automorphism up to exactly one sign,
+    both signs occur, and each passes, as in the reference, without the
+    double bracket."""
+    entry = get(which)
+    g, B = entry.algebra, entry.invariant_forms["gmatrix0"]
+    rng = random.Random(29)
+    members = [_sample_family(which, rng) for _ in range(200)]
+    signs = [_automorphism_signs(g, A) for A in members]
+    assert all(len(eps) == 1 for eps in signs)
+    assert set().union(*signs) == {1, -1}
+    monkeypatch.setattr(connection, "_double_bracket",
+                        lambda g: pytest.fail("the triples were scanned"))
+    for A in members:
+        assert _outcome(ahc_isometry_check(g, B, A)) == \
+            _outcome(_reference_ahc(g, B, A)) == (True, "", None)
+
+
+def test_ahc_boost_on_h3_passes_through_the_triple_scan(monkeypatch):
+    """The rational boost cosh = 5/3, sinh = 4/3 in the plane of e_0 and e_2
+    keeps h1, and [[x, y], z] = 0 on h3, but it is no automorphism up to
+    sign: the triples are scanned, and the map passes."""
+    entry = get("h3")
+    g, B = entry.algebra, entry.left_metrics["h1"]
+    c, s = F(5, 3), F(4, 3)
+    A = ((c, 0, s), (0, 1, 0), (s, 0, c))
+    assert transform_form(B, A) == B and not _automorphism_signs(g, A)
+    scans = []
+    real = connection._double_bracket
+    monkeypatch.setattr(connection, "_double_bracket",
+                        lambda g: scans.append(g) or real(g))
+    assert _outcome(ahc_isometry_check(g, B, A)) == \
+        _outcome(_reference_ahc(g, B, A)) == (True, "", None)
+    assert scans == [g]
+    assert _outcome(is_isometric_automorphism(g, B, A)) == \
+        (False, "not an automorphism", (0, 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), name=st.sampled_from(sorted(SOURCES) + ["h3"]))
+def test_isometric_automorphism_matches_the_fraction_loop(data, name):
+    """Cayley transforms (metric kept, bracket mostly broken), family members
+    of either sign and members bent in one entry."""
+    entry = get(name)
+    g = entry.algebra
+    B = entry.left_metrics[data.draw(st.sampled_from(["h1", "h2"]))] \
+        if name == "h3" else entry.invariant_forms[SOURCES[name]]
+    maps = [_cayley(B, data.draw(antisymmetric(g.dim)))]
+    if name in ("g0", "g1"):
+        seed = data.draw(st.integers(0, 10**6))
+        A = [list(r) for r in _sample_family(name, random.Random(seed))]
+        maps.append(A)
+        row, col = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        maps.append([[x + (r == row and k == col) for k, x in enumerate(line)]
+                     for r, line in enumerate(A)])
+    for A in maps:
+        if A is not None:
+            assert _outcome(is_isometric_automorphism(g, B, A)) == \
+                _outcome(_reference_is_isometric_automorphism(g, B, A))
 
 
 R2 = QuadExt(0, 1, 2)

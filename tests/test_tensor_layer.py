@@ -7,24 +7,36 @@ family of maps is not skew for a metric, from the rows of the one skew-row
 builder ``forms._skew_rows`` that also serves the invariant-form and
 skew-adjoint-form solvers.  The hand-written loops they replaced are kept
 here as the oracle.
+
+``Connection`` and ``CurvatureTensor`` hold one integer tensor and one
+positive scale; the Koszul, curvature and Ricci loops that built and read
+the Fraction tensors before are kept here as the oracle too, compared by
+``repr`` so that types must match as well as values.
 """
 
 import itertools
+import math
+import operator
 from fractions import Fraction as F
+from functools import reduce
 
 from hypothesis import assume, given, settings, strategies as st
 
 from metriclie.algebra import LieAlgebra, Subspace, bracket, change_of_basis
-from metriclie.base import CheckResult
+from metriclie.algebra import jacobi_check
+from metriclie.base import CheckResult, InputError, JacobiError
 from metriclie.catalog import get
 from metriclie.connection import (CONVENTIONS, Connection, CurvatureTensor,
-                                  bianchi_check, biinvariant_curvature_check,
-                                  curvature, is_locally_symmetric, levi_civita,
+                                  _hold, bianchi_check,
+                                  biinvariant_curvature_check, curvature,
+                                  is_locally_symmetric, levi_civita,
                                   metric_compatibility_check, nabla_R,
-                                  naturally_reductive_check, torsion_check)
+                                  naturally_reductive_check, ricci_form,
+                                  torsion_check)
 from metriclie.forms import (SymBilinearForm, is_ad_invariant, restrict_form,
                              transform_form)
-from metriclie.linalg import (basis_vector, contract, determinant,
+from metriclie.linalg import (_mat_vec_over_z, _scaled, _unscaled,
+                              basis_vector, contract, determinant,
                               first_nonzero, invert, is_zero_vector, mat_vec,
                               rank, tensor)
 from metriclie.scalars import QuadExt
@@ -574,3 +586,171 @@ def test_quadratic_field_tensors_match_the_replaced_loops(pair, data):
         c = Connection(g, form, conn.gamma)
         assert _outcome(metric_compatibility_check(c)) == \
             _outcome(_reference_metric_compatibility(c))
+
+
+# --- the connection and curvature held over Z ----------------------------
+
+def _prechange_scaled_tensor(T, p):
+    n = len(T)
+    flat, d = _scaled([x for idx in itertools.product(range(n), repeat=p)
+                       for x in reduce(operator.getitem, idx, T)])
+    leaves = (tuple(flat[a:a + n]) for a in range(0, len(flat), n))
+    return tensor(n, p, lambda *idx: next(leaves)), d
+
+
+def _prechange_levi_civita(g, B):
+    """The Koszul loop that built the Fraction gamma: one Fraction per
+    nonzero entry of each leaf."""
+    n = g.dim
+    M, b = _prechange_scaled_tensor(B.matrix, 1)
+    V, v = _prechange_scaled_tensor(invert(B.matrix), 1)
+    D, C = g.D, g.dense
+    MC = tensor(n, 2, lambda i, j: _mat_vec_over_z(M, C[i][j]))
+
+    def leaf(i, j):
+        koszul = [MC[i][j][k] - MC[j][k][i] + MC[k][i][j] for k in range(n)]
+        return _unscaled(_mat_vec_over_z(V, koszul), 2 * b * D * v)
+
+    return tensor(n, 2, leaf)
+
+
+def _prechange_curvature(g, gamma, convention):
+    """The curvature loop that scaled a Fraction gamma and built Fraction
+    components, its (j, i) planes negated as Fractions."""
+    n = g.dim
+    G, d = _prechange_scaled_tensor(gamma, 2)
+    D, C = g.D, g.dense
+    scale = (-1 if convention == "oneill" else 1) * d * d * D
+
+    def leaf(i, j, k):
+        acc = [0] * n
+        for s, a, b in ((D, i, j), (-D, j, i)):
+            for l, x in enumerate(G[b][k]):
+                if x:
+                    x *= s
+                    for m, y in enumerate(G[a][l]):
+                        if y:
+                            acc[m] += x * y
+        for l, c in enumerate(C[i][j]):
+            if c:
+                c *= d
+                for m, y in enumerate(G[l][k]):
+                    if y:
+                        acc[m] -= c * y
+        return _unscaled(acc, scale)
+
+    planes = {}
+    for i, j in itertools.combinations(range(n), 2):
+        planes[i, j] = tuple(leaf(i, j, k) for k in range(n))
+        planes[j, i] = tuple(tuple(-x for x in v) for v in planes[i, j])
+    zero = (tuple(F(0) for _ in range(n)),) * n
+    return tensor(n, 2, lambda i, j: planes.get((i, j), zero))
+
+
+def _prechange_ricci(g, comps):
+    """The Ricci loop on Fraction components: a Fraction sum per trace."""
+    n = g.dim
+    ric = tensor(n, 2, lambda a, b: sum((comps[k][a][b][k] for k in range(n)),
+                                        start=F(0)))
+    try:
+        return SymBilinearForm(n, ric)
+    except InputError as exc:
+        return type(exc).__name__ if jacobi_check(g) else "JacobiError"
+
+
+def _prechange_is_locally_symmetric(conn, gamma):
+    g = conn.algebra
+    n = g.dim
+    if all(gamma[h][i] == tuple(c / 2 for c in g.bracket_basis(h, i))
+           for h in range(n) for i in range(n)) and jacobi_check(g):
+        return True
+    return _reference_is_locally_symmetric(conn)
+
+
+def _ricci_outcome(conn, convention):
+    try:
+        return ricci_form(conn, convention)
+    except (InputError, JacobiError) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(moved_pairs(), st.data())
+def test_held_tensors_match_the_prechange_loops(pair, data):
+    """Levi-Civita connections over Q and Q(sqrt 2), and a connection bent
+    in one symbol by a rational or an irrational amount: gamma, both
+    curvature conventions, Ricci and the locally-symmetric verdict equal
+    the loops on Fraction tensors by repr."""
+    g, B = pair
+    n = g.dim
+    slot = st.integers(0, n - 1)
+    for table in (g, _root2_scaled(g)):
+        conn = levi_civita(table, B)
+        gamma = _prechange_levi_civita(table, B)
+        assert repr(conn.gamma) == repr(gamma)
+        idx, q, root = data.draw(st.tuples(st.tuples(slot, slot, slot),
+                                           rationals.filter(bool), st.booleans()))
+        bent = _bent(gamma, idx, R2 * q if root else q)
+        for c, gam in ((conn, gamma), (Connection(table, B, bent), bent)):
+            for convention in CONVENTIONS:
+                comps = _prechange_curvature(table, gam, convention)
+                assert repr(curvature(c, convention).components) == repr(comps)
+                assert repr(_ricci_outcome(c, convention)) == \
+                    repr(_prechange_ricci(table, comps))
+            assert is_locally_symmetric(c) == \
+                _prechange_is_locally_symmetric(c, gam)
+
+
+def _integer_form(T, p, k):
+    """(I, d), I over Z with T = I / d for d = k lcm(denominators) > 0; for a
+    tensor with a QuadExt entry, k T at d = k."""
+    n = len(T)
+    flat = [x for idx in itertools.product(range(n), repeat=p)
+            for x in reduce(operator.getitem, idx, T)]
+    if any(isinstance(x, QuadExt) for x in flat):
+        d, ints = k, [k * x for x in flat]
+    else:
+        d = k * math.lcm(*(x.denominator for x in flat))
+        ints = [int(x * d) for x in flat]
+    leaves = iter([tuple(ints[a:a + n]) for a in range(0, len(ints), n)])
+    return tensor(n, p, lambda *idx: next(leaves)), d
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(moved_pairs(), st.booleans(), st.data())
+def test_held_tensors_have_value_semantics(pair, root, data):
+    """A Connection and a CurvatureTensor built from a bent Fraction tensor
+    equal, by ==, hash and repr, the ones held from its integer form at a
+    scale k times too large; the held form is canonical (the least scale,
+    or scale 1 with a QuadExt entry) and gives the tensor back."""
+    g, B = pair
+    if root:
+        g = _root2_scaled(g)
+    n = g.dim
+    conn = levi_civita(g, B)
+    slot = st.integers(0, n - 1)
+    k = data.draw(st.integers(1, 6))
+    q = data.draw(rationals.filter(bool))
+    q = R2 * q if root and data.draw(st.booleans()) else q
+    gamma = _bent(conn.gamma, data.draw(st.tuples(slot, slot, slot)), q)
+    comps = _bent(curvature(conn).components,
+                  data.draw(st.tuples(slot, slot, slot, slot)), q)
+    pairs = ((Connection(g, B, gamma), object.__new__(Connection),
+              gamma, 2, {"algebra": g, "metric": B}),
+             (CurvatureTensor(g, comps, "default"),
+              object.__new__(CurvatureTensor), comps, 3,
+              {"algebra": g, "convention": "default"}))
+    for built, blank, T, p, fields in pairs:
+        I, d = _integer_form(T, p, k)
+        held = _hold(blank, I, p, d, **fields)
+        assert held == built and hash(held) == hash(built)
+        assert repr(held) == repr(built)
+        flat = [x for idx in itertools.product(range(n), repeat=p)
+                for x in reduce(operator.getitem, idx, built.dense)]
+        if any(isinstance(x, QuadExt) for x in flat):
+            assert built.d == 1
+        else:
+            assert built.d > 0 and math.gcd(built.d, *flat) == 1
+            assert all(type(x) is int for x in flat)
+    assert repr(pairs[0][0].gamma) == repr(gamma)
+    assert repr(pairs[1][0].components) == repr(comps)
