@@ -32,10 +32,10 @@ from .base import CheckResult, InputError, JacobiError, once, set_fields
 from .forms import (SymBilinearForm, _form_from_coeffs, _inverse,
                     _require_nondegenerate, _skew_form_rows, _skew_witness,
                     is_ad_invariant)
-from .linalg import (_canonical_tensor, _mat_vec_over_z, _scaled, _unscaled,
-                     _unscaled_tensor, basis_vector, contract, first_nonzero,
-                     identity_matrix, invert, mat, mat_mul, mat_vec, nullspace,
-                     rank, tensor, transpose, vec)
+from .linalg import (_canonical_tensor, _mat_vec_over_z, _rank_up_to,
+                     _scaled, _unscaled, _unscaled_tensor, basis_vector,
+                     contract, first_nonzero, identity_matrix, invert, mat,
+                     mat_mul, mat_vec, nullspace, rank, tensor, transpose, vec)
 
 CONVENTIONS = ("default", "oneill")
 
@@ -525,37 +525,59 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
 
         <Sx, y> + <x, Sy> = 0,
         S[[x,y],z] = [[Sx,y],z] + [[x,Sy],z] + [[x,y],Sz].
+
+    The space is the kernel of the rows of ``_isotropy_rows``, N = n(n-1)/2
+    unknowns; they are eliminated one by one (``linalg._rank_up_to``) and
+    the elimination stops once the rank reaches N - k, k the rank of the n
+    planes of ad, i.e. dim ad(g) = n - dim of the centre.
+
+    Why the rank is at most N - k when g satisfies Jacobi: every ad(x) is
+    a solution.  It is B-skew, as B is ad-invariant, and it is a derivation
+    of the bracket, by Jacobi, so of the double bracket too.  B is
+    nondegenerate, so B ad(x), antisymmetric, is zero exactly when x is
+    central: x -> skew coordinates of B ad(x) is injective modulo the
+    centre, and the nullity is at least k.  Without Jacobi ad(x) need not
+    be a derivation and the bound need not hold (a table with [e0,e1]=e2,
+    [e1,e2]=e0, [e2,e0]=e1, [e2,e3]=e4, [e3,e4]=e2, [e4,e2]=e3 and B = I
+    is ad-invariant, with k = 5 and nullity 4), so every row is then
+    eliminated.  ``jacobi_check`` is memoised per algebra.
     """
     inv = is_ad_invariant(g, B)
     if not inv:
         raise InputError(f"metric must be ad-invariant ({inv})")
     _require_nondegenerate(B, "metric must be nondegenerate")
-    rows = _isotropy_rows(B, _double_bracket(g))[0]
-    return B.dim * (B.dim - 1) // 2 - rank(list(rows))
+    n = B.dim
+    N = bound = n * (n - 1) // 2
+    if jacobi_check(g):
+        bound -= _rank_up_to(([x for leaf in plane for x in leaf]
+                              for plane in g.dense), n)
+    return N - _rank_up_to(_isotropy_rows(B, _double_bracket(g))[0], bound)
 
 
-def _isotropy_rows(B: SymBilinearForm, T) -> tuple[set, list, int]:
+def _isotropy_rows(B: SymBilinearForm, T) -> tuple:
     """(rows, table, v): the derivation rows of the (1,3) tensor T for the S
     skew for B, in the n(n-1)/2 skew coordinates.  S is skew for B exactly
     when BS = K is antisymmetric; with K[c][y] = k_q = -K[y][c] for the
     q-th pair c < y and B^-1 = V / v scaled once, v S[a][x] is the sum of
     w k_q over (q, w) in table[a*n + x], n - 1 terms at most.  The rows are
-    homogeneous, so v drops out; the nonzero ones are collected into a set."""
+    homogeneous, so v drops out; rows is a generator of the nonzero ones,
+    each built when drawn, as lists, repeats included."""
     n = B.dim
     V, v = _canonical_tensor(_inverse(B), 1)
     pairs = list(enumerate(itertools.combinations(range(n), 2)))
     table = [[(q, V[a][c] if y == x else -V[a][y]) for q, (c, y) in pairs
               if x in (c, y) and V[a][c + y - x]]
              for a in range(n) for x in range(n)]
-    rows = set()
-    for _, row in _derivation_rows(T, 3):
-        k = [0] * len(pairs)
-        for col, z in row:
-            for q, w in table[col]:
-                k[q] += z * w
-        if any(k):
-            rows.add(tuple(k))
-    return rows, table, v
+
+    def rows():
+        for _, row in _derivation_rows(T, 3):
+            k = [0] * len(pairs)
+            for col, z in row:
+                for q, w in table[col]:
+                    k[q] += z * w
+            if any(k):
+                yield k
+    return rows(), table, v
 
 
 def _isotropy_basis(B: SymBilinearForm, T) -> list:
@@ -564,7 +586,8 @@ def _isotropy_basis(B: SymBilinearForm, T) -> list:
     n = B.dim
     rows, table, v = _isotropy_rows(B, T)
     flats = [_unscaled([sum(w * k[q] for q, w in cell) for cell in table], v)
-             for k in nullspace(list(rows), ncols=n * (n - 1) // 2)]
+             for k in nullspace(list(set(map(tuple, rows))),
+                                ncols=n * (n - 1) // 2)]
     return [tuple(f[a * n:(a + 1) * n] for a in range(n)) for f in flats]
 
 

@@ -44,12 +44,18 @@ the Killing form and the one double bracket per algebra, D^2 [[e_i, e_j],
 e_k] (read by Jacobi, the 1/4-ad check, the isometry check and the
 isotropy rows), read it.  A form's radical is one ``_kernel``, kept with
 the form; it decides nondegeneracy, and the form is inverted once.  Rows
-start at int 0, which ``_rref_generic`` reads as Fraction(0).  One derivation-row builder serves isotropy, the soliton and
-``is_derivation``; isotropy is solved in the n(n-1)/2 skew coordinates of
-S = B^-1 K, K antisymmetric.  One skew-row builder, ``forms._skew_rows``,
-serves the invariant-form and skew-adjoint-form solvers and the three
-metric-skew checks (ad-invariance, metric compatibility, the naturally
-reductive identity).
+start at int 0, which ``_rref_generic`` reads as Fraction(0).  One
+derivation-row builder serves isotropy, the soliton and ``is_derivation``;
+isotropy is solved in the n(n-1)/2 skew coordinates of S = B^-1 K, K
+antisymmetric.  Its dimension is not the nullity of all the rows: they are
+drawn one at a time and reduced to echelon form (``_rank_up_to``, the same
+fraction-free step as ``_rref_rows``, with no back substitution), and the
+elimination stops at a rank already known to be the largest possible,
+n(n-1)/2 - dim ad(g) for an algebra that satisfies Jacobi
+(``connection.linearized_isotropy_dim``).  One skew-row builder,
+``forms._skew_rows``, serves the invariant-form and skew-adjoint-form
+solvers and the three metric-skew checks (ad-invariance, metric
+compatibility, the naturally reductive identity).
 """
 
 from __future__ import annotations
@@ -367,6 +373,38 @@ def rank(A) -> int:
     if _rational(A):
         return len(_rref_rows(A if len(A) <= len(A[0]) else transpose(A))[1])
     return len(A[0]) - len(_kernel(A, len(A[0])))
+
+
+def _rank_up_to(rows, bound: int) -> int:
+    """min(rank, bound) of the rows an iterable yields, drawing no row once
+    ``bound`` independent ones are kept.  Each row is reduced against the
+    kept rows in turn, fraction-free: with p the kept row's pivot and f the
+    row's entry there, the row becomes p row - f kept (p and f divided by
+    their gcd when both are ints).  What is left, if nonzero, is kept with
+    its first nonzero column as pivot, primitive when it is all ints; a row
+    with another scalar (QuadExt) is used as it is, at scale 1."""
+    if bound <= 0:
+        return 0
+    kept = []
+    for row in rows:
+        for c, prow in kept:
+            f = row[c]
+            if f:
+                p = prow[c]
+                if type(p) is int and type(f) is int:
+                    h = gcd(p, f)
+                    p, f = p // h, f // h
+                row = [p * x - f * y for x, y in zip(row, prow)]
+        if any(row):
+            try:
+                h = gcd(*row)
+            except TypeError:  # a QuadExt entry
+                h = 1
+            kept.append((next(c for c, x in enumerate(row) if x),
+                         [x // h for x in row] if h > 1 else row))
+            if len(kept) == bound:
+                break
+    return len(kept)
 
 
 def nullspace(A, ncols: int | None = None) -> list[Vector]:

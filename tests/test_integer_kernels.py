@@ -33,8 +33,9 @@ from metriclie.connection import (_derivation_rows, _isotropy_basis,
                                   ahc_isometry_check,
                                   biinvariant_curvature_check, curvature,
                                   levi_civita, linearized_isotropy_dim)
-from metriclie.forms import (_form_from_coeffs, _skew_form_rows,
-                             invariant_form_space, killing_form, transform_form)
+from metriclie.forms import (SymBilinearForm, _form_from_coeffs,
+                             _skew_form_rows, invariant_form_space,
+                             is_ad_invariant, killing_form, transform_form)
 from metriclie.linalg import (basis_vector, contract, determinant, mat,
                               mat_mul, mat_vec, nullspace, row_space, tensor,
                               vec)
@@ -472,6 +473,14 @@ def isotropy_loop(g, B):
     return nullspace(rows, ncols=B.dim * B.dim)
 
 
+def isotropy_full_rank(g, B):
+    """N - rank of every row of the skew-coordinate system, all eliminated:
+    the isotropy dimension as it was computed before the rank bound."""
+    n = B.dim
+    rows = [tuple(k) for k in connection._isotropy_rows(B, _double_bracket(g))[0]]
+    return n * (n - 1) // 2 - len(linalg.rref(rows)[1])
+
+
 def same_rows(rows, want):
     return row_space(list(rows)) == row_space(list(want))
 
@@ -545,7 +554,8 @@ def test_isotropy_systems_match_the_field_loops(case):
     assert same_rows(builder_rows(dbl, 3), derivation_rows_loop(want, 3))
     assert same_rows(builder_rows(want, 3), derivation_rows_loop(want, 3))
     assert_isotropy_space(B, dbl, g)
-    assert linearized_isotropy_dim(g, B) == len(isotropy_loop(g, B)) == 3
+    assert linearized_isotropy_dim(g, B) == len(isotropy_loop(g, B)) == \
+        isotropy_full_rank(g, B) == 3
 
 
 def test_quadext_structure_tables_keep_the_field_loops():
@@ -568,7 +578,71 @@ def test_quadext_structure_tables_keep_the_field_loops():
         B = entry.invariant_forms[form]
         assert_scaled_double_bracket(gq)
         assert_isotropy_space(B, _double_bracket(gq), gq)
-        assert linearized_isotropy_dim(gq, B) == len(isotropy_loop(gq, B)) == 3
+        assert linearized_isotropy_dim(gq, B) == len(isotropy_loop(gq, B)) == \
+            isotropy_full_rank(gq, B) == 3
+
+
+@st.composite
+def abelian_metrics(draw):
+    """R^n, 1 <= n <= 6, with the random nondegenerate form L diag(d) L^T,
+    L unit lower triangular and every d_a nonzero (any signature)."""
+    n = draw(st.integers(1, 6))
+    L = [[F(int(a == b)) if a <= b else draw(small) for b in range(n)]
+         for a in range(n)]
+    d = draw(st.lists(small.filter(bool), min_size=n, max_size=n))
+    M = [[sum(L[a][c] * d[c] * L[b][c] for c in range(n)) for b in range(n)]
+         for a in range(n)]
+    return LieAlgebra.from_brackets(n, []), SymBilinearForm(n, M)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=abelian_metrics())
+def test_abelian_isotropy_is_the_full_skew_algebra(case):
+    # ad(g) = 0, so the bound is N itself and is never met: every row is
+    # zero, none is drawn, and the answer is N
+    g, B = case
+    n = g.dim
+    assert linearized_isotropy_dim(g, B) == len(isotropy_loop(g, B)) == \
+        isotropy_full_rank(g, B) == n * (n - 1) // 2
+
+
+def test_isotropy_bound_needs_jacobi():
+    # two so(3) triples sharing e2 with B = I: ad-invariant, but Jacobi
+    # fails; the ad(e_i) span 5 dimensions but are not all solutions, and
+    # the nullity is 4, so the bound N - 5 would stop one row early
+    brackets = [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                (2, 3, 4, 1), (3, 4, 2, 1), (4, 2, 3, 1)]
+    g = LieAlgebra.from_brackets(5, brackets)
+    B = SymBilinearForm(5, linalg.identity_matrix(5))
+    assert is_ad_invariant(g, B) and not jacobi_check(g)
+    assert linalg.rank([sum(plane, ()) for plane in g.dense]) == 5
+    assert linearized_isotropy_dim(g, B) == len(isotropy_loop(g, B)) == \
+        isotropy_full_rank(g, B) == 4
+
+
+def test_isotropy_elimination_stops_at_the_rank_bound(monkeypatch):
+    # g0 in a rational basis: dim ad = 3, N = 6, so the elimination stops
+    # once 3 independent rows are kept, long before the rows run out
+    P = [[F(i + 2 * j + 1, j + 1) if i <= j else F(-1, i + j + 2)
+          for j in range(4)] for i in range(4)]
+    entry = get("g0")
+    g = change_of_basis(entry.algebra, P)
+    B = transform_form(entry.invariant_forms["gmatrix0"], P)
+    rows_of = connection._isotropy_rows
+    total = sum(1 for _ in rows_of(B, _double_bracket(g))[0])
+    want = isotropy_full_rank(g, B)
+    drawn = []
+
+    def counted(B, T):
+        rows, table, v = rows_of(B, T)
+        return (drawn.append(k) or k for k in rows), table, v
+
+    monkeypatch.setattr(connection, "_isotropy_rows", counted)
+    assert linearized_isotropy_dim(g, B) == want == 3
+    # the first three rows drawn are independent; 96 rows, all distinct,
+    # would be eliminated without the stop
+    assert len(drawn) == 3 and total == 96
+    assert linalg.rank([tuple(k) for k in drawn]) == 3
 
 
 def test_rational_constants_from_the_quadratic_field_are_fractions():
