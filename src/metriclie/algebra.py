@@ -19,19 +19,20 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .base import CheckResult, InputError, once, set_fields
-from .linalg import (_coerce, _kernel, _rational, _rref_rows, _scaled,
-                     _unscaled, basis_vector, identity_matrix, invert, is_zero_vector,
-                     mat, mat_vec, row_space, solve, tensor, transpose, vec)
+from .linalg import (_coerce, _kernel, _rref_rows, _scaled, _unscaled,
+                     basis_vector, identity_matrix, invert, is_zero_vector,
+                     mat, mat_vec, solve, tensor, transpose, vec)
 from .scalars import frac
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n in canonical form: ``rows`` are the primitive integer
-    rows of its RREF with positive pivots (``linalg._rref_rows``), or its
-    field RREF when it is spanned over Q(sqrt d) and not over Q.  Any
-    spanning vectors given are reduced, so equality of subspaces is equality
-    of rows.  ``basis``, the RREF with leading ones, is built on first read."""
+    """A subspace of Q^n in canonical form: ``rows`` are the nonzero rows of
+    its RREF as ``linalg._rref_rows`` holds them, primitive ints with
+    positive pivots (each row of a subspace spanned over Q(sqrt d) and not
+    over Q that is not rational has a leading one instead).  Any spanning
+    vectors given are reduced, so equality of subspaces is equality of
+    rows.  ``basis``, the RREF with leading ones, is built on first read."""
 
     ambient_dim: int
     rows: tuple = ()
@@ -40,11 +41,7 @@ class Subspace:
         rows = [tuple(v) for v in self.rows]
         if any(len(r) != self.ambient_dim for r in rows):
             raise InputError("vector length does not match ambient dimension")
-        if not _rational(rows):
-            # vec turns the rational QuadExt entries of a field RREF into Fractions
-            rows = [vec(r) for r in row_space([vec(r) for r in rows])]
-        object.__setattr__(self, "rows", _rref_rows(rows)[0]
-                           if _rational(rows) else tuple(rows))
+        object.__setattr__(self, "rows", _rref_rows(rows)[0])
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":

@@ -113,15 +113,11 @@ def _entries() -> dict[str, CatalogEntry]:
 
 
 def _direct_sum_with_line(simple: LieAlgebra, name: str) -> LieAlgebra:
-    """R e0 (central) plus the given 3-dim algebra on e1..e3."""
-    entries = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            for k in range(3):
-                c = simple.structure[i][j][k]
-                if c:
-                    entries.append((i + 1, j + 1, k + 1, c))
-    return LieAlgebra.from_brackets(4, entries, name=name)
+    """R e0 (central) plus the given 3-dim algebra on e1..e3, read from its
+    integer table."""
+    return LieAlgebra.from_brackets(
+        4, [(i + 1, j + 1, k + 1, Fraction(c, simple.D))
+            for i, j, row in simple.pairs for k, c in row], name=name)
 
 
 def _line_plus_killing(simple: LieAlgebra) -> SymBilinearForm:

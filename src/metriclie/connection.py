@@ -32,7 +32,7 @@ from .base import CheckResult, InputError, JacobiError, once, set_fields
 from .forms import (SymBilinearForm, _form_from_coeffs, _inverse,
                     _require_nondegenerate, _skew_form_rows, _skew_witness,
                     is_ad_invariant)
-from .linalg import (_canonical_tensor, _mat_vec_over_z, _rank_up_to,
+from .linalg import (_canonical_tensor, _mat_vec_over_z, _rref_rows,
                      _scaled, _unscaled, _unscaled_tensor, basis_vector,
                      contract, first_nonzero, identity_matrix, invert, mat,
                      mat_mul, mat_vec, nullspace, rank, tensor, transpose, vec)
@@ -527,9 +527,12 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
         S[[x,y],z] = [[Sx,y],z] + [[x,Sy],z] + [[x,y],Sz].
 
     The space is the kernel of the rows of ``_isotropy_rows``, N = n(n-1)/2
-    unknowns; they are eliminated one by one (``linalg._rank_up_to``) and
-    the elimination stops once the rank reaches N - k, k the rank of the n
-    planes of ad, i.e. dim ad(g) = n - dim of the centre.
+    unknowns.  When the double bracket is zero (abelian and 2-step
+    nilpotent algebras) every such row is zero and the answer is N, with no
+    row drawn.  Otherwise the rows are drawn one at a time into the one
+    elimination (``linalg._rref_rows``), which stops once the rank reaches
+    N - k, k the rank of the n planes of ad, i.e. dim ad(g) = n - dim of
+    the centre.
 
     Why the rank is at most N - k when g satisfies Jacobi: every ad(x) is
     a solution.  It is B-skew, as B is ad-invariant, and it is a derivation
@@ -548,10 +551,13 @@ def linearized_isotropy_dim(g: LieAlgebra, B: SymBilinearForm) -> int:
     _require_nondegenerate(B, "metric must be nondegenerate")
     n = B.dim
     N = bound = n * (n - 1) // 2
+    T = _double_bracket(g)
+    if first_nonzero(T, 3) is None:
+        return N
     if jacobi_check(g):
-        bound -= _rank_up_to(([x for leaf in plane for x in leaf]
-                              for plane in g.dense), n)
-    return N - _rank_up_to(_isotropy_rows(B, _double_bracket(g))[0], bound)
+        bound -= rank([[x for leaf in plane for x in leaf]
+                       for plane in g.dense])
+    return N - len(_rref_rows(_isotropy_rows(B, T)[0], bound)[1])
 
 
 def _isotropy_rows(B: SymBilinearForm, T) -> tuple:

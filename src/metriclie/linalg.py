@@ -2,13 +2,18 @@
 
 Matrices are tuples of row tuples, vectors plain tuples.  Entries are
 Fractions in normal use; anything supporting field arithmetic and truthiness
-(e.g. QuadExt) works as well.  A matrix of ints and Fractions only is
-reduced over Z by ``_rref_rows`` (rows scaled to ints one by one,
-fraction-free Gauss-Jordan with gcd-content removal) to the primitive
-integer rows of its RREF with positive pivots, a canonical form:
-``algebra.Subspace`` keeps it, ``_kernel`` reads kernels off it over Z, and
-only ``rref``, ``nullspace`` and ``Subspace.basis`` divide, once per entry.
-Other scalars take the Gauss-Jordan loop over the field (``_rref_generic``).
+(e.g. QuadExt) works as well.  Every rank and kernel comes from one
+elimination, ``_rref_rows``: a streaming fraction-free Gauss-Jordan (Bareiss,
+Math. Comp. 22, 1968) that draws rows one at a time, scales each to ints
+once (``_scaled``), reduces it against the rows kept so far, normalises it
+and clears the kept rows at its pivot, and can stop at a rank bound before
+the rows run out.  A rational row comes out as the primitive int row of
+its direction with a positive pivot, one that met a QuadExt with a leading
+one, so the result is the canonical RREF whatever the order of the rows.
+``algebra.Subspace`` keeps those rows, ``_kernel`` reads kernels off them,
+``rank`` runs it on the shorter side, and only ``rref``, ``nullspace`` and
+``Subspace.basis`` divide, once per entry.  ``determinant`` keeps its own
+loop over the field.
 
 The kernels under the tensor layer work the same way.  ``_scaled`` turns a
 sequence of ints and Fractions into integers over their lcm denominator,
@@ -43,19 +48,17 @@ are when one is a QuadExt); both central series, the invariant-form system,
 the Killing form and the one double bracket per algebra, D^2 [[e_i, e_j],
 e_k] (read by Jacobi, the 1/4-ad check, the isometry check and the
 isotropy rows), read it.  A form's radical is one ``_kernel``, kept with
-the form; it decides nondegeneracy, and the form is inverted once.  Rows
-start at int 0, which ``_rref_generic`` reads as Fraction(0).  One
+the form; it decides nondegeneracy, and the form is inverted once.  One
 derivation-row builder serves isotropy, the soliton and ``is_derivation``;
 isotropy is solved in the n(n-1)/2 skew coordinates of S = B^-1 K, K
-antisymmetric.  Its dimension is not the nullity of all the rows: they are
-drawn one at a time and reduced to echelon form (``_rank_up_to``, the same
-fraction-free step as ``_rref_rows``, with no back substitution), and the
-elimination stops at a rank already known to be the largest possible,
-n(n-1)/2 - dim ad(g) for an algebra that satisfies Jacobi
-(``connection.linearized_isotropy_dim``).  One skew-row builder,
-``forms._skew_rows``, serves the invariant-form and skew-adjoint-form
-solvers and the three metric-skew checks (ad-invariance, metric
-compatibility, the naturally reductive identity).
+antisymmetric.  Its dimension is not the nullity of all the rows: with a
+zero double bracket it is n(n-1)/2 with no row drawn, and otherwise the
+rows are drawn into ``_rref_rows`` as they are built, which stops at a
+rank already known to be the largest possible, n(n-1)/2 - dim ad(g) for an
+algebra that satisfies Jacobi (``connection.linearized_isotropy_dim``).
+One skew-row builder, ``forms._skew_rows``, serves the invariant-form and
+skew-adjoint-form solvers and the three metric-skew checks (ad-invariance,
+metric compatibility, the naturally reductive identity).
 """
 
 from __future__ import annotations
@@ -250,113 +253,88 @@ def contract(T, vectors) -> Vector:
 
 
 def rref(A: Sequence[Sequence]) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot columns.
-
-    Entries that are all exactly ``int`` or ``Fraction`` take the integer
-    kernel and come back as Fractions; any other scalar (QuadExt, bool, a
-    mix with them) takes the generic field loop.
-    """
-    if A and _rational(A):
-        return _rref_int(A)
-    return _rref_generic(A)
-
-
-def _rational(A) -> bool:
-    """Every entry of the matrix is exactly an int or a Fraction."""
-    return all(_only(row, (Fraction, int)) for row in A)
-
-
-def _rref_int(A) -> tuple[Matrix, tuple[int, ...]]:
-    """``rref`` over Z: the rows of ``_rref_rows`` divided by their pivots."""
+    """Reduced row echelon form and the pivot columns: the rows of
+    ``_rref_rows`` divided by their pivots, then the zero rows.  A rational
+    entry comes back as a Fraction; a QuadExt one stays a QuadExt."""
     rows, pivots = _rref_rows(A)
     out = [_unscaled(row, row[c]) for row, c in zip(rows, pivots)]
-    out += [(_ZERO,) * len(A[0])] * (len(A) - len(pivots))
+    out += [(_ZERO,) * len(row) for row in A[len(pivots):]]
     return tuple(out), pivots
 
 
-def _rref_rows(A) -> tuple[tuple, tuple[int, ...]]:
-    """(rows, pivots): the nonzero rows of the RREF of a matrix of ints and
-    Fractions as primitive int tuples with positive pivots, a form each
-    rational row space has exactly one of.  Each row is scaled to ints
-    (``_scaled``) and made primitive; eliminating row i with pivot row p at
-    column c gives the primitive part of (p_c/g) row_i - (row_i[c]/g) p,
-    g = gcd(p_c, row_i[c]), so entries stay small.  The pivot is the
-    candidate of least absolute value; the result does not depend on it."""
-    rows = []
-    for row in A:
-        ints = row if _only(row, (int,)) else _scaled(row)[0]
-        h = gcd(*ints)
-        rows.append([x // h for x in ints] if h > 1 else ints)
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = min((i for i in range(r, m) if rows[i][c]),
-                  key=lambda i: abs(rows[i][c]), default=None)
-        if piv is None:
+def _rref_rows(A, bound=None) -> tuple[tuple, tuple[int, ...]]:
+    """(rows, pivots): the nonzero rows of the RREF of the rows A yields, in
+    order of their pivots, drawing no row once ``bound`` are kept (so there
+    are min(rank, bound) of them).  Each drawn row is scaled once (``_scaled``)
+    and reduced fraction-free against the kept rows: with p a kept row's
+    pivot entry and f the row's entry there, the row becomes p row - f kept
+    (``_eliminated``).  A row left nonzero is normalised (``_normalised``),
+    the kept rows are cleared at its pivot the same way, and it is kept.
+    Each row comes out in the one form of its direction: primitive ints
+    with a positive pivot when rational (all of them for a rational row
+    space), otherwise a leading one; so the result does not depend on the
+    order of the rows, and every pivot entry is an int."""
+    kept = []
+    for row in A if bound is None or bound > 0 else ():
+        row = _scaled(row)[0]
+        for c, prow in kept:
+            if row[c]:
+                row = _eliminated(row, prow, c)
+        c = next((c for c, x in enumerate(row) if x), None)
+        if c is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(m):
-            f = rows[i][c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(rows[i], prow)]
-                h = gcd(*new)
-                rows[i] = [x // h for x in new] if h > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == m:
+        row = _normalised(row, c)
+        kept = [(d, _normalised(_eliminated(krow, row, c), d)
+                 if krow[c] else krow) for d, krow in kept]
+        kept.append((c, row))
+        if len(kept) == bound:
             break
-    return tuple(tuple(row) if row[c] > 0 else tuple(-x for x in row)
-                 for row, c in zip(rows, pivots)), tuple(pivots)
+    kept.sort(key=operator.itemgetter(0))
+    return tuple(tuple(row) for _, row in kept), tuple(c for c, _ in kept)
+
+
+def _eliminated(row, prow, c) -> list:
+    """p row - f prow, zero at c, for p = prow[c] (an int) and f = row[c],
+    both divided by their gcd when f is an int too."""
+    p, f = prow[c], row[c]
+    if type(f) is int:
+        h = gcd(p, f)
+        p, f = p // h, f // h
+    return [p * x - f * y for x, y in zip(row, prow)]
+
+
+def _normalised(row, c) -> list:
+    """A nonzero row with its first nonzero entry at c, in the form its
+    direction has exactly one of: primitive ints with row[c] > 0 when it
+    is rational, otherwise a leading one (an int 1 at c)."""
+    try:
+        h = gcd(*row)
+    except TypeError:  # a QuadExt entry: over row[c], then over Z if rational
+        inv = 1 / _coerce(row[c])
+        row, d = _scaled(vec(x * inv for x in row))
+        row[c] = d
+        return row
+    if row[c] < 0:
+        h = -h
+    return [x // h for x in row] if h != 1 else row
 
 
 def _kernel(A, n: int) -> list:
-    """A basis of {x : A x = 0}, A with n columns: for each free column f in
-    order, m > 0 times ``nullspace``'s vector: m = 1 from a field RREF, and
-    over Z (``_rref_rows``) the lcm of the pivots of the rows nonzero at f."""
-    over_z = _rational(A)
-    rows, pivots = _rref_rows(A) if over_z else _rref_generic(A)
+    """A basis of {x : A x = 0}, A with n columns, read off ``_rref_rows``:
+    for each free column f in order, m times ``nullspace``'s vector, m the
+    lcm of the pivot entries of the rows nonzero at f (ints, 1 for a
+    leading-one row); all ints for a rational A."""
+    rows, pivots = _rref_rows(A)
     out = []
     for f in sorted(set(range(n)) - set(pivots)):
         reach = [(row, p) for row, p in zip(rows, pivots) if row[f]]
-        m = lcm(*(row[p] for row, p in reach)) if over_z else 1
+        m = lcm(*(row[p] for row, p in reach))
         v = [0] * n
         v[f] = m
         for row, p in reach:
-            v[p] = -row[f] * (m // row[p]) if over_z else -row[f]
+            v[p] = -row[f] * (m // row[p])
         out.append(tuple(v))
     return out
-
-
-def _rref_generic(A) -> tuple[Matrix, tuple[int, ...]]:
-    """Gauss-Jordan with leading-one pivots over any exact field scalar.
-    Ints and bools are read as Fractions, so that division stays exact."""
-    rows = [[_coerce(x) for x in r] for r in A]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
 def row_space(A) -> Matrix:
@@ -366,45 +344,10 @@ def row_space(A) -> Matrix:
 
 
 def rank(A) -> int:
-    """rank A; a rational matrix is eliminated over Z on its shorter side
-    (rank A = rank A^T)."""
+    """rank A, eliminated on the shorter side (rank A = rank A^T)."""
     if not A:
         return 0
-    if _rational(A):
-        return len(_rref_rows(A if len(A) <= len(A[0]) else transpose(A))[1])
-    return len(A[0]) - len(_kernel(A, len(A[0])))
-
-
-def _rank_up_to(rows, bound: int) -> int:
-    """min(rank, bound) of the rows an iterable yields, drawing no row once
-    ``bound`` independent ones are kept.  Each row is reduced against the
-    kept rows in turn, fraction-free: with p the kept row's pivot and f the
-    row's entry there, the row becomes p row - f kept (p and f divided by
-    their gcd when both are ints).  What is left, if nonzero, is kept with
-    its first nonzero column as pivot, primitive when it is all ints; a row
-    with another scalar (QuadExt) is used as it is, at scale 1."""
-    if bound <= 0:
-        return 0
-    kept = []
-    for row in rows:
-        for c, prow in kept:
-            f = row[c]
-            if f:
-                p = prow[c]
-                if type(p) is int and type(f) is int:
-                    h = gcd(p, f)
-                    p, f = p // h, f // h
-                row = [p * x - f * y for x, y in zip(row, prow)]
-        if any(row):
-            try:
-                h = gcd(*row)
-            except TypeError:  # a QuadExt entry
-                h = 1
-            kept.append((next(c for c, x in enumerate(row) if x),
-                         [x // h for x in row] if h > 1 else row))
-            if len(kept) == bound:
-                break
-    return len(kept)
+    return len(_rref_rows(A if len(A) <= len(A[0]) else transpose(A))[1])
 
 
 def nullspace(A, ncols: int | None = None) -> list[Vector]:
@@ -449,7 +392,7 @@ def determinant(A):
         return Fraction(1)
     if any(len(r) != n for r in A):
         raise InputError("determinant of a non-square matrix")
-    rows = [list(r) for r in A]
+    rows = [[_coerce(x) for x in r] for r in A]  # ints divide exactly
     det = rows[0][0] * 0 + 1
     sign = 1
     for c in range(n):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from metriclie.algebra import (LieAlgebra, center, change_of_basis, commutator,
                                is_abelian, is_solvable, jacobi_check)
 from metriclie.base import InputError
-from metriclie.catalog import (classify_dim4_metric, get, get_metric,
-                               metric_names, names)
+from metriclie.catalog import (_direct_sum_with_line, classify_dim4_metric,
+                               get, get_metric, metric_names, names)
 from metriclie.forms import (has_nondegenerate_invariant_form, is_ad_invariant,
                              killing_form, signature)
 from metriclie.linalg import basis_vector
@@ -165,3 +165,23 @@ def test_rank3_killing_form_skips_the_form_search(name):
     assert "_jacobi" in g.__dict__
     assert not {"_form_search", "_lower_central",
                 "_upper_central"} & set(g.__dict__)
+
+
+def test_direct_sums_with_a_line_are_the_typed_tables(monkeypatch):
+    # read from the integer tables of sl2 and so3, not their Fraction views
+    sl2, so3 = get("sl2").algebra, get("so3").algebra
+    rsl2 = LieAlgebra.from_brackets(
+        4, [(1, 2, 2, 2), (1, 3, 3, -2), (2, 3, 1, 1)], name="r+sl2")
+    rso3 = LieAlgebra.from_brackets(
+        4, [(1, 2, 3, 1), (2, 3, 1, 1), (3, 1, 2, 1)], name="r+so3")
+    for want in (rsl2, rso3):
+        got = get(want.name).algebra
+        assert got == want and hash(got) == hash(want)
+
+    def refuse(self):
+        raise AssertionError("structure read")
+
+    monkeypatch.setattr(LieAlgebra, "structure", property(refuse))
+    for simple, want in ((sl2, rsl2), (so3, rso3)):
+        got = _direct_sum_with_line(simple, want.name)
+        assert got == want and hash(got) == hash(want)

@@ -41,6 +41,8 @@ from metriclie.linalg import (basis_vector, contract, determinant, mat,
                               vec)
 from metriclie.scalars import QuadExt
 
+from conftest import rref_field_loop
+
 
 def bracket_loop(g, x, y):
     x, y = vec(x), vec(y)
@@ -598,12 +600,33 @@ def abelian_metrics(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=abelian_metrics())
 def test_abelian_isotropy_is_the_full_skew_algebra(case):
-    # ad(g) = 0, so the bound is N itself and is never met: every row is
-    # zero, none is drawn, and the answer is N
+    # the double bracket is zero, so no row is drawn and the answer is N
     g, B = case
     n = g.dim
     assert linearized_isotropy_dim(g, B) == len(isotropy_loop(g, B)) == \
         isotropy_full_rank(g, B) == n * (n - 1) // 2
+
+
+def test_zero_double_bracket_draws_no_row(monkeypatch):
+    # R^1..R^16 with B = I, and T*h3 = h3 x| h3* with its dual pairing
+    # (2-step nilpotent: [e0, f2] = -f1, [e1, f2] = f0 on top of h3)
+    cases = [(LieAlgebra.from_brackets(n, []),
+              SymBilinearForm(n, linalg.identity_matrix(n)))
+             for n in range(1, 17)]
+    tstar = LieAlgebra.from_brackets(
+        6, [(0, 1, 2, 1), (0, 5, 4, -1), (1, 5, 3, 1)])
+    pairing = SymBilinearForm.from_entries(6, [(i, i + 3, 1) for i in range(3)])
+    cases.append((tstar, pairing))
+    assert is_ad_invariant(tstar, pairing) and jacobi_check(tstar)
+    assert isotropy_full_rank(tstar, pairing) == 15
+
+    def refuse(*args):
+        raise AssertionError("isotropy rows built")
+
+    monkeypatch.setattr(connection, "_isotropy_rows", refuse)
+    for g, B in cases:
+        n = g.dim
+        assert linearized_isotropy_dim(g, B) == n * (n - 1) // 2
 
 
 def test_isotropy_bound_needs_jacobi():
@@ -643,6 +666,24 @@ def test_isotropy_elimination_stops_at_the_rank_bound(monkeypatch):
     # would be eliminated without the stop
     assert len(drawn) == 3 and total == 96
     assert linalg.rank([tuple(k) for k in drawn]) == 3
+    # sqrt(2) times the table: Q(sqrt 2) rows, the same stop
+    r2 = QuadExt(0, 1, 2)
+    gq = LieAlgebra(4, tuple(tuple(tuple(r2 * c if c else c for c in cij)
+                                   for cij in plane) for plane in g.structure))
+    drawn.clear()
+    assert linearized_isotropy_dim(gq, B) == 3
+    assert len(drawn) == 3 and type(drawn[0][0]) is QuadExt
+    assert isotropy_full_rank(gq, B) == 3
+    # the elimination itself: bound 0..3 draws 0, 1, 3 and 4 rows (the
+    # second is dependent); a generator that fails past them is not reached
+    for rows in ([(2, 4, 0), (1, 2, 0), (0, 3, 1), (0, 0, 5)],
+                 [(r2, 2, 0), (1, r2, 0), (0, 1 + r2, F(1, 2)), (0, 0, r2)]):
+        for bound, need in enumerate((0, 1, 3, 4)):
+            drawn.clear()
+            gen = (drawn.append(row) or row for row in rows[:need] + [None])
+            assert len(linalg._rref_rows(gen, bound)[1]) == bound
+            assert drawn == rows[:need]
+        assert linalg._rref_rows(rows) == linalg._rref_rows(rows, 3)
 
 
 def test_rational_constants_from_the_quadratic_field_are_fractions():
@@ -660,12 +701,12 @@ def test_rational_constants_from_the_quadratic_field_are_fractions():
 
 
 # --- subspaces as primitive integer RREF rows --------------------------------
-# The field loop ``_rref_generic`` is the oracle: the integer rows divided by
+# The field loop ``rref_field_loop`` is the oracle: the integer rows divided by
 # their pivots, the kernel read off them and the row space they span.
 
 def generic_nullspace(A, n):
     """The nullspace as it was built from the field RREF."""
-    R, pivots = linalg._rref_generic(A)
+    R, pivots = rref_field_loop(A)
     free = [c for c in range(n) if c not in pivots]
     out = []
     for f in free:
@@ -692,7 +733,7 @@ def rational_systems(draw):
 @given(A=rational_systems())
 def test_integer_rref_rows_are_the_field_rref_scaled(A):
     rows, pivots = linalg._rref_rows(A)
-    R, want = linalg._rref_generic(A)
+    R, want = rref_field_loop(A)
     assert pivots == want
     for row, c, r in zip(rows, pivots, R):
         assert all(type(x) is int for x in row)
@@ -719,7 +760,7 @@ def test_integer_kernel_is_a_positive_multiple_of_the_nullspace(A):
 def test_span_holds_the_integer_rows_of_the_row_space(A):
     n = len(A[0])
     s = Subspace.span(A, n)
-    R, pivots = linalg._rref_generic(A)
+    R, pivots = rref_field_loop(A)
     fraction_rref = R[:len(pivots)]
     assert s.rows == linalg._rref_rows(A)[0]
     assert repr(s.basis) == repr(row_space(A)) == repr(fraction_rref)
@@ -775,21 +816,54 @@ def test_rank_is_n_minus_the_kernel_length(A):
 
 
 def test_rank_eliminates_the_shorter_side(monkeypatch):
-    """A rational matrix is reduced over Z on its shorter side; a QuadExt
-    matrix keeps the field loop."""
-    shapes, generic = [], []
-    rows, field = linalg._rref_rows, linalg._rref_generic
+    """A matrix is reduced by ``_rref_rows`` on its shorter side, whether
+    it is rational or has Q(sqrt 2) entries."""
+    shapes = []
+    rows = linalg._rref_rows
     monkeypatch.setattr(linalg, "_rref_rows", lambda A: shapes.append(
         (len(A), len(A[0]))) or rows(A))
-    monkeypatch.setattr(linalg, "_rref_generic", lambda A: generic.append(
-        len(A)) or field(A))
     tall = [(i, 2 * i, F(i, 3)) for i in range(12)]
     assert linalg.rank(tall) == 1 and shapes == [(3, 12)]
     assert linalg.rank(linalg.transpose(tall)) == 1 and shapes[1:] == [(3, 12)]
     r2 = QuadExt(0, 1, 2)
     quad = [(1, r2), (r2, 2), (0, 1), (1, 0)]
-    assert linalg.rank(quad) == 2 and len(shapes) == 2 and generic == [4]
-    assert linalg.rank(quad[:2]) == 1
+    assert linalg.rank(quad) == 2 and shapes[2:] == [(2, 4)]
+    assert linalg.rank(quad[:2]) == 1 and shapes[3:] == [(2, 2)]
+
+
+# --- one elimination for every scalar ----------------------------------------
+
+quads = st.builds(lambda a, b: QuadExt(a, b, 2) if b else a, small, small)
+
+
+@st.composite
+def kernel_systems(draw):
+    """Rows of ints, of 100-digit Fractions or of Q(sqrt 2) values (some of
+    them rational), zeros mixed in, with dependent rows appended."""
+    elements = draw(st.sampled_from((ints, big, quads)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.one_of(elements, st.just(0)), min_size=n, max_size=n)
+    A = draw(st.lists(row, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 2)) if m > 1 else 0):
+        a, b = draw(elements), draw(elements)
+        A.append([a * x + b * y for x, y in zip(A[0], A[1])])
+    return [tuple(r) for r in A]
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=kernel_systems(), data=st.data())
+def test_rref_rows_do_not_depend_on_the_row_order(A, data):
+    rows, pivots = linalg._rref_rows(A)
+    assert linalg._rref_rows(data.draw(st.permutations(A))) == (rows, pivots)
+    R, want = rref_field_loop(A)
+    assert pivots == want
+    for row, c, r in zip(rows, pivots, R):
+        assert type(row[c]) is int and row[c] > 0
+        # the RREF row itself, or a rational one as its primitive ints
+        assert tuple(x / row[c] for x in vec(row)) == r
+        rational = all(type(x) is F for x in vec(r))
+        assert all(type(x) is int for x in row) == rational
+        assert (math.gcd(*row) if rational else row[c]) == 1
 
 
 # --- the double bracket, kept once per algebra -------------------------------

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from metriclie import linalg
 from metriclie.algebra import Subspace
 from metriclie.base import InputError
-from metriclie.linalg import (_rref_generic, determinant, identity_matrix,
-                              invert, mat, mat_mul, mat_vec, nullspace, rank,
-                              row_space, rref, solve)
+from metriclie.linalg import (determinant, identity_matrix, invert, mat,
+                              mat_mul, mat_vec, nullspace, rank, row_space,
+                              rref, solve)
 from metriclie.scalars import QuadExt
+
+from conftest import rref_field_loop
 
 
 def test_rref_canonical():
@@ -54,6 +56,14 @@ def test_invert_and_det():
     assert determinant(mat([[1, 2], [2, 4]])) == 0
     with pytest.raises(InputError):
         invert(mat([[1, 2], [2, 4]]))
+
+
+def test_determinant_of_ints_is_exact():
+    # int entries are read as Fractions: no float from the division
+    assert repr(determinant([[1, 2], [3, 4]])) == repr(F(-2))
+    # singular: row 3 = 2 row 1 + 3 row 2
+    assert repr(determinant([[-5, 9, -7], [-1, -6, 6], [-13, 0, 4]])) == \
+        repr(F(0))
 
 
 def test_det_random_multiplicative():
@@ -122,7 +132,7 @@ def _as_fractions(A):
 
 
 def _same_rref(A):
-    got, want = rref(A), _rref_generic(_as_fractions(A))
+    got, want = rref(A), rref_field_loop(_as_fractions(A))
     assert got == want
     assert repr(got) == repr(want)  # Fractions in, Fractions out, entry by entry
 
@@ -142,18 +152,18 @@ def test_rref_integer_kernel_takes_ints_and_mixed_rows(A):
 
 
 def test_rref_dispatch(monkeypatch):
-    def refuse(A):
-        raise AssertionError("wrong kernel")
-
-    monkeypatch.setattr(linalg, "_rref_generic", refuse)
+    """Every scalar reaches the one elimination, ``_rref_rows``."""
+    calls = []
+    rows = linalg._rref_rows
+    monkeypatch.setattr(linalg, "_rref_rows", lambda A: calls.append(
+        len(A)) or rows(A))
     assert rref([(2, F(1, 3)), (4, 1)])[1] == (0, 1)
-    monkeypatch.undo()
-    monkeypatch.setattr(linalg, "_rref_int", refuse)
     r2 = QuadExt(0, 1, 2)
     R, pivots = rref([(r2, F(2)), (F(1), r2)])
-    assert pivots == (0,) and R[0] == (1, r2)
+    assert pivots == (0,) and R[0] == (1, r2) and R[1] == (0, 0)
     assert rref([(True, False), (False, True)])[1] == (0, 1)
     assert rref([]) == ((), ())
+    assert calls == [2, 2, 2, 0]
 
 
 def test_rref_of_long_rationals_is_exact():
@@ -162,4 +172,4 @@ def test_rref_of_long_rationals_is_exact():
     A = [(F(p, q), F(-q, p), F(1)), (F(1), F(0), F(p)), (F(p + q, q), F(-q, p), F(p + 1))]
     R, pivots = rref(A)
     assert pivots == (0, 1) and R[2] == (0, 0, 0)
-    assert R == _rref_generic(A)[0]
+    assert R == rref_field_loop(A)[0]
