@@ -35,16 +35,13 @@ class CatalogEntry:
     notes: str = ""
 
 
-def _sym(dim, entries):
-    return SymBilinearForm.from_entries(
-        dim, [(i, j, Fraction(v)) for (i, j, v) in entries])
-
-
-GMATRIX0_G0 = _sym(4, [(0, 3, 1), (1, 1, 1), (2, 2, 1)])
-GMATRIX0_G1 = _sym(4, [(0, 3, 1), (1, 2, 1)])
-H3_METRIC_H0 = _sym(3, [(0, 0, 1), (1, 2, 1)])
-H3_METRIC_H1 = _sym(3, [(0, 0, 1), (1, 1, 1), (2, 2, -1)])
-H3_METRIC_H2 = _sym(3, [(0, 1, 1), (2, 2, 1)])
+GMATRIX0_G0 = SymBilinearForm.from_entries(4, [(0, 3, 1), (1, 1, 1),
+                                               (2, 2, 1)])
+GMATRIX0_G1 = SymBilinearForm.from_entries(4, [(0, 3, 1), (1, 2, 1)])
+H3_METRIC_H0 = SymBilinearForm.from_entries(3, [(0, 0, 1), (1, 2, 1)])
+H3_METRIC_H1 = SymBilinearForm.from_entries(3, [(0, 0, 1), (1, 1, 1),
+                                                (2, 2, -1)])
+H3_METRIC_H2 = SymBilinearForm.from_entries(3, [(0, 1, 1), (2, 2, 1)])
 
 
 def _abelian(n, name):
@@ -122,8 +119,9 @@ def _direct_sum_with_line(simple: LieAlgebra, name: str) -> LieAlgebra:
 
 def _line_plus_killing(simple: LieAlgebra) -> SymBilinearForm:
     K = killing_form(simple).matrix
-    return _sym(4, [(0, 0, 1)] + [(i + 1, j + 1, K[i][j])
-                                  for i in range(3) for j in range(3)])
+    return SymBilinearForm.from_entries(
+        4, [(0, 0, 1)] + [(i + 1, j + 1, K[i][j])
+                          for i in range(3) for j in range(3)])
 
 
 def names() -> list[str]:
@@ -182,7 +180,7 @@ def classify_dim4_metric(g: LieAlgebra) -> str:
     algebra, so ``report`` pays for them once although it prints them too.
     """
     if g.dim != 4:
-        raise InputError("classifier expects a 4-dimensional algebra")
+        raise InputError("classification is defined for dimension 4")
     if is_abelian(g):
         return "R4"
     K = killing_form(g)

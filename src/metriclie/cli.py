@@ -50,10 +50,11 @@ from .integrate import (chart, compare_to_closed_form, initial_velocity,
 MAX_DIGITS = 4300
 _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
 # dimensions an algebra file may declare (the library has no bound): the
-# structure table has dim^3 entries; `report` on the abelian {"dim": 16} takes
-# 0.2-0.45 s and 31 MiB per process, 0.06-0.13 s of it in the verb (2 cores,
-# Python 3.11.7), on {"dim": 60} 284 s and 508 MiB; a 5.3 MB h15 file takes
-# (constants up to 3,382 digits) 36.7 s under `report`, 265 s under `geometry`
+# structure table has dim^3 entries.  On 2 cores, Python 3.11.7: `report` on
+# the abelian {"dim": 16} takes 0.41-0.49 s and 31-32 MiB per process,
+# 0.12-0.13 s of it in the verb (at d4febdb); a 5.3 MB h15 file (constants up
+# to 3,382 digits) takes 24.3 s under `report` and 174 s under `geometry` (at
+# ec67f7b); {"dim": 60} took 284 s and 508 MiB under `report` (at 31fc6b6)
 MAX_DIM = 16
 
 
@@ -170,8 +171,6 @@ def cmd_report(args) -> None:
 
 def cmd_classify(args) -> None:
     g = resolve_algebra(args.target).algebra
-    if g.dim != 4:
-        raise InputError("classification is defined for dimension 4")
     print(f"class: {catalog.classify_dim4_metric(g)}")
 
 

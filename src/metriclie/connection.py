@@ -29,9 +29,8 @@ from . import catalog
 from .algebra import (LieAlgebra, Subspace, _bracket_over_z, _double_bracket,
                       add3, bracket, jacobi_check)
 from .base import CheckResult, InputError, JacobiError, once, set_fields
-from .forms import (SymBilinearForm, _form_from_coeffs, _inverse,
-                    _require_nondegenerate, _skew_form_rows, _skew_witness,
-                    is_ad_invariant)
+from .forms import (SymBilinearForm, _form_space, _inverse,
+                    _require_nondegenerate, _skew_witness, is_ad_invariant)
 from .linalg import (_canonical_tensor, _mat_vec_over_z, _rref_rows,
                      _scaled, _unscaled, _unscaled_tensor, basis_vector,
                      contract, first_nonzero, identity_matrix, invert, mat,
@@ -633,8 +632,7 @@ def skew_adjoint_form_space(which: str, alpha, beta, gamma=0) -> list[SymBilinea
         raise InputError("skew-adjoint systems are defined for 'g0' or 'g1'")
     v = (1, Fraction(alpha), Fraction(beta), Fraction(gamma))
     images = [col[1:] for col in transpose(catalog.get(which).algebra.ad(v))[1:]]
-    basis = nullspace(list(_skew_form_rows(3, [images])), ncols=6)
-    return [_form_from_coeffs(3, coeffs) for coeffs in basis]
+    return _form_space(3, [images])
 
 
 def is_isometric_automorphism(g: LieAlgebra, B: SymBilinearForm,

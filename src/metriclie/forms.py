@@ -153,10 +153,11 @@ def orthogonal_complement(B: SymBilinearForm, m: Subspace) -> Subspace:
 def signature(B: SymBilinearForm) -> Signature:
     """Exact inertia by symmetric congruence elimination.
 
-    Diagonal pivots are used while available; when every remaining diagonal
-    entry vanishes, a nonzero off-diagonal pair spans a hyperbolic plane and
-    contributes one square of each sign.  The result is pivot-order
-    independent by Sylvester's law.
+    Each step takes a diagonal pivot.  When every remaining diagonal entry
+    vanishes but some a[i][j] does not, the congruence e_i -> e_i + e_j
+    (row j added to row i, column j to column i) makes a[i][i] = 2 a[i][j]
+    nonzero first.  The result is pivot-order independent by Sylvester's
+    law.
     """
     n = B.dim
     a = [list(row) for row in B.matrix]
@@ -164,36 +165,27 @@ def signature(B: SymBilinearForm) -> Signature:
     plus = minus = 0
     while alive:
         piv = next((i for i in alive if a[i][i]), None)
-        if piv is not None:
-            if sign_of(a[piv][piv]) > 0:
-                plus += 1
-            else:
-                minus += 1
-            d = a[piv][piv]
-            alive.remove(piv)
-            factors = {i: a[i][piv] / d for i in alive}
-            for i in alive:
-                if factors[i]:
-                    for j in alive:
-                        a[i][j] -= factors[i] * a[piv][j]
-            continue
-        pair = next(((i, j) for i in alive for j in alive if i < j and a[i][j]),
-                    None)
-        if pair is None:
-            break
-        i0, j0 = pair
-        plus += 1
-        minus += 1
-        h = a[i0][j0]
-        alive.remove(i0)
-        alive.remove(j0)
-        ci = {k: a[k][i0] for k in alive}
-        cj = {k: a[k][j0] for k in alive}
-        for k in alive:
-            for l in alive:
-                a[k][l] -= (ci[k] * cj[l] + cj[k] * ci[l]) / h
-    null = n - plus - minus
-    return Signature(plus, minus, null)
+        if piv is None:
+            pair = next(((i, j) for i in alive for j in alive if a[i][j]), None)
+            if pair is None:
+                break
+            piv, j = pair
+            for k in alive:
+                a[piv][k] += a[j][k]
+            for k in alive:
+                a[k][piv] += a[k][j]
+        if sign_of(a[piv][piv]) > 0:
+            plus += 1
+        else:
+            minus += 1
+        d = a[piv][piv]
+        alive.remove(piv)
+        factors = {i: a[i][piv] / d for i in alive}
+        for i in alive:
+            if factors[i]:
+                for j in alive:
+                    a[i][j] -= factors[i] * a[piv][j]
+    return Signature(plus, minus, n - plus - minus)
 
 
 def _pair_index(n: int):
@@ -201,11 +193,8 @@ def _pair_index(n: int):
 
 
 def _form_from_coeffs(n: int, coeffs) -> SymBilinearForm:
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), c in zip(_pair_index(n), coeffs):
-        m[i][j] = c
-        m[j][i] = c
-    return SymBilinearForm(n, m)
+    return SymBilinearForm.from_entries(
+        n, [(i, j, c) for (i, j), c in zip(_pair_index(n), coeffs) if c])
 
 
 def _skew_rows(n: int, maps) -> Iterator[tuple[tuple, list]]:
@@ -253,9 +242,14 @@ def invariant_form_space(g: LieAlgebra) -> list[SymBilinearForm]:
     every ad-invariant form is a combination of the returned ones.  The
     rows are built over Z from the integer structure table.
     """
-    n = g.dim
-    rows = _skew_form_rows(n, g.dense)
-    basis = nullspace(list(rows), ncols=n * (n + 1) // 2)
+    return _form_space(g.dim, g.dense)
+
+
+def _form_space(n: int, maps) -> list[SymBilinearForm]:
+    """Canonical basis of the symmetric forms Q on R^n for which every map
+    of ``maps`` (given as in ``_skew_rows``) is skew: one form per vector of
+    the nullspace of ``_skew_form_rows``."""
+    basis = nullspace(list(_skew_form_rows(n, maps)), ncols=n * (n + 1) // 2)
     return [_form_from_coeffs(n, b) for b in basis]
 
 
@@ -364,14 +358,10 @@ def killing_form(g: LieAlgebra) -> SymBilinearForm:
     n = g.dim
     ads = [transpose(plane) for plane in g.dense]
     scale = Fraction(1, g.D ** 2)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            tr = scale * sum(ads[i][r][s] * ads[j][s][r]
-                             for r in range(n) for s in range(n))
-            m[i][j] = tr
-            m[j][i] = tr
-    return SymBilinearForm(n, m)
+    return SymBilinearForm.from_entries(n, [
+        (i, j, scale * sum(ads[i][r][s] * ads[j][s][r]
+                           for r in range(n) for s in range(n)))
+        for i in range(n) for j in range(i, n)])
 
 
 def series_duality_check(g: LieAlgebra, B: SymBilinearForm) -> CheckResult:

@@ -286,17 +286,41 @@ def _one_parameter(model: str, a: Sequence, s) -> GroupElement:
 
 
 def _one_parameter_coords(model, a0, a1, a2, a3, s) -> tuple:
-    if a0 == 0:
-        # a line; on H3 the J-twist term of the quadratic exp formula cancels
-        return (0.0, a1 * s, a2 * s, a3 * s)
-    th = a0 * s
+    # every ratio is a function of th = a0 s that is finite at th = 0, so a
+    # tiny a0 neither divides by an underflowed a0^2 nor cancels; H3
+    # (a0 = 0) takes the G1 branch, which at th = 0 is the line s a
+    th, u, v = a0 * s, a1 * s, a2 * s
     if model == "G0":
-        x = (a1 / a0) * math.sin(th) + (a2 / a0) * (math.cos(th) - 1.0)
-        y = (a1 / a0) * (1.0 - math.cos(th)) + (a2 / a0) * math.sin(th)
-        z = 0.5 * (((a1 * a1 + a2 * a2) / a0 + 2.0 * a3) * s
-                   - ((a1 * a1 + a2 * a2) / (a0 * a0)) * math.sin(th))
-        return (th, x, y, z)
-    x = (a1 / a0) * (math.exp(th) - 1.0)
-    y = (a2 / a0) * (1.0 - math.exp(-th))
-    z = (a1 * a2 / a0 + a3) * s - (a1 * a2 / (a0 * a0)) * math.sinh(th)
-    return (th, x, y, z)
+        sinc, vers = _sinc(th), math.sin(th / 2) * _sinc(th / 2)
+        c = _cubic_ratio(th, -1.0)
+        return (th, u * sinc - v * vers, u * vers + v * sinc,
+                a3 * s + 0.5 * (u * (u * c) + v * (v * c)))
+    c = _cubic_ratio(th, 1.0)
+    return (th, u * _expm1_ratio(th), v * _expm1_ratio(-th),
+            a3 * s - u * (v * c))
+
+
+def _sinc(th):
+    """sin th / th, 1 at th = 0."""
+    return math.sin(th) / th if th else 1.0
+
+
+def _expm1_ratio(th):
+    """(e^th - 1) / th, 1 at th = 0."""
+    return math.expm1(th) / th if th else 1.0
+
+
+def _cubic_ratio(th, sign):
+    """(th - sin th) / th^2 for sign -1.0, (sinh th - th) / th^2 for sign
+    1.0.  Below |th| = 2 the difference would cancel, so the Taylor series
+    sum_k sign^(k+1) th^(2k-1) / (2k+1)! is summed until its terms no longer
+    change the total; its ratio of terms is at most 1/5 there."""
+    if not abs(th) < 2:  # NaN too, which would never end the sum
+        ratio = math.sinh(th) / th if sign > 0 else math.sin(th) / th
+        return sign * (ratio - 1.0) / th
+    total, term, k = 0.0, th / 6, 1
+    while total + term != total:
+        total += term
+        k += 2
+        term *= sign * th * th / ((k + 1) * (k + 2))
+    return total

@@ -54,19 +54,6 @@ class MetricChart:
         return self.metric_at(p), self.lowered_at(p)
 
 
-@dataclass
-class _ConstantPartialsChart(MetricChart):
-    """A chart whose partials do not depend on the point: its lowered
-    tensor is built once."""
-
-    def __post_init__(self):
-        self._lowered = MetricChart.lowered_at(self, None)
-        self._lowered.flags.writeable = False
-
-    def lowered_at(self, p) -> np.ndarray:
-        return self._lowered
-
-
 def _g0g1_partials(p):
     out = np.zeros((4, 4, 4))
     # only g_tx = y/2 and g_ty = -x/2 depend on the point
@@ -113,32 +100,42 @@ def _h3_lowered_template(s):
     return out
 
 
-_H3_LOWERED = {"h1": _h3_lowered_template(1.0), "h2": _h3_lowered_template(-1.0)}
+# the lowered tensor of g0 and g1 does not depend on the point: one
+# read-only array serves both charts
+_G0G1_LOWERED = MetricChart("g0", 4, None, _g0g1_partials).lowered_at(None)
+_G0G1_LOWERED.flags.writeable = False
+_LOWERED = {"g0": _G0G1_LOWERED, "g1": _G0G1_LOWERED,
+            "h1": _h3_lowered_template(1.0), "h2": _h3_lowered_template(-1.0)}
+_PARTIALS = {"g0": _g0g1_partials, "g1": _g0g1_partials,
+             "h1": _h1_partials, "h2": _h2_partials}
 
 
-class _H3Chart(MetricChart):
-    """h1 or h2: the lowered tensor is built on Python floats.
+class _BuiltinChart(MetricChart):
+    """g0, g1, h1 or h2: the lowered tensor comes from a table; h1 and h2
+    fill in its point-dependent entries, from Python floats when reached
+    through ``_parts_at``, which converts the point once for the metric and
+    the tensor.
 
-    Each entry is (d_i g_jl + d_j g_il) - d_l g_ij on the partials of the
-    chart itself (h2's are h1's negated, zeros included), in the order
+    Each h1/h2 entry is (d_i g_jl + d_j g_il) - d_l g_ij on the partials of
+    the chart itself (h2's are h1's negated, zeros included), in the order
     MetricChart.lowered_at adds them, so the bits are the same: negating
     h1's tensor as a whole would flip the sign of a zero that mixes signs.
     """
 
-    def lowered_at(self, p) -> np.ndarray:
-        return self._lowered(_floats(p))
-
     def _parts_at(self, p) -> tuple:
         q = _floats(p)  # one conversion serves the metric and the tensor
-        return coordinate_metric(self.name, q), self._lowered(q)
+        return coordinate_metric(self.name, q), self.lowered_at(q)
 
-    def _lowered(self, q) -> np.ndarray:
-        x, y, _ = q
+    def lowered_at(self, p) -> np.ndarray:
+        out = _LOWERED[self.name]
+        if self.dim == 4:  # g0 and g1: the same array at every point
+            return out
+        x, y, _ = p
         # d_y g_xx, d_x g_yy, d_x g_xy and d_y g_xy, as _h1_partials has them
         yxx, xyy, xxy, yxy = -y / 2, -x / 2, y / 4, x / 4
         if self.name == "h2":
             yxx, xyy, xxy, yxy = -yxx, -xyy, -xxy, -yxy
-        out = _H3_LOWERED[self.name].copy()
+        out = out.copy()
         out[1] = (xxy + xxy) - yxx               # T[0,0,1]
         out[3] = out[9] = (xxy + yxx) - xxy      # T[0,1,0], T[1,0,0]
         out[4] = out[10] = (xyy + yxy) - yxy     # T[0,1,1], T[1,0,1]
@@ -154,16 +151,11 @@ def _floats(p) -> list:
 
 def chart(name: str) -> MetricChart:
     """Built-in charts: g0, g1 (4-dim) and h1, h2 (3-dim on H3)."""
-    def metric_at(p):
-        return coordinate_metric(name, _floats(p))
-
-    if name in ("g0", "g1"):
-        return _ConstantPartialsChart(name, 4, metric_at, _g0g1_partials)
-    if name == "h1":
-        return _H3Chart(name, 3, metric_at, _h1_partials)
-    if name == "h2":
-        return _H3Chart(name, 3, metric_at, _h2_partials)
-    raise InputError(f"no chart named {name!r}; have g0, g1, h1, h2")
+    if name not in _PARTIALS:
+        raise InputError(f"no chart named {name!r}; have g0, g1, h1, h2")
+    return _BuiltinChart(name, 4 if name in ("g0", "g1") else 3,
+                         lambda p: coordinate_metric(name, _floats(p)),
+                         _PARTIALS[name])
 
 
 def _raise_singular(err, flag):

@@ -59,7 +59,8 @@ def test_classifier_on_catalog():
 
 
 def test_classifier_rejects_wrong_dim(h3):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError,
+                       match="^classification is defined for dimension 4$"):
         classify_dim4_metric(h3)
 
 

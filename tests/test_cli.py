@@ -86,6 +86,12 @@ def test_classify(capsys):
     assert code == 0 and "class: g1" in out
 
 
+def test_classify_of_another_dimension_exits_1(capsys):
+    # the classifier's own dimension check is the one the verb reports
+    assert run(capsys, "classify", "h3") == (
+        1, "", "error: classification is defined for dimension 4\n")
+
+
 def test_geometry_metric_flag(capsys):
     code, out, _ = run(capsys, "geometry", "g0", "--metric", "gmatrix0")
     assert code == 0 and "R = -1/4 ad([X,Y]): PASS" in out
@@ -412,6 +418,19 @@ def test_geodesic_csv_and_deviation(capsys, tmp_path):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "s,t,x,y,z,vt,vx,vy,vz"
     assert len(lines) == 2002
+
+
+@pytest.mark.parametrize("model", ["G0", "G1"])
+@pytest.mark.parametrize("a", ["1e-200,1,0,0", "1e-10,1,1,0"])
+def test_geodesic_with_a_tiny_a0_compares_to_the_closed_form(capsys, tmp_path,
+                                                            model, a):
+    # the closed form took a1 / a0 and a1 / a0^2: 1e-200 left the float
+    # range, and 1e-10 cancelled down to a deviation of 1.9e-6
+    code, out, err = run(capsys, "geodesic", model, a, "--s-end", "1",
+                         "--step", "0.01", "--out", str(tmp_path / "x.csv"))
+    assert (code, err) == (0, "")
+    dev = float(out.split("max deviation from closed form:")[1].split()[0])
+    assert dev <= 1e-13
 
 
 def test_geodesic_stdout_straight_line(capsys):

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,10 +272,10 @@ def test_exp_with_wrong_coefficient_count_raises_input_error(model, a):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("model, a", [
-    ("G0", (1e-300, 1, 0, 0)),    # a0 * a0 underflows to 0
+    ("G0", (1e-200, 1e300, 0, 0)),  # z = a1^2 a0 / 12 + ... ~ 8e398
     ("G1", (1e3, 1, 1, 0)),       # exp(1000)
     ("G1", (-1e3, 1, 1, 0)),      # exp(-(-1000))
-    ("G0", (1e-200, 1e200, 0, 0)),  # a1 / a0 overflows to inf
+    ("G0", (1, 1e200, 0, 0)),     # z = a1^2 (1 - sin 1) / 2 ~ 8e398
 ])
 def test_exp_out_of_float_range_raises_numerical_error(model, a):
     with pytest.raises(NumericalError):
@@ -282,6 +283,74 @@ def test_exp_out_of_float_range_raises_numerical_error(model, a):
     spec = GeodesicSpec(model, group_identity(model), a)
     with pytest.raises(NumericalError):
         geodesic_closed_form(spec, 1.0)
+
+
+def _exp_800_digits(model, a, s):
+    """exp(s X) on G0 or G1 from the textbook closed form, which divides by
+    a0 and a0^2, at 800 digits, with the size of each coordinate's terms
+    in the form that divides by neither (the bound for its rounding).  It
+    is taken at th = a0 s, a1 s and a2 s as rounded to floats, the inputs
+    any float evaluation starts from."""
+    a0, a1, a2, a3 = a
+    with mpmath.workdps(800):
+        th, u, v, a3, s = map(mpmath.mpf, (a0 * s, a1 * s, a2 * s, a3, s))
+        if not th:  # a0 s underflowed: the line s a
+            return (th, u, v, a3 * s), (0, abs(u), abs(v), abs(a3 * s))
+        a0, a1, a2 = th / s, u / s, v / s
+        if model == "G0":
+            x = (a1 / a0) * mpmath.sin(th) + (a2 / a0) * (mpmath.cos(th) - 1)
+            y = (a1 / a0) * (1 - mpmath.cos(th)) + (a2 / a0) * mpmath.sin(th)
+            q = (a1 * a1 + a2 * a2) * (th - mpmath.sin(th)) / (a0 * a0)
+            z = a3 * s + q / 2
+            sinc, vers = mpmath.sin(th) / th, (1 - mpmath.cos(th)) / th
+            sizes = (abs(th), abs(u * sinc) + abs(v * vers),
+                     abs(u * vers) + abs(v * sinc), abs(a3 * s) + abs(q) / 2)
+        else:
+            x = (a1 / a0) * mpmath.expm1(th)
+            y = (a2 / a0) * -mpmath.expm1(-th)
+            z = a3 * s + a1 * a2 * (th - mpmath.sinh(th)) / (a0 * a0)
+            sizes = (abs(th), abs(x), abs(y), abs(a3 * s) + abs(z - a3 * s))
+        return (th, x, y, z), sizes
+
+
+def _assert_near_800_digits(model, a, s, coords):
+    exact, sizes = _exp_800_digits(model, a, s)
+    for got, want, size in zip(coords, exact, sizes):
+        # a few roundings of each term, and the subnormal floor
+        assert abs(mpmath.mpf(got) - want) <= 8 * 2.0**-52 * size + 1e-300, \
+            (model, a, s, coords, exact)
+
+
+# each case was refused as out of range while the closed form divided by a0
+# and a0^2, although its exact value is finite
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, a", [
+    ("G0", (1e-300, 1, 0, 0)),      # (1e-300, 1, 5e-301, 8.3e-302)
+    ("G1", (1e-300, 1, 1, 0)),
+    ("G0", (1e-200, 1e200, 0, 0)),  # z = 8.3e198
+    ("G1", (1e-200, 1e200, 1, 0)),
+    ("G0", (1e-10, 1, 1, 0)),
+    ("G1", (-1e-10, 1, 1, 0)),
+])
+def test_exp_with_a_tiny_a0_is_finite_and_exact_to_rounding(model, a):
+    _assert_near_800_digits(model, a, 1.0, exp_map(model, a).coords)
+    spec = GeodesicSpec(model, group_identity(model), a)
+    for s in (0.5, -1.0, 2.0):
+        _assert_near_800_digits(model, a, s,
+                                geodesic_closed_form(spec, s).coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(["G0", "G1"]),
+       mag=st.floats(-300, 2), sign=st.sampled_from([-1.0, 1.0]),
+       rest=st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+       s=st.floats(-2, 2).filter(bool))
+def test_exp_matches_the_closed_form_at_800_digits(model, mag, sign, rest, s):
+    # a0 over 302 decades, both sides of the series cutoff |a0 s| = 2
+    a = (sign * 10.0**mag, *rest)
+    coords = geodesic_closed_form(
+        GeodesicSpec(model, group_identity(model), a), s).coords
+    _assert_near_800_digits(model, a, s, coords)
 
 
 @pytest.mark.filterwarnings("error")

@@ -14,8 +14,9 @@ from numpy.linalg import _umath_linalg
 
 from metriclie.base import InputError, NumericalError
 from metriclie.groups import GeodesicSpec, GroupElement, exp_map, group_identity
-from metriclie.integrate import (MetricChart, Trajectory, _h1_partials,
-                                 _h2_partials, _step_count, c_einsum, chart,
+from metriclie.integrate import (MetricChart, Trajectory, _BuiltinChart,
+                                 _g0g1_partials, _h1_partials, _h2_partials,
+                                 _step_count, c_einsum, chart,
                                  christoffel, compare_to_closed_form,
                                  energy_series, flow_left_invariant_field,
                                  geodesic_rhs, initial_velocity,
@@ -567,6 +568,26 @@ def test_h3_lowered_tensor_matches_the_partials_bit_for_bit(name, partials):
     always_zero = ch.lowered_at(np.array([0.7, -1.3, 0.2])) == 0
     for p in ([0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]):
         assert not np.signbit(ch.lowered_at(np.array(p))[always_zero]).any()
+
+
+@pytest.mark.parametrize("name", ["g0", "g1", "h1", "h2"])
+def test_every_builtin_chart_is_one_class(name):
+    ch = chart(name)
+    assert type(ch) is _BuiltinChart
+    assert ch.dim == (4 if name in ("g0", "g1") else 3)
+
+
+def test_g0_and_g1_share_one_read_only_lowered_tensor():
+    rng = np.random.default_rng(11)
+    points = [np.zeros(4), np.full(4, -0.0), *rng.uniform(-3, 3, (20, 4))]
+    T = chart("g0").lowered_at(points[0])
+    assert not T.flags.writeable
+    want = MetricChart("g0", 4, None, _g0g1_partials).lowered_at(None)
+    assert T.tobytes() == want.tobytes() and T.shape == want.shape
+    for name in ("g0", "g1"):
+        ch = chart(name)
+        for p in points:
+            assert ch.lowered_at(p) is T and ch._parts_at(p)[1] is T
 
 
 def test_h2_lowered_tensor_is_not_h1s_negated():
