@@ -74,7 +74,10 @@ class SymBilinearForm:
         m = [[Fraction(0)] * dim for _ in range(dim)]
         seen = {}
         for (i, j, value) in entries:
-            if not all(isinstance(x, Integral) and 0 <= x < dim for x in (i, j)):
+            # the int test first: the Integral check is an ABC lookup
+            if not ((type(i) is int or isinstance(i, Integral))
+                    and (type(j) is int or isinstance(j, Integral))
+                    and 0 <= i < dim and 0 <= j < dim):
                 raise InputError(f"metric index out of range: ({i!r},{j!r})")
             value = _coerce(value)
             for (a, b) in ((i, j), (j, i)):

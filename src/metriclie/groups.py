@@ -202,12 +202,38 @@ def _metric_template(dim, ones) -> np.ndarray:
     return g
 
 
-# the point-independent entries of each coordinate metric
-_METRIC_TEMPLATES = {
-    "g0": _metric_template(4, {(0, 3): 1.0, (1, 1): 1.0, (2, 2): 1.0}),
-    "g1": _metric_template(4, {(0, 3): 1.0, (1, 2): 1.0}),
-    "h1": _metric_template(3, {(2, 2): -1.0}),
-    "h2": _metric_template(3, {(2, 2): 1.0}),
+def _write_g0g1_metric(p, g):
+    t, x, y, z = p
+    g[0, 1] = g[1, 0] = y / 2
+    g[0, 2] = g[2, 0] = -x / 2
+
+
+def _write_h1_metric(p, g):
+    x, y, z = p
+    g[0, 0] = 1 - y * y / 4
+    g[1, 1] = 1 - x * x / 4
+    g[0, 1] = g[1, 0] = x * y / 4
+    g[0, 2] = g[2, 0] = -y / 2
+    g[1, 2] = g[2, 1] = x / 2
+
+
+def _write_h2_metric(p, g):
+    x, y, z = p
+    g[0, 0] = y * y / 4
+    g[1, 1] = x * x / 4
+    g[0, 1] = g[1, 0] = 1 - x * y / 4
+    g[0, 2] = g[2, 0] = y / 2
+    g[1, 2] = g[2, 1] = -x / 2
+
+
+# each coordinate metric as its point-independent entries and the writer of
+# the others, which fills a copy of the template in place
+_METRICS = {
+    "g0": (_metric_template(4, {(0, 3): 1.0, (1, 1): 1.0, (2, 2): 1.0}),
+           _write_g0g1_metric),
+    "g1": (_metric_template(4, {(0, 3): 1.0, (1, 2): 1.0}), _write_g0g1_metric),
+    "h1": (_metric_template(3, {(2, 2): -1.0}), _write_h1_metric),
+    "h2": (_metric_template(3, {(2, 2): 1.0}), _write_h2_metric),
 }
 
 
@@ -221,28 +247,11 @@ def coordinate_metric(name: str, p: Sequence) -> np.ndarray:
     computed on the scalars of p, so a list of Python floats is cheaper
     than a float array.
     """
-    template = _METRIC_TEMPLATES.get(name)
-    if template is None:
+    if name not in _METRICS:
         raise InputError(f"no coordinate metric named {name!r}")
+    template, write = _METRICS[name]
     g = template.copy()
-    if name in ("g0", "g1"):
-        t, x, y, z = p
-        g[0, 1] = g[1, 0] = y / 2
-        g[0, 2] = g[2, 0] = -x / 2
-    elif name == "h1":
-        x, y, z = p
-        g[0, 0] = 1 - y * y / 4
-        g[1, 1] = 1 - x * x / 4
-        g[0, 1] = g[1, 0] = x * y / 4
-        g[0, 2] = g[2, 0] = -y / 2
-        g[1, 2] = g[2, 1] = x / 2
-    else:
-        x, y, z = p
-        g[0, 0] = y * y / 4
-        g[1, 1] = x * x / 4
-        g[0, 1] = g[1, 0] = 1 - x * y / 4
-        g[0, 2] = g[2, 0] = y / 2
-        g[1, 2] = g[2, 1] = -x / 2
+    write(p, g)
     return g
 
 

@@ -6,6 +6,16 @@ classical fixed-step RK4 on the first-order system (position, velocity).
 The four built-in charts (g0, g1, h1, h2) have polynomial coefficients, so
 the partials are written out by hand; finite differences appear only in
 tests that cross-validate them.
+
+One RK4 stepper, ``_rk4_stepper``, serves geodesics and the flows of
+left-invariant fields.  It works in buffers held for the whole run: the
+stage derivatives, the stage input, and for a geodesic the metric, the
+lowered tensor, the inverse metric and the Christoffel symbols, which the
+chart's writers fill in place.  Each state is written into one row of a
+history array allocated before the first step.  Every float operation is
+one of the textbook formula evaluated left to right, so a trajectory has
+the bits of the loop that allocates a new array per stage (the tests keep
+that loop and compare bytes).
 """
 
 from __future__ import annotations
@@ -25,8 +35,8 @@ else:
     from numpy.core.multiarray import c_einsum
 
 from .base import InputError, NumericalError
-from .groups import (GeodesicSpec, GroupElement, coordinate_metric, frame,
-                     geodesic_closed_form, group_identity)
+from .groups import (_METRICS, GeodesicSpec, GroupElement, coordinate_metric,
+                     frame, geodesic_closed_form, group_identity)
 
 CSV_HEADER = "s,t,x,y,z,vt,vx,vy,vz"
 # fixed steps one run may take; a trajectory keeps every sample in memory
@@ -50,8 +60,15 @@ class MetricChart:
         dg = self.partials_at(p)  # dg[k,i,j] = d_k g_ij
         return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
 
-    def _parts_at(self, p) -> tuple:  # (metric, lowered tensor) for _christoffel
-        return self.metric_at(p), self.lowered_at(p)
+    def _held(self) -> tuple:
+        """(metric, lowered tensor, write) for one run: write(p) copies the
+        chart at the float array p into the two buffers."""
+        g, lowered = np.empty((self.dim, self.dim)), np.empty((self.dim,) * 3)
+
+        def write(p):
+            g[...] = self.metric_at(p)
+            lowered[...] = self.lowered_at(p)
+        return g, lowered, write
 
 
 def _g0g1_partials(p):
@@ -111,36 +128,53 @@ _PARTIALS = {"g0": _g0g1_partials, "g1": _g0g1_partials,
 
 
 class _BuiltinChart(MetricChart):
-    """g0, g1, h1 or h2: the lowered tensor comes from a table; h1 and h2
-    fill in its point-dependent entries, from Python floats when reached
-    through ``_parts_at``, which converts the point once for the metric and
-    the tensor.
-
-    Each h1/h2 entry is (d_i g_jl + d_j g_il) - d_l g_ij on the partials of
-    the chart itself (h2's are h1's negated, zeros included), in the order
-    MetricChart.lowered_at adds them, so the bits are the same: negating
-    h1's tensor as a whole would flip the sign of a zero that mixes signs.
+    """g0, g1, h1 or h2: the metric comes from the writers of
+    groups.coordinate_metric and the lowered tensor from a table; h1 and h2
+    fill in its point-dependent entries with ``_write_h3_lowered``.  The
+    buffers of ``_held`` are written from Python floats, one conversion of
+    the point serving the metric and the tensor.
     """
 
-    def _parts_at(self, p) -> tuple:
-        q = _floats(p)  # one conversion serves the metric and the tensor
-        return coordinate_metric(self.name, q), self.lowered_at(q)
+    def _held(self) -> tuple:
+        template, write_metric = _METRICS[self.name]
+        g = template.copy()
+        if self.dim == 4:  # g0 and g1: the same tensor at every point
+            return g, _G0G1_LOWERED, lambda p: write_metric(p.tolist(), g)
+        name, flat = self.name, _LOWERED[self.name].copy()
+
+        def write(p):
+            q = p.tolist()
+            write_metric(q, g)
+            _write_h3_lowered(name, q, flat)
+        return g, flat.reshape(3, 3, 3), write
 
     def lowered_at(self, p) -> np.ndarray:
         out = _LOWERED[self.name]
-        if self.dim == 4:  # g0 and g1: the same array at every point
+        if self.dim == 4:
             return out
-        x, y, _ = p
-        # d_y g_xx, d_x g_yy, d_x g_xy and d_y g_xy, as _h1_partials has them
-        yxx, xyy, xxy, yxy = -y / 2, -x / 2, y / 4, x / 4
-        if self.name == "h2":
-            yxx, xyy, xxy, yxy = -yxx, -xyy, -xxy, -yxy
         out = out.copy()
-        out[1] = (xxy + xxy) - yxx               # T[0,0,1]
-        out[3] = out[9] = (xxy + yxx) - xxy      # T[0,1,0], T[1,0,0]
-        out[4] = out[10] = (xyy + yxy) - yxy     # T[0,1,1], T[1,0,1]
-        out[12] = (yxy + yxy) - xyy              # T[1,1,0]
+        _write_h3_lowered(self.name, p, out)
         return out.reshape(3, 3, 3)
+
+
+def _write_h3_lowered(name, p, out):
+    """The point-dependent entries of the h1 or h2 lowered tensor at p, into
+    the flat array out.
+
+    Each entry is (d_i g_jl + d_j g_il) - d_l g_ij on the partials of the
+    chart itself (h2's are h1's negated, zeros included), in the order
+    MetricChart.lowered_at adds them, so the bits are the same: negating
+    h1's tensor as a whole would flip the sign of a zero that mixes signs.
+    """
+    x, y, _ = p
+    # d_y g_xx, d_x g_yy, d_x g_xy and d_y g_xy, as _h1_partials has them
+    yxx, xyy, xxy, yxy = -y / 2, -x / 2, y / 4, x / 4
+    if name == "h2":
+        yxx, xyy, xxy, yxy = -yxx, -xyy, -xxy, -yxy
+    out[1] = (xxy + xxy) - yxx               # T[0,0,1]
+    out[3] = out[9] = (xxy + yxx) - xxy      # T[0,1,0], T[1,0,0]
+    out[4] = out[10] = (xyy + yxy) - yxy     # T[0,1,1], T[1,0,1]
+    out[12] = (yxy + yxy) - xyy              # T[1,1,0]
 
 
 def _floats(p) -> list:
@@ -168,31 +202,47 @@ _SINGULAR_RAISES = dict(call=_raise_singular, invalid="call", over="ignore",
                         divide="ignore", under="ignore")
 
 
-def _christoffel(ch: MetricChart, p: np.ndarray) -> np.ndarray:
-    """christoffel on a float array p, under the caller's error state: a
-    singular metric raises LinAlgError when that state is _SINGULAR_RAISES."""
-    # the LAPACK gufunc of np.linalg.inv, without its Python wrapper: the
-    # same bits
-    g, lowered = ch._parts_at(p)
-    ginv = _umath_linalg.inv(g, signature="d->d")
-    gam = c_einsum("kl,ijl->kij", ginv, lowered)
-    gam *= 0.5
-    return gam
+def _christoffel_kernel(ch: MetricChart) -> tuple:
+    """(gam, at): a buffer for the Christoffel symbols and at(p), which
+    writes them at the float array p into it, under the caller's error
+    state: a singular metric raises LinAlgError when that state is
+    _SINGULAR_RAISES."""
+    g, lowered, write = ch._held()
+    ginv, gam, half = np.empty(g.shape), np.empty(lowered.shape), np.array(0.5)
+
+    def at(p):
+        write(p)
+        # the LAPACK gufunc of np.linalg.inv, without its Python wrapper:
+        # the same bits
+        _umath_linalg.inv(g, signature="d->d", out=ginv)
+        c_einsum("kl,ijl->kij", ginv, lowered, out=gam)
+        np.multiply(gam, half, out=gam)
+    return gam, at
+
+
+def _accelerate(gam, vel, out) -> None:
+    """out = -Gamma^k_ij v^i v^j.  The sign is a separate negation: folded
+    into a factor it would flip the sign of a zero."""
+    c_einsum("kij,i,j->k", gam, vel, vel, out=out)
+    np.negative(out, out=out)
 
 
 def christoffel(ch: MetricChart, p: Sequence) -> np.ndarray:
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 at p."""
     p = np.asarray(p, dtype=float)
+    gam, at = _christoffel_kernel(ch)
     try:
         with np.errstate(**_SINGULAR_RAISES):
-            return _christoffel(ch, p)
+            at(p)
     except np.linalg.LinAlgError:
         raise NumericalError(f"metric of chart {ch.name} singular at {p.tolist()}")
+    return gam
 
 
 def geodesic_rhs(ch: MetricChart, pos: np.ndarray, vel: np.ndarray) -> tuple:
     gam = christoffel(ch, pos)
-    acc = -c_einsum("kij,i,j->k", gam, vel, vel)
+    acc = np.empty(len(gam))
+    _accelerate(gam, vel, acc)
     return vel, acc
 
 
@@ -225,31 +275,29 @@ def integrate_geodesic(ch: MetricChart, p0: Sequence, v0: Sequence,
     """
     nsteps = _step_count(s_end, step)
     n = len(p0)
+    gam, christoffel_at = _christoffel_kernel(ch)
 
-    def rhs(y):
+    def rhs(y, dy):
         vel = y[n:]
-        dy = np.empty(2 * n)
+        christoffel_at(y[:n])
         dy[:n] = vel
-        dy[n:] = -c_einsum("kij,i,j->k", _christoffel(ch, y[:n]), vel, vel)
-        return dy
+        _accelerate(gam, vel, dy[n:])
 
-    y = np.concatenate((np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)))
-    ys = [y]
-    aborted = False
+    Y = np.empty((nsteps + 1, 2 * n))
+    Y[0, :n], Y[0, n:] = p0, v0
+    rk4 = _rk4_stepper(rhs, 2 * n, step)
+    done = 0
     with np.errstate(**_SINGULAR_RAISES):
-        for _ in range(nsteps):
+        while done < nsteps:
             try:
-                y = _rk4_step(rhs, y, step)
+                if not np.isfinite(rk4(Y[done], Y[done + 1])).all():
+                    break
             except np.linalg.LinAlgError:
-                aborted = True
                 break
-            if not np.isfinite(y).all():
-                aborted = True
-                break
-            ys.append(y)
-    Y = np.array(ys)
-    return Trajectory(np.arange(len(ys)) * step, Y[:, :n], Y[:, n:], step,
-                      aborted=aborted)
+            done += 1
+    Y = Y[:done + 1]
+    return Trajectory(np.arange(done + 1) * step, Y[:, :n], Y[:, n:], step,
+                      aborted=done < nsteps)
 
 
 def _step_count(s_end: float, step: float) -> int:
@@ -265,13 +313,31 @@ def _step_count(s_end: float, step: float) -> int:
     return int(round(ratio))
 
 
-def _rk4_step(rhs, y, h):
-    """One classical RK4 step of y' = rhs(y)."""
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_stepper(rhs, size: int, h: float) -> Callable:
+    """step(y, out): one classical RK4 step of y' = f(y) from y, written
+    into out and returned, where rhs(y, dy) writes f(y) into dy.  The stage
+    derivatives and the stage input are held across steps.  The operations
+    are those of y + h/6 (k1 + 2 k2 + 2 k3 + k4) with stage inputs
+    y + (h/2) k, evaluated left to right, each rounded once."""
+    k1, k2, k3, k4, stage = (np.empty(size) for _ in range(5))
+    # 0-d arrays: numpy multiplies by them faster than by Python floats,
+    # and they hold the same doubles
+    half, whole, sixth, two = map(np.array, (0.5 * h, h, h / 6.0, 2.0))
+
+    def step(y, out):
+        rhs(y, k1)
+        np.multiply(k1, half, out=stage)
+        rhs(np.add(y, stage, out=stage), k2)
+        np.multiply(k2, half, out=stage)
+        rhs(np.add(y, stage, out=stage), k3)
+        np.multiply(k3, whole, out=stage)
+        rhs(np.add(y, stage, out=stage), k4)
+        # ((k1 + 2 k2) + 2 k3) + k4, then times h/6, then plus y
+        np.add(k1, np.multiply(k2, two, out=k2), out=k1)
+        np.add(k1, np.multiply(k3, two, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        return np.add(y, np.multiply(k1, sixth, out=k1), out=out)
+    return step
 
 
 def energy_series(ch: MetricChart, traj: Trajectory) -> np.ndarray:
@@ -346,11 +412,13 @@ def flow_left_invariant_field(model: str, a: Sequence, s_end: float,
     a = np.asarray(a, dtype=float)
     pos = np.array([float(c) for c in group_identity(model).coords])
 
-    def rhs(p):
-        return frame(model, GroupElement(model, tuple(p))) @ a
+    def rhs(p, dp):
+        np.matmul(frame(model, GroupElement(model, tuple(p))), a, out=dp)
 
+    rk4, new = _rk4_stepper(rhs, len(pos), step), np.empty(len(pos))
     for _ in range(nsteps):
-        pos = _finite(lambda: _rk4_step(rhs, pos, step), "flow")
+        _finite(lambda: rk4(pos, new), "flow")
+        pos, new = new, pos
     return GroupElement(model, tuple(pos))
 
 

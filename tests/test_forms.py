@@ -1,5 +1,8 @@
+import enum
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from metriclie import forms
@@ -30,6 +33,29 @@ def test_metric_index_not_an_integer_in_range_is_input_error(entry):
     with pytest.raises(InputError, match="metric index out of range") as exc:
         SymBilinearForm.from_entries(2, [entry])
     assert repr(entry[0]) in str(exc.value) and repr(entry[1]) in str(exc.value)
+
+
+class _Axis(enum.IntEnum):
+    X = 0
+    Y = 1
+
+
+@pytest.mark.parametrize("one", [1, True, np.int64(1), np.int32(1),
+                                 np.uint8(1), _Axis.Y])
+def test_metric_index_of_every_integral_type_is_accepted(one):
+    # a plain int takes the fast path; bool, numpy ints and int subclasses
+    # pass the Integral check behind it
+    B = SymBilinearForm.from_entries(2, [(one, one, 3), (0, one, "1/2")])
+    assert B == SymBilinearForm(2, ((0, "1/2"), ("1/2", 3)))
+
+
+@pytest.mark.parametrize("entry", [
+    (0, 2, 1), (-1, 0, 1), (2, 2, 1), (np.int64(2), 0, 1), (0, np.int8(-1), 1),
+    ("0", 0, 1), (0, b"1", 1), (1.0, 0, 1), (0, np.float64(1), 1),
+    (Fraction(1), 0, 1), (0, 1j, 1), (None, None, 1)])
+def test_metric_index_refusals_keep_their_types(entry):
+    with pytest.raises(InputError, match="metric index out of range"):
+        SymBilinearForm.from_entries(2, [(0, 0, 1), entry])
 
 
 def test_metric_entries_compare_as_rationals():

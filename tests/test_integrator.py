@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.linalg import _umath_linalg
 
 from metriclie.base import InputError, NumericalError
-from metriclie.groups import GeodesicSpec, GroupElement, exp_map, group_identity
+from metriclie.groups import (GeodesicSpec, GroupElement, exp_map, frame,
+                              group_identity)
 from metriclie.integrate import (MetricChart, Trajectory, _BuiltinChart,
                                  _g0g1_partials, _h1_partials, _h2_partials,
                                  _step_count, c_einsum, chart,
@@ -455,6 +456,80 @@ def test_trajectory_matches_pre_cache_christoffel_bit_for_bit(name, data,
     assert traj.velocities.tobytes() == vs.tobytes()
 
 
+@pytest.mark.parametrize("name", ["g0", "g1", "h1", "h2"])
+def test_trajectory_at_the_benchmark_shape_matches_the_oracle_bit_for_bit(name):
+    # s_end = 1 and step = 0.005, the 200 steps of each `geodesic` call of
+    # the geodesics workload, from seeded points and velocities of its size
+    rng = random.Random(f"workload shape {name}")
+    dim = chart(name).dim
+    for _ in range(3):
+        p0 = [rng.uniform(-1, 1) for _ in range(dim)]
+        v0 = [rng.uniform(-1.5, 1.5) for _ in range(dim)]
+        traj = integrate_geodesic(chart(name), p0, v0, 1.0, 0.005)
+        ps, vs, aborted, _ = _oracle_integrate(name, p0, v0, 1.0, 0.005)
+        assert len(traj) == 201 and not traj.aborted and not aborted
+        assert traj.positions.tobytes() == ps.tobytes()
+        assert traj.velocities.tobytes() == vs.tobytes()
+
+
+@pytest.mark.parametrize("ch, p0, v0, aborted", [
+    (chart("h2"), [0.3, -0.1, 0.2], [0.6, -1.1, 0.4], False),
+    (chart("g1"), [0.1, 0.2, -0.3, 0.4], [1.0, -0.5, 0.7, 0.2], False),
+    (_degenerating_chart(), [0.0, 0.0], [1.0, 0.0], True),
+    (chart("g0"), [0.0, 0.0, 0.0, 0.0], [1e200, 1e200, 1e200, 0.0], True),
+])
+def test_a_trajectory_does_not_alias_the_stepper_buffers(ch, p0, v0, aborted):
+    first = integrate_geodesic(ch, p0, v0, 2.0, 1e-2)
+    assert first.aborted == aborted
+    before = first.positions.tobytes(), first.velocities.tobytes()
+    # a second run on the same chart, from the same and from other data
+    integrate_geodesic(ch, p0, v0, 2.0, 1e-2)
+    integrate_geodesic(ch, [c + 0.25 for c in p0], [2 * c for c in v0], 2.0,
+                       1e-2)
+    assert (first.positions.tobytes(), first.velocities.tobytes()) == before
+    assert not np.shares_memory(first.positions,
+                                integrate_geodesic(ch, p0, v0, 0.5, 1e-2)
+                                .positions)
+
+
+def _oracle_rk4_step(rhs, y, h):
+    """One classical RK4 step of y' = rhs(y), each stage a new array."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _oracle_flow(model, a, s_end, step):
+    """The allocating RK4 loop of flow_left_invariant_field, without its
+    range checks."""
+    a = np.asarray(a, dtype=float)
+    pos = np.array([float(c) for c in group_identity(model).coords])
+
+    def rhs(p):
+        return frame(model, GroupElement(model, tuple(p))) @ a
+
+    with np.errstate(all="ignore"):
+        for _ in range(_step_count(s_end, step)):
+            pos = _oracle_rk4_step(rhs, pos, step)
+    return pos
+
+
+@pytest.mark.parametrize("model", ["G0", "G1", "H3"])
+def test_flow_matches_the_allocating_loop_bit_for_bit(model):
+    rng = random.Random(f"flow {model}")
+    dim = 3 if model == "H3" else 4
+    fields = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(6)]
+    fields += [[0.0, -0.0, 1.0, -0.0][:dim], [-0.0] * dim,
+               [1e-300, -1e-300, 1e-10, 3.0][:dim]]
+    for a in fields:
+        for s_end, step in ((1.0, 1e-2), (0.7, 0.05), (0.0, 0.1)):
+            got = flow_left_invariant_field(model, a, s_end, step)
+            want = _oracle_flow(model, a, s_end, step)
+            assert np.array(got.coords).tobytes() == want.tobytes()
+
+
 def test_christoffel_matches_oracle_bit_for_bit():
     rng = np.random.default_rng(11)
     for name in ("g0", "g1", "h1", "h2"):
@@ -586,8 +661,10 @@ def test_g0_and_g1_share_one_read_only_lowered_tensor():
     assert T.tobytes() == want.tobytes() and T.shape == want.shape
     for name in ("g0", "g1"):
         ch = chart(name)
+        # the stepper's held tensor is the shared one, never written
+        assert ch._held()[1] is T
         for p in points:
-            assert ch.lowered_at(p) is T and ch._parts_at(p)[1] is T
+            assert ch.lowered_at(p) is T
 
 
 def test_h2_lowered_tensor_is_not_h1s_negated():
