@@ -8,14 +8,21 @@ the partials are written out by hand; finite differences appear only in
 tests that cross-validate them.
 
 One RK4 stepper, ``_rk4_stepper``, serves geodesics and the flows of
-left-invariant fields.  It works in buffers held for the whole run: the
-stage derivatives, the stage input, and for a geodesic the metric, the
+left-invariant fields.  It works in buffers held for the whole run: a stage
+block with one row per stage, holding the stage's input and its derivative
+(for a geodesic the row is [position | velocity | acceleration], so the
+derivative's position half is the stage velocity itself and the right-hand
+side writes only the acceleration), and for a geodesic the metric, the
 lowered tensor, the inverse metric and the Christoffel symbols, which the
 chart's writers fill in place.  Each state is written into one row of a
 history array allocated before the first step.  Every float operation is
 one of the textbook formula evaluated left to right, so a trajectory has
 the bits of the loop that allocates a new array per stage (the tests keep
-that loop and compare bytes).
+that loop and compare bytes).  The CSV writer formats its rows in chunks
+of ``_CSV_CHUNK``, one ``%`` operation each.
+
+Initial data whose length is not the chart's dimension, and a trajectory
+the CSV header does not fit (not 3- or 4-dim), raise InputError.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ from .groups import (_METRICS, GeodesicSpec, GroupElement, coordinate_metric,
                      frame, geodesic_closed_form, group_identity)
 
 CSV_HEADER = "s,t,x,y,z,vt,vx,vy,vz"
+# rows per formatted string: a long run never builds one giant string
+_CSV_CHUNK = 1000
 # fixed steps one run may take; a trajectory keeps every sample in memory
 MAX_STEPS = 10**6
 
@@ -220,13 +229,6 @@ def _christoffel_kernel(ch: MetricChart) -> tuple:
     return gam, at
 
 
-def _accelerate(gam, vel, out) -> None:
-    """out = -Gamma^k_ij v^i v^j.  The sign is a separate negation: folded
-    into a factor it would flip the sign of a zero."""
-    c_einsum("kij,i,j->k", gam, vel, vel, out=out)
-    np.negative(out, out=out)
-
-
 def christoffel(ch: MetricChart, p: Sequence) -> np.ndarray:
     """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2 at p."""
     p = np.asarray(p, dtype=float)
@@ -240,10 +242,9 @@ def christoffel(ch: MetricChart, p: Sequence) -> np.ndarray:
 
 
 def geodesic_rhs(ch: MetricChart, pos: np.ndarray, vel: np.ndarray) -> tuple:
-    gam = christoffel(ch, pos)
-    acc = np.empty(len(gam))
-    _accelerate(gam, vel, acc)
-    return vel, acc
+    # -Gamma^k_ij v^i v^j: the sign is a separate negation, as in
+    # integrate_geodesic; folded into a factor it would flip a zero's sign
+    return vel, -c_einsum("kij,i,j->k", christoffel(ch, pos), vel, vel)
 
 
 @dataclass
@@ -272,25 +273,36 @@ def integrate_geodesic(ch: MetricChart, p0: Sequence, v0: Sequence,
     state aborts too; the trajectory then carries the samples up to the last
     valid one and is flagged ``aborted``.  That flag is the report, so
     numpy's other floating-point warnings are silenced.
+
+    Raises InputError when p0 or v0 does not have ch.dim entries.
     """
     nsteps = _step_count(s_end, step)
-    n = len(p0)
+    n = ch.dim
+    if len(p0) != n or len(v0) != n:
+        raise InputError(f"chart {ch.name} has {n} coordinates; got {len(p0)}"
+                         f" for the point and {len(v0)} for the velocity")
     gam, christoffel_at = _christoffel_kernel(ch)
+    # stage i's row is [position | velocity | acceleration]: its input is
+    # the first 2n entries and its derivative the last 2n
+    Z = np.empty((4, 3 * n))
+    stages = [(z[:n], z[n:2 * n], z[2 * n:]) for z in Z]
 
-    def rhs(y, dy):
-        vel = y[n:]
-        christoffel_at(y[:n])
-        dy[:n] = vel
-        _accelerate(gam, vel, dy[n:])
+    def rhs(i):
+        pos, vel, acc = stages[i]
+        christoffel_at(pos)
+        # -Gamma^k_ij v^i v^j: the sign is a separate negation; folded into
+        # a factor it would flip the sign of a zero
+        c_einsum("kij,i,j->k", gam, vel, vel, out=acc)
+        np.negative(acc, acc)
 
     Y = np.empty((nsteps + 1, 2 * n))
     Y[0, :n], Y[0, n:] = p0, v0
-    rk4 = _rk4_stepper(rhs, 2 * n, step)
+    rk4, zeros = _rk4_stepper(rhs, Z, n, step), np.zeros(2 * n)
     done = 0
     with np.errstate(**_SINGULAR_RAISES):
         while done < nsteps:
             try:
-                if not np.isfinite(rk4(Y[done], Y[done + 1])).all():
+                if not _all_finite(rk4(Y[done], Y[done + 1]), zeros):
                     break
             except np.linalg.LinAlgError:
                 break
@@ -313,30 +325,45 @@ def _step_count(s_end: float, step: float) -> int:
     return int(round(ratio))
 
 
-def _rk4_stepper(rhs, size: int, h: float) -> Callable:
+def _all_finite(y, zeros) -> bool:
+    """np.isfinite(y).all() in one numpy call, under _SINGULAR_RAISES:
+    0 * x is a signed zero for finite x and NaN for inf or NaN, and 0 * inf
+    raises numpy's invalid flag, which that state turns into LinAlgError."""
+    try:
+        return math.isfinite(y.dot(zeros))
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _rk4_stepper(rhs, Z: np.ndarray, offset: int, h: float) -> Callable:
     """step(y, out): one classical RK4 step of y' = f(y) from y, written
-    into out and returned, where rhs(y, dy) writes f(y) into dy.  The stage
-    derivatives and the stage input are held across steps.  The operations
-    are those of y + h/6 (k1 + 2 k2 + 2 k3 + k4) with stage inputs
-    y + (h/2) k, evaluated left to right, each rounded once."""
-    k1, k2, k3, k4, stage = (np.empty(size) for _ in range(5))
+    into out and returned.  Z is the stage block, held across steps: row i
+    holds stage i's input in Z[i, :m] and rhs(i) writes f of it into
+    Z[i, offset:], its last m = Z.shape[1] - offset entries.  The
+    operations are those of y + h/6 (k1 + 2 k2 + 2 k3 + k4) with stage
+    inputs y + (h/2) k, evaluated left to right, each rounded once."""
+    (y1, y2, y3, y4), (k1, k2, k3, k4) = Z[:, :-offset], Z[:, offset:]
     # 0-d arrays: numpy multiplies by them faster than by Python floats,
     # and they hold the same doubles
     half, whole, sixth, two = map(np.array, (0.5 * h, h, h / 6.0, 2.0))
+    add, mul = np.add, np.multiply
 
+    # a ufunc's third argument is its out
     def step(y, out):
-        rhs(y, k1)
-        np.multiply(k1, half, out=stage)
-        rhs(np.add(y, stage, out=stage), k2)
-        np.multiply(k2, half, out=stage)
-        rhs(np.add(y, stage, out=stage), k3)
-        np.multiply(k3, whole, out=stage)
-        rhs(np.add(y, stage, out=stage), k4)
-        # ((k1 + 2 k2) + 2 k3) + k4, then times h/6, then plus y
-        np.add(k1, np.multiply(k2, two, out=k2), out=k1)
-        np.add(k1, np.multiply(k3, two, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        return np.add(y, np.multiply(k1, sixth, out=k1), out=out)
+        np.copyto(y1, y)
+        rhs(0)
+        add(y, mul(k1, half, y2), y2)
+        rhs(1)
+        add(y, mul(k2, half, y3), y3)
+        rhs(2)
+        add(y, mul(k3, whole, y4), y4)
+        rhs(3)
+        # ((k1 + 2 k2) + 2 k3) + k4, then times h/6, then plus y; k1 may
+        # overlap y1, which is no longer read
+        add(k1, mul(k2, two, k2), k1)
+        add(k1, mul(k3, two, k3), k1)
+        add(k1, k4, k1)
+        return add(y, mul(k1, sixth, k1), out)
     return step
 
 
@@ -411,11 +438,16 @@ def flow_left_invariant_field(model: str, a: Sequence, s_end: float,
     nsteps = _step_count(s_end, step)
     a = np.asarray(a, dtype=float)
     pos = np.array([float(c) for c in group_identity(model).coords])
+    m = len(pos)
+    # stage i's row is [position | derivative]
+    Z = np.empty((4, 2 * m))
+    stages = [(z[:m], z[m:]) for z in Z]
 
-    def rhs(p, dp):
+    def rhs(i):
+        p, dp = stages[i]
         np.matmul(frame(model, GroupElement(model, tuple(p))), a, out=dp)
 
-    rk4, new = _rk4_stepper(rhs, len(pos), step), np.empty(len(pos))
+    rk4, new = _rk4_stepper(rhs, Z, m, step), np.empty(m)
     for _ in range(nsteps):
         _finite(lambda: rk4(pos, new), "flow")
         pos, new = new, pos
@@ -426,14 +458,21 @@ def write_trajectory_csv(traj: Trajectory, stream) -> None:
     """Delimited output, one row per sample: s,t,x,y,z,vt,vx,vy,vz.
 
     Three-dimensional (H3) trajectories fill the t and vt columns with 0.
-    Values carry 17 significant digits so doubles round-trip.
+    Values carry 17 significant digits so doubles round-trip.  Rows are
+    formatted _CSV_CHUNK at a time, one % operation and one write each.
+
+    Raises InputError, before writing anything, for a trajectory that is
+    not 3- or 4-dimensional: its rows would not match the header.
     """
-    stream.write(CSV_HEADER + "\n")
     n = traj.positions.shape[1]
-    cells = ["{:.17g}"] * n
-    if n == 3:
-        cells.insert(0, "0")  # format(0.0, ".17g")
-    row = ",".join(["{:.17g}", *cells, *cells]) + "\n"
-    for s, p, v in zip(traj.s.tolist(), traj.positions.tolist(),
-                       traj.velocities.tolist()):
-        stream.write(row.format(s, *p, *v))
+    if n not in (3, 4):
+        raise InputError(f"CSV columns {CSV_HEADER} hold 3- or 4-dim"
+                         f" trajectories, not {n}-dim")
+    stream.write(CSV_HEADER + "\n")
+    # H3 pads t and vt with "0", which is "%.17g" % 0.0
+    cells = ",%.17g" * 4 if n == 4 else ",0" + ",%.17g" * 3
+    row = "%.17g" + cells + cells + "\n"
+    for a in range(0, len(traj), _CSV_CHUNK):
+        block = np.column_stack([x[a:a + _CSV_CHUNK] for x in
+                                 (traj.s, traj.positions, traj.velocities)])
+        stream.write((row * len(block)) % tuple(block.ravel().tolist()))

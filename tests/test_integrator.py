@@ -15,7 +15,9 @@ from numpy.linalg import _umath_linalg
 from metriclie.base import InputError, NumericalError
 from metriclie.groups import (GeodesicSpec, GroupElement, exp_map, frame,
                               group_identity)
-from metriclie.integrate import (MetricChart, Trajectory, _BuiltinChart,
+from metriclie import integrate
+from metriclie.integrate import (_CSV_CHUNK, _SINGULAR_RAISES, MetricChart,
+                                 Trajectory, _all_finite, _BuiltinChart,
                                  _g0g1_partials, _h1_partials, _h2_partials,
                                  _step_count, c_einsum, chart,
                                  christoffel, compare_to_closed_form,
@@ -707,3 +709,81 @@ def test_singular_metric_raises_numerical_error_without_warning(metric):
         christoffel(singular, [0.1, 0.2, 0.3])
     with pytest.raises(NumericalError, match="singular"):
         geodesic_rhs(singular, np.array([0.1, 0.2, 0.3]), np.ones(3))
+
+
+@pytest.mark.parametrize("model", ["G0", "H3"])
+@pytest.mark.parametrize("rows", [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
+                                  2 * _CSV_CHUNK])
+def test_csv_across_chunk_bounds_matches_row_by_row_writer(model, rows):
+    dim = 3 if model == "H3" else 4
+    rng = np.random.default_rng(rows + dim)
+    special = [0.0, -0.0, 1e-310, 5e-324, -1e300, 0.1, math.inf, math.nan]
+    A = rng.uniform(-2, 2, (rows, 9))
+    mask = rng.random((rows, 9)) < 0.2
+    A[mask] = rng.choice(special, mask.sum())
+    traj = Trajectory(A[:, 0], A[:, 1:1 + dim], A[:, 5:5 + dim], 0.01)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    assert buf.getvalue() == _oracle_csv(traj, model)
+
+
+class _RefusesWrites(io.StringIO):
+    def write(self, text):
+        raise AssertionError("wrote " + repr(text[:20]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_csv_refuses_a_trajectory_the_header_does_not_fit(dim):
+    # a 2-dim chart used to give 5-cell rows under the 9-column header
+    flat = MetricChart("flat", dim, lambda p: np.eye(dim),
+                       lambda p: np.zeros((dim,) * 3))
+    traj = integrate_geodesic(flat, [0.0] * dim, [1.0] * dim, 0.02, 0.01)
+    with pytest.raises(InputError, match=f"not {dim}-dim"):
+        write_trajectory_csv(traj, _RefusesWrites())
+
+
+@pytest.mark.parametrize("name, p0, v0, lengths", [
+    ("g0", [0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], "got 3 for the point and 4"),
+    ("h1", [0.0, 0.0, 0.0], [1.0, 0.0], "got 3 for the point and 2"),
+    ("h1", [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.5], "got 4 for the point and 4"),
+])
+def test_initial_data_of_the_wrong_length_is_refused(monkeypatch, name, p0, v0,
+                                                     lengths):
+    # refused before any buffer is allocated: a raw ValueError came from the
+    # chart writers or the history array
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated a buffer")
+    monkeypatch.setattr(integrate, "_christoffel_kernel", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(InputError, match=f"has {chart(name).dim} coordinates;"
+                                         f" {lengths} for the velocity"):
+        integrate_geodesic(chart(name), p0, v0, 1.0, 0.01)
+
+
+@pytest.mark.parametrize("size", [6, 8])
+def test_finiteness_test_agrees_with_isfinite_all(size):
+    zeros = np.zeros(size)
+    states = [np.array([0.0, -0.0, 1e-310, 5e-324, -1e308, 1.7e308, 2.5, -3.0]
+                       [:size])]
+    for bad in (math.inf, -math.inf, math.nan):
+        for i in range(size):
+            y = np.linspace(-1e300, 1e300, size)
+            y[i] = bad
+            states.append(y)
+    with np.errstate(**_SINGULAR_RAISES):
+        for y in states:
+            assert _all_finite(y, zeros) is bool(np.isfinite(y).all())
+
+
+def test_geodesics_and_flows_share_the_one_stepper(monkeypatch):
+    calls = []
+    stepper = integrate._rk4_stepper
+
+    def counted(rhs, Z, offset, h):
+        calls.append(Z.shape)
+        return stepper(rhs, Z, offset, h)
+    monkeypatch.setattr(integrate, "_rk4_stepper", counted)
+    integrate_geodesic(chart("h1"), [0.1, 0.2, 0.3], [1.0, 0.0, 0.5], 0.1, 0.05)
+    flow_left_invariant_field("G0", (1.0, 0.0, 0.0, 1.0), 0.1, 0.05)
+    # one stage block per run: [pos | vel | acc] and [pos | derivative]
+    assert calls == [(4, 9), (4, 8)]
